@@ -14,9 +14,9 @@ from .evaluator import (apply_closure, BoolV, ClosureV, EvalError,
                         reference_super, run_super, SuperV, VecV)
 from .linalg import (apply_super, basis, dens_close, dens_from_json,
                      dens_to_json, dim, elem_index, pure_density,
-                     random_density, render_density, super_arr, super_close,
-                     super_compose, super_fanout, super_first, super_identity,
-                     super_meas, super_second, super_trL, SuperVal)
+                     random_density, render_density, super_arr, super_compose,
+                     super_fanout, super_first, super_identity, super_meas,
+                     super_second, super_trL, SuperVal)
 from .parser import parse_command, parse_program, parse_term, parse_type, ParseError
 from .rewriter import (apply_law_at, Law, law_by_name, normalize, NotEqual,
                        ProofTrace, ProvedByNormalization, ProvedSemantically,

@@ -57,9 +57,6 @@ class PureFun:
         pats = [p for p, _ in self.delta]
         return reduce(PPair, pats)
 
-    def tuple_type(self) -> TypeExpr:
-        return delta_tuple_type(self.delta)
-
     def as_lambda(self) -> Lam:
         return Lam(self.tuple_pattern(), self.body)
 

@@ -52,7 +52,10 @@ class CliError(Exception):
 # Ket expressions: |010>, +, -, /sqrt2, parentheses
 
 
-def parse_ket(s: str) -> np.ndarray:
+def parse_ket(s: str, d: Optional[int] = None, name: str = "") -> np.ndarray:
+    """The amplitudes of a ket expression.  Given the dimension `d` that
+    definition `name` expects, a basis ket of any other dimension is refused
+    before its amplitudes are allocated."""
     text = s.replace(" ", "")
     pos = 0
 
@@ -80,7 +83,13 @@ def parse_ket(s: str) -> np.ndarray:
             if not bits or peek() != ">":
                 fail("expected |bits> with bits drawn from 0/1")
             pos += 1
-            amp = np.zeros(2 ** len(bits), dtype=complex)
+            n = len(bits)
+            if d is not None and 2 ** n != d:
+                # 2**n has too many digits to print when n is large
+                shown = 2 ** n if n <= 64 else f"2**{n}"
+                raise CliError(f"input has dimension {shown}, but {name} "
+                               f"expects {d}", BADINPUT)
+            amp = np.zeros(2 ** n, dtype=complex)
             amp[int(bits, 2)] = 1.0
             return amp
         fail(f"unexpected {peek()!r}" if peek() else "unexpected end")
@@ -188,8 +197,9 @@ def cmd_run(args) -> int:
     value = env[args.name]
 
     if isinstance(value, SuperV):
+        d = dim(value.val.in_type)
         if args.input is not None:
-            rho = pure_density(parse_ket(args.input))
+            rho = pure_density(parse_ket(args.input, d, args.name))
         elif args.density is not None:
             try:
                 with open(args.density, "r", encoding="utf-8") as fh:
@@ -199,7 +209,6 @@ def cmd_run(args) -> int:
         else:
             raise CliError("a superoperator needs --input KET or "
                            "--density FILE", BADINPUT)
-        d = dim(value.val.in_type)
         if rho.shape != (d, d):
             raise CliError(
                 f"input has dimension {rho.shape[0]}, but {args.name} "

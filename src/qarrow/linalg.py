@@ -221,12 +221,6 @@ def apply_super(s: SuperVal, rho: np.ndarray) -> np.ndarray:
     return (s.action @ rho.reshape(d_in * d_in)).reshape(d_out, d_out)
 
 
-def super_close(f: SuperVal, g: SuperVal, tol: float = 1e-9) -> bool:
-    return (dim(f.in_type) == dim(g.in_type)
-            and dim(f.out_type) == dim(g.out_type)
-            and bool(np.max(np.abs(f.action - g.action)) <= tol))
-
-
 # --------------------------------------------------------------------------
 # Densities
 

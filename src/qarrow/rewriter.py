@@ -7,10 +7,10 @@ reducing one; the reverse direction is supported only where it is
 deterministic and needs no type information.
 
 Positions are paths: tuples of child indices, with the child order fixed
-per node class (see ``node_children``).  ``normalize`` repeatedly applies
-the first law (in a fixed priority order) at the leftmost-outermost
-applicable position, recording one step per rewrite; the recorded trace
-replays exactly via ``apply_law_at``.
+per node class by its ``child_fields`` (see ``node_children``).
+``normalize`` repeatedly applies the first law (in a fixed priority order)
+at the leftmost-outermost applicable position, recording one step per
+rewrite; the recorded trace replays exactly via ``apply_law_at``.
 
 Definition unfolding (``delta``) is restricted to definitions that are not
 arrow abstractions; programs are non-recursive, so unfolding terminates.
@@ -18,7 +18,6 @@ arrow abstractions; programs are non-recursive, so unfolding terminates.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -28,12 +27,11 @@ import numpy as np
 from .evaluator import (apply_closure, BoolV, ClosureV, elem_to_value,
                         eval_term, PairV, run_super, SuperV, VecV)
 from .linalg import basis, dim, pure_density
-from .syntax import (alpha_eq, App, ArrowAbs, BoolLit, BoolT, CApp, CLet,
-                     CUnit, Eq, free_vars, Fst, FunT, If, is_classical, Lam,
-                     Let, Meas, MZero, Node, Pair, pattern_names,
-                     pattern_subst, pattern_term, pretty, ProdT, PVar, Snd,
-                     subst_map, SuperT, Term, TrL, type_str, TypeExpr, Var,
-                     VecAdd, VecLet, VecScale, VecSub, VecT, VecUnit)
+from .syntax import (alpha_eq, App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq,
+                     free_vars, Fst, FunT, If, is_classical, Lam, Let, MZero,
+                     Node, Pair, pattern_names, pattern_subst, pattern_term,
+                     pretty, ProdT, PVar, rebuild, Snd, subst_map, Term,
+                     type_str, TypeExpr, Var, VecAdd, VecLet, VecUnit)
 from .typecheck import elaborate_term, TypeCheckError
 
 
@@ -85,42 +83,27 @@ def law_by_name(name: str) -> Law:
 # --------------------------------------------------------------------------
 # Paths
 
-_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
-    Var: (), BoolLit: (), MZero: (),
-    Pair: ("left", "right"), Fst: ("arg",), Snd: ("arg",),
-    Eq: ("left", "right"), Lam: ("body",), App: ("fn", "arg"),
-    Let: ("bound", "body"), VecLet: ("bound", "body"),
-    If: ("cond", "then", "orelse"), VecUnit: ("content",),
-    VecAdd: ("left", "right"), VecSub: ("left", "right"),
-    VecScale: ("arg",), ArrowAbs: ("cmd",),
-    CApp: ("fn", "arg"), CUnit: ("content",), CLet: ("bound", "body"),
-    Meas: ("arg",), TrL: ("arg",),
-}
-
-
 def node_children(node: Node) -> tuple[Node, ...]:
-    fields = _CHILD_FIELDS[type(node)]
-    return tuple(getattr(node, f) for f in fields)
+    return tuple(getattr(node, f) for f in node.child_fields)
 
 
 def get_at(node: Node, path: tuple[int, ...]) -> Node:
     for i in path:
-        fields = _CHILD_FIELDS[type(node)]
-        if i >= len(fields):
+        if i >= len(node.child_fields):
             raise RewriteError(f"path {path} leaves the tree")
-        node = getattr(node, fields[i])
+        node = getattr(node, node.child_fields[i])
     return node
 
 
 def replace_at(node: Node, path: tuple[int, ...], new: Node) -> Node:
     if not path:
         return new
-    fields = _CHILD_FIELDS[type(node)]
+    fields = node.child_fields
     i = path[0]
     if i >= len(fields):
         raise RewriteError(f"path {path} leaves the tree")
     child = replace_at(getattr(node, fields[i]), path[1:], new)
-    return dataclasses.replace(node, **{fields[i]: child})
+    return rebuild(node, {fields[i]: child})
 
 
 # --------------------------------------------------------------------------
@@ -398,6 +381,7 @@ AUTO_LAWS: tuple[Law, ...] = (
     Law.ZERO_PLUS, Law.PLUS_ZERO,
     Law.DELTA,
 )
+_AUTO_MATCHERS = tuple((law, _L2R[law]) for law in AUTO_LAWS)
 
 
 # --------------------------------------------------------------------------
@@ -479,8 +463,8 @@ class Rewriter:
 
     def _find_redex(self, node: Node,
                     path: tuple[int, ...] = ()) -> Optional[tuple]:
-        for law in AUTO_LAWS:
-            new = _L2R[law](self, node)
+        for law, match in _AUTO_MATCHERS:
+            new = match(self, node)
             if new is not None:
                 return path, law, new
         for i, child in enumerate(node_children(node)):

@@ -10,11 +10,29 @@ This module defines the node types plus the purely syntactic operations on
 them: free variables, capture-avoiding substitution, alpha equivalence and
 pretty printing.  Every node carries an optional source position which is
 ignored by equality.
+
+Each term, command and type class declares its subtrees once, as the class
+attribute ``child_fields``: the names of its fields that hold a term, command
+or type, in field order.  Every other walk of the tree (here, in the checker
+and in the rewriter) is derived from that declaration and rebuilds nodes with
+``rebuild``.  From the dataclass fields the module also derives, per class,
+``data_fields`` (compared fields that are neither children nor ``pat``, such
+as a variable's name), ``annot_fields`` (uncompared fields other than
+``pos``, such as the types the checker records) and ``binder`` (whether it
+has a ``pat`` field).
+
+The binder rule: a node with a ``pat`` field binds the pattern's names in its
+*last* child only.  So ``\\x. M`` and ``\\@x. Q`` bind ``x`` in their body,
+and ``let p = M in N`` binds ``p`` in ``N`` but not in ``M``.
+
+The walks recurse from plain loops rather than comprehensions: before Python
+3.12 a comprehension is a stack frame of its own, which would halve the
+depth of tree a walk can take within the recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 
@@ -26,6 +44,8 @@ class Pos(NamedTuple):
 @dataclass(frozen=True)
 class Node:
     pos: Optional[Pos] = field(default=None, kw_only=True, compare=False, repr=False)
+
+    child_fields = ()
 
 
 # --------------------------------------------------------------------------
@@ -45,28 +65,39 @@ class BoolT(TypeExpr):
 class ProdT(TypeExpr):
     left: TypeExpr
     right: TypeExpr
+    child_fields = ("left", "right")
 
 
 @dataclass(frozen=True)
 class FunT(TypeExpr):
     arg: TypeExpr
     res: TypeExpr
+    child_fields = ("arg", "res")
 
 
 @dataclass(frozen=True)
 class VecT(TypeExpr):
     elem: TypeExpr
+    child_fields = ("elem",)
 
 
 @dataclass(frozen=True)
 class DensT(TypeExpr):
     elem: TypeExpr
+    child_fields = ("elem",)
 
 
 @dataclass(frozen=True)
 class SuperT(TypeExpr):
     arg: TypeExpr
     res: TypeExpr
+    child_fields = ("arg", "res")
+
+
+@dataclass(frozen=True)
+class TVar(TypeExpr):
+    """The checker's unification variable; printed as ``?``."""
+    uid: int
 
 
 def lin_type(a: TypeExpr, b: TypeExpr) -> FunT:
@@ -83,7 +114,10 @@ def is_classical(t: TypeExpr) -> bool:
     return False
 
 
-def type_str(t: TypeExpr) -> str:
+def type_str(t: Optional[TypeExpr]) -> str:
+    """Concrete syntax of a type; an unknown type (None or a TVar) is ``?``."""
+    if t is None or isinstance(t, TVar):
+        return "?"
     if isinstance(t, BoolT):
         return "Bool"
     if isinstance(t, ProdT):
@@ -104,7 +138,7 @@ def type_str(t: TypeExpr) -> str:
 
 def _type_atom(t: TypeExpr) -> str:
     s = type_str(t)
-    if isinstance(t, (BoolT, ProdT)):
+    if isinstance(t, (BoolT, ProdT, TVar)):
         return s
     return f"({s})"
 
@@ -165,34 +199,40 @@ class BoolLit(Term):
 class Pair(Term):
     left: Term
     right: Term
+    child_fields = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Fst(Term):
     arg: Term
+    child_fields = ("arg",)
 
 
 @dataclass(frozen=True)
 class Snd(Term):
     arg: Term
+    child_fields = ("arg",)
 
 
 @dataclass(frozen=True)
 class Eq(Term):
     left: Term
     right: Term
+    child_fields = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Lam(Term):
     pat: Pattern
     body: Term
+    child_fields = ("body",)
 
 
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
+    child_fields = ("fn", "arg")
 
 
 @dataclass(frozen=True)
@@ -203,6 +243,7 @@ class Let(Term):
     pat: Pattern
     bound: Term
     body: Term
+    child_fields = ("bound", "body")
 
 
 @dataclass(frozen=True)
@@ -210,6 +251,7 @@ class If(Term):
     cond: Term
     then: Term
     orelse: Term
+    child_fields = ("cond", "then", "orelse")
 
 
 @dataclass(frozen=True)
@@ -217,6 +259,7 @@ class VecUnit(Term):
     """[M] at the term level: the singleton vector at a classical value."""
 
     content: Term
+    child_fields = ("content",)
 
 
 @dataclass(frozen=True)
@@ -227,24 +270,28 @@ class VecLet(Term):
     bound: Term
     body: Term
     type_: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    child_fields = ("bound", "body")
 
 
 @dataclass(frozen=True)
 class VecAdd(Term):
     left: Term
     right: Term
+    child_fields = ("left", "right")
 
 
 @dataclass(frozen=True)
 class VecSub(Term):
     left: Term
     right: Term
+    child_fields = ("left", "right")
 
 
 @dataclass(frozen=True)
 class VecScale(Term):
     scalar: complex
     arg: Term
+    child_fields = ("arg",)
 
 
 @dataclass(frozen=True)
@@ -259,6 +306,7 @@ class ArrowAbs(Term):
     pat: Pattern
     cmd: "Command"
     type_: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    child_fields = ("cmd",)
 
 
 # --------------------------------------------------------------------------
@@ -276,6 +324,7 @@ class CApp(Command):
     fn: Term
     arg: Term
     fn_type: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    child_fields = ("fn", "arg")
 
 
 @dataclass(frozen=True)
@@ -286,6 +335,7 @@ class CUnit(Command):
     content: Term
     mode: Optional[str] = field(default=None, kw_only=True, compare=False, repr=False)
     content_type: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    child_fields = ("content",)
 
 
 @dataclass(frozen=True)
@@ -294,18 +344,21 @@ class CLet(Command):
     bound: Command
     body: Command
     bound_type: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    child_fields = ("bound", "body")
 
 
 @dataclass(frozen=True)
 class Meas(Command):
     arg: Term
     arg_type: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    child_fields = ("arg",)
 
 
 @dataclass(frozen=True)
 class TrL(Command):
     arg: Term
     arg_type: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    child_fields = ("arg",)
 
 
 # --------------------------------------------------------------------------
@@ -332,40 +385,49 @@ class Program(Node):
 
 
 # --------------------------------------------------------------------------
+# The shape of each node class, derived from its dataclass fields
+
+
+for _sort in (TypeExpr, Term, Command):
+    for _cls in _sort.__subclasses__():
+        _compared = [f.name for f in fields(_cls) if f.compare]
+        _cls.binder = "pat" in _compared
+        _cls.data_fields = tuple(n for n in _compared
+                                 if n != "pat" and n not in _cls.child_fields)
+        _cls.annot_fields = tuple(f.name for f in fields(_cls)
+                                  if not f.compare and f.name != "pos")
+
+
+def rebuild(node: Node, changes: dict) -> Node:
+    """A copy of `node` with the fields in `changes` replaced and every other
+    field, ``pos`` included, copied; `node` itself when nothing changes.
+
+    Writes the instance dictionary directly, as the frozen dataclass's own
+    ``__init__`` does, so that a copy costs no more than a constructor call;
+    ``dataclasses.replace`` costs several times as much.
+    """
+    if not changes:
+        return node
+    new = object.__new__(type(node))
+    d = new.__dict__
+    d.update(node.__dict__)
+    d.update(changes)
+    return new
+
+
+# --------------------------------------------------------------------------
 # Free variables
 
 def free_vars(node) -> frozenset[str]:
     """Free variables of a term or command."""
-    if isinstance(node, Var):
-        return frozenset([node.name])
-    if isinstance(node, (BoolLit, MZero)):
-        return frozenset()
-    if isinstance(node, (Lam, ArrowAbs)):
-        body = node.body if isinstance(node, Lam) else node.cmd
-        return free_vars(body) - set(pattern_names(node.pat))
-    if isinstance(node, (Let, VecLet, CLet)):
-        bound_fv = free_vars(node.bound)
-        body_fv = free_vars(node.body) - set(pattern_names(node.pat))
-        return bound_fv | body_fv
-    if isinstance(node, Pair):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, (Eq, VecAdd, VecSub)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, (Fst, Snd)):
-        return free_vars(node.arg)
-    if isinstance(node, App):
-        return free_vars(node.fn) | free_vars(node.arg)
-    if isinstance(node, If):
-        return free_vars(node.cond) | free_vars(node.then) | free_vars(node.orelse)
-    if isinstance(node, (VecUnit, CUnit)):
-        return free_vars(node.content)
-    if isinstance(node, VecScale):
-        return free_vars(node.arg)
-    if isinstance(node, CApp):
-        return free_vars(node.fn) | free_vars(node.arg)
-    if isinstance(node, (Meas, TrL)):
-        return free_vars(node.arg)
-    raise TypeError(f"free_vars: unexpected node {node!r}")
+    if type(node) is Var:
+        return frozenset((node.name,))
+    fvs = []
+    for f in node.child_fields:
+        fvs.append(free_vars(getattr(node, f)))
+    if node.binder:
+        fvs[-1] = fvs[-1].difference(pattern_names(node.pat))
+    return frozenset().union(*fvs)
 
 
 # --------------------------------------------------------------------------
@@ -396,94 +458,36 @@ def _freshen_pattern(p: Pattern, avoid) -> tuple[Pattern, dict[str, "Term"]]:
     return go(p), mapping
 
 
-def _subst_binder(pat, parts, sub):
-    """Substitute under a binder, freshening the pattern if it would capture.
-
-    `parts` is a tuple of subnodes in the binder's scope; returns
-    (new_pattern, new_parts).
-    """
-    bound = set(pattern_names(pat))
-    live = {k: v for k, v in sub.items() if k not in bound}
-    live = {k: v for k, v in live.items()
-            if any(k in free_vars(part) for part in parts)}
+def _subst_binder(pat: Pattern, body, sub):
+    """Substitute into a binder's scope, freshening the pattern if it would
+    capture; returns (new_pattern, new_body)."""
+    bound = pattern_names(pat)
+    body_fv = free_vars(body)
+    live = {k: v for k, v in sub.items() if k not in bound and k in body_fv}
     if not live:
-        return pat, parts
-    captured = bound & set().union(*[free_vars(v) for v in live.values()])
-    if captured:
-        avoid = (bound | set(live) |
-                 set().union(*[free_vars(v) for v in live.values()]) |
-                 set().union(*[free_vars(part) for part in parts]))
-        pat, renaming = _freshen_pattern(pat, avoid)
-        parts = tuple(subst_map(part, renaming) for part in parts)
-    return pat, tuple(subst_map(part, live) for part in parts)
+        return pat, body
+    incoming = frozenset().union(*map(free_vars, live.values()))
+    if not incoming.isdisjoint(bound):
+        pat, renaming = _freshen_pattern(
+            pat, incoming.union(bound, live, body_fv))
+        body = subst_map(body, renaming)
+    return pat, subst_map(body, live)
 
 
 def subst_map(node, sub: dict[str, Term]):
     """Capture-avoiding simultaneous substitution on a term or command."""
-    if not sub:
-        return node
-    if isinstance(node, Var):
+    if type(node) is Var:
         return sub.get(node.name, node)
-    if isinstance(node, (BoolLit, MZero)):
+    names = node.child_fields
+    if not sub or not names:
         return node
-    if isinstance(node, Pair):
-        return Pair(subst_map(node.left, sub), subst_map(node.right, sub), pos=node.pos)
-    if isinstance(node, Fst):
-        return Fst(subst_map(node.arg, sub), pos=node.pos)
-    if isinstance(node, Snd):
-        return Snd(subst_map(node.arg, sub), pos=node.pos)
-    if isinstance(node, Eq):
-        return Eq(subst_map(node.left, sub), subst_map(node.right, sub), pos=node.pos)
-    if isinstance(node, Lam):
-        pat, (body,) = _subst_binder(node.pat, (node.body,), sub)
-        return Lam(pat, body, pos=node.pos)
-    if isinstance(node, App):
-        return App(subst_map(node.fn, sub), subst_map(node.arg, sub), pos=node.pos)
-    if isinstance(node, Let):
-        bound = subst_map(node.bound, sub)
-        pat, (body,) = _subst_binder(node.pat, (node.body,), sub)
-        return Let(pat, bound, body, pos=node.pos)
-    if isinstance(node, If):
-        return If(subst_map(node.cond, sub), subst_map(node.then, sub),
-                  subst_map(node.orelse, sub), pos=node.pos)
-    if isinstance(node, VecUnit):
-        return VecUnit(subst_map(node.content, sub), pos=node.pos)
-    if isinstance(node, VecLet):
-        bound = subst_map(node.bound, sub)
-        pat, (body,) = _subst_binder(node.pat, (node.body,), sub)
-        return VecLet(pat, bound, body, pos=node.pos, type_=node.type_)
-    if isinstance(node, VecAdd):
-        return VecAdd(subst_map(node.left, sub), subst_map(node.right, sub), pos=node.pos)
-    if isinstance(node, VecSub):
-        return VecSub(subst_map(node.left, sub), subst_map(node.right, sub), pos=node.pos)
-    if isinstance(node, VecScale):
-        return VecScale(node.scalar, subst_map(node.arg, sub), pos=node.pos)
-    if isinstance(node, ArrowAbs):
-        pat, (cmd,) = _subst_binder(node.pat, (node.cmd,), sub)
-        return ArrowAbs(pat, cmd, pos=node.pos, type_=node.type_)
-    if isinstance(node, CApp):
-        return CApp(subst_map(node.fn, sub), subst_map(node.arg, sub),
-                    pos=node.pos, fn_type=node.fn_type)
-    if isinstance(node, CUnit):
-        return CUnit(subst_map(node.content, sub), pos=node.pos,
-                     mode=node.mode, content_type=node.content_type)
-    if isinstance(node, CLet):
-        bound = subst_map(node.bound, sub)
-        pat, (body,) = _subst_binder(node.pat, (node.body,), sub)
-        return CLet(pat, bound, body, pos=node.pos, bound_type=node.bound_type)
-    if isinstance(node, Meas):
-        return Meas(subst_map(node.arg, sub), pos=node.pos, arg_type=node.arg_type)
-    if isinstance(node, TrL):
-        return TrL(subst_map(node.arg, sub), pos=node.pos, arg_type=node.arg_type)
-    raise TypeError(f"subst: unexpected node {node!r}")
-
-
-def subst_term(m: Term, x: str, n: Term) -> Term:
-    return subst_map(m, {x: n})
-
-
-def subst_command(q: Command, x: str, n: Term) -> Command:
-    return subst_map(q, {x: n})
+    changes = {}
+    for f in names[:-1] if node.binder else names:
+        changes[f] = subst_map(getattr(node, f), sub)
+    if node.binder:
+        changes["pat"], changes[names[-1]] = _subst_binder(
+            node.pat, getattr(node, names[-1]), sub)
+    return rebuild(node, changes)
 
 
 def pattern_subst(pat: Pattern, value: Term) -> dict[str, Term]:
@@ -516,49 +520,25 @@ def _alpha_pattern(p, q, env_a, env_b, counter) -> bool:
 
 
 def _alpha(a, b, env_a, env_b, counter) -> bool:
-    if type(a) is not type(b):
+    cls = type(a)
+    if cls is not type(b):
         return False
-    if isinstance(a, Var):
-        ra, rb = env_a.get(a.name, a.name), env_b.get(b.name, b.name)
-        return ra == rb
-    if isinstance(a, BoolLit):
-        return a.value == b.value
-    if isinstance(a, MZero):
+    if cls is Var:
+        return env_a.get(a.name, a.name) == env_b.get(b.name, b.name)
+    for f in cls.data_fields:
+        if getattr(a, f) != getattr(b, f):
+            return False
+    kids = cls.child_fields
+    if cls.binder:
+        *kids, body = kids
+    for f in kids:
+        if not _alpha(getattr(a, f), getattr(b, f), env_a, env_b, counter):
+            return False
+    if not cls.binder:
         return True
-    if isinstance(a, (Pair, Eq, VecAdd, VecSub)):
-        return (_alpha(a.left, b.left, env_a, env_b, counter)
-                and _alpha(a.right, b.right, env_a, env_b, counter))
-    if isinstance(a, (Fst, Snd, Meas, TrL)):
-        return _alpha(a.arg, b.arg, env_a, env_b, counter)
-    if isinstance(a, VecScale):
-        return a.scalar == b.scalar and _alpha(a.arg, b.arg, env_a, env_b, counter)
-    if isinstance(a, (VecUnit, CUnit)):
-        return _alpha(a.content, b.content, env_a, env_b, counter)
-    if isinstance(a, App):
-        return (_alpha(a.fn, b.fn, env_a, env_b, counter)
-                and _alpha(a.arg, b.arg, env_a, env_b, counter))
-    if isinstance(a, CApp):
-        return (_alpha(a.fn, b.fn, env_a, env_b, counter)
-                and _alpha(a.arg, b.arg, env_a, env_b, counter))
-    if isinstance(a, If):
-        return (_alpha(a.cond, b.cond, env_a, env_b, counter)
-                and _alpha(a.then, b.then, env_a, env_b, counter)
-                and _alpha(a.orelse, b.orelse, env_a, env_b, counter))
-    if isinstance(a, (Lam, ArrowAbs)):
-        env_a, env_b = dict(env_a), dict(env_b)
-        if not _alpha_pattern(a.pat, b.pat, env_a, env_b, counter):
-            return False
-        pa = a.body if isinstance(a, Lam) else a.cmd
-        pb = b.body if isinstance(b, Lam) else b.cmd
-        return _alpha(pa, pb, env_a, env_b, counter)
-    if isinstance(a, (Let, VecLet, CLet)):
-        if not _alpha(a.bound, b.bound, env_a, env_b, counter):
-            return False
-        env_a, env_b = dict(env_a), dict(env_b)
-        if not _alpha_pattern(a.pat, b.pat, env_a, env_b, counter):
-            return False
-        return _alpha(a.body, b.body, env_a, env_b, counter)
-    raise TypeError(f"alpha_eq: unexpected node {a!r}")
+    env_a, env_b = dict(env_a), dict(env_b)
+    return (_alpha_pattern(a.pat, b.pat, env_a, env_b, counter)
+            and _alpha(getattr(a, body), getattr(b, body), env_a, env_b, counter))
 
 
 # --------------------------------------------------------------------------

@@ -26,47 +26,14 @@ Error kinds: ``mismatch``, ``unbound``, ``delta-misuse``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
                      Def, DensT, Eq, Fst, FunT, If, is_classical, Lam, Let,
-                     Meas, MZero, Pair, Pattern, pattern_names, PPair, Pos,
-                     ProdT, Program, PVar, Snd, SuperT, Term, TrL, type_str,
-                     TypeExpr, Var, VecAdd, VecLet, VecScale, VecSub, VecT,
-                     VecUnit)
-
-
-@dataclass(frozen=True)
-class TVar(TypeExpr):
-    """Internal unification variable; never escapes into reported types."""
-    uid: int
-
-
-def _show(t: Optional[TypeExpr]) -> str:
-    if t is None:
-        return "?"
-    if isinstance(t, TVar):
-        return "?"
-    if isinstance(t, ProdT):
-        return f"({_show(t.left)},{_show(t.right)})"
-    if isinstance(t, FunT):
-        arg = _show(t.arg)
-        if isinstance(t.arg, (FunT, SuperT)):
-            arg = f"({arg})"
-        return f"{arg} -> {_show(t.res)}"
-    if isinstance(t, VecT):
-        return f"Vec {_paren(t.elem)}"
-    if isinstance(t, DensT):
-        return f"Dens {_paren(t.elem)}"
-    if isinstance(t, SuperT):
-        return f"Super {_paren(t.arg)} {_paren(t.res)}"
-    return type_str(t)
-
-
-def _paren(t: TypeExpr) -> str:
-    s = _show(t)
-    return s if isinstance(t, (BoolT, ProdT, TVar)) else f"({s})"
+                     Meas, MZero, Pair, Pattern, pattern_names, Pos, ProdT,
+                     Program, PVar, rebuild, Snd, SuperT, Term, TrL, TVar,
+                     type_str, TypeExpr, Var, VecAdd, VecLet, VecScale, VecSub,
+                     VecT, VecUnit)
 
 
 class TypeCheckError(Exception):
@@ -82,7 +49,8 @@ class TypeCheckError(Exception):
     def render(self, filename: str = "<input>") -> str:
         line, col = self.pos if self.pos is not None else (0, 0)
         if self.expected is not None or self.found is not None:
-            core = f"expected {_show(self.expected)}, found {_show(self.found)}"
+            core = (f"expected {type_str(self.expected)}, "
+                    f"found {type_str(self.found)}")
             if self.detail:
                 core += f" ({self.detail})"
         else:
@@ -114,12 +82,9 @@ class Unifier:
         t = self.head(t)
         if isinstance(t, TVar):
             return t.uid == uid
-        if isinstance(t, ProdT):
-            return self._occurs(uid, t.left) or self._occurs(uid, t.right)
-        if isinstance(t, (FunT, SuperT)):
-            return self._occurs(uid, t.arg) or self._occurs(uid, t.res)
-        if isinstance(t, (VecT, DensT)):
-            return self._occurs(uid, t.elem)
+        for f in t.child_fields:
+            if self._occurs(uid, getattr(t, f)):
+                return True
         return False
 
     def unify(self, expected: TypeExpr, found: TypeExpr, pos: Optional[Pos],
@@ -136,39 +101,23 @@ class Unifier:
         if isinstance(b, TVar):
             self.unify(b, a, pos, detail)
             return
-        if isinstance(a, BoolT) and isinstance(b, BoolT):
-            return
         if type(a) is type(b):
-            if isinstance(a, ProdT):
-                self.unify(a.left, b.left, pos, detail)
-                self.unify(a.right, b.right, pos, detail)
-                return
-            if isinstance(a, (FunT, SuperT)):
-                self.unify(a.arg, b.arg, pos, detail)
-                self.unify(a.res, b.res, pos, detail)
-                return
-            if isinstance(a, (VecT, DensT)):
-                self.unify(a.elem, b.elem, pos, detail)
-                return
+            for f in a.child_fields:
+                self.unify(getattr(a, f), getattr(b, f), pos, detail)
+            return
         raise TypeCheckError("mismatch", pos, expected=self.resolve(expected),
                              found=self.resolve(found), detail=detail)
 
     def resolve(self, t: TypeExpr) -> TypeExpr:
         """Substitute solved variables; unsolved TVars remain."""
         t = self.head(t)
-        if isinstance(t, TVar):
-            return t
-        if isinstance(t, ProdT):
-            return ProdT(self.resolve(t.left), self.resolve(t.right), pos=t.pos)
-        if isinstance(t, FunT):
-            return FunT(self.resolve(t.arg), self.resolve(t.res), pos=t.pos)
-        if isinstance(t, SuperT):
-            return SuperT(self.resolve(t.arg), self.resolve(t.res), pos=t.pos)
-        if isinstance(t, VecT):
-            return VecT(self.resolve(t.elem), pos=t.pos)
-        if isinstance(t, DensT):
-            return DensT(self.resolve(t.elem), pos=t.pos)
-        return t
+        changes = {}
+        for f in t.child_fields:
+            kid = getattr(t, f)
+            new = self.resolve(kid)
+            if new is not kid:
+                changes[f] = new
+        return rebuild(t, changes)
 
     def resolve_full(self, t: TypeExpr, pos: Optional[Pos]) -> TypeExpr:
         r = self.resolve(t)
@@ -182,12 +131,9 @@ class Unifier:
 def _has_tvar(t: TypeExpr) -> bool:
     if isinstance(t, TVar):
         return True
-    if isinstance(t, ProdT):
-        return _has_tvar(t.left) or _has_tvar(t.right)
-    if isinstance(t, (FunT, SuperT)):
-        return _has_tvar(t.arg) or _has_tvar(t.res)
-    if isinstance(t, (VecT, DensT)):
-        return _has_tvar(t.elem)
+    for f in t.child_fields:
+        if _has_tvar(getattr(t, f)):
+            return True
     return False
 
 
@@ -197,13 +143,13 @@ def validate_type(t: TypeExpr, pos: Optional[Pos] = None) -> None:
     if isinstance(t, (VecT, DensT)):
         if not is_classical(t.elem):
             raise TypeCheckError("non-classical-basis", where,
-                                 detail=f"{_show(t)} needs a classical index type")
+                                 detail=f"{type_str(t)} needs a classical index type")
         return
     if isinstance(t, SuperT):
         for part in (t.arg, t.res):
             if not is_classical(part):
                 raise TypeCheckError("non-classical-basis", where,
-                                     detail=f"{_show(t)} needs classical index types")
+                                     detail=f"{type_str(t)} needs classical index types")
         return
     if isinstance(t, ProdT):
         validate_type(t.left, where)
@@ -258,10 +204,6 @@ class EnvPair:
         merged.update(self.delta)
         return EnvPair(merged, {}, self.hidden)
 
-    @classmethod
-    def empty(cls) -> "EnvPair":
-        return cls()
-
 
 class Checker:
     def __init__(self) -> None:
@@ -281,7 +223,7 @@ class Checker:
                                      detail="ambiguous type; an annotation is required")
             if not is_classical(r):
                 raise TypeCheckError("non-classical-basis", pos,
-                                     detail=f"expected a classical type, found {_show(r)}")
+                                     detail=f"expected a classical type, found {type_str(r)}")
 
     def bind_pattern(self, pat: Pattern, ty: TypeExpr) -> list[tuple[str, TypeExpr]]:
         names = pattern_names(pat)
@@ -306,7 +248,7 @@ class Checker:
                 go(p.right, h.right)
                 return
             raise TypeCheckError("pattern-arity", p.pos,
-                                 detail=f"tuple pattern against {_show(self.uni.resolve(h))}")
+                                 detail=f"tuple pattern against {type_str(self.uni.resolve(h))}")
 
         go(pat, ty)
         return out
@@ -520,7 +462,7 @@ class Checker:
                 raise TypeCheckError(
                     "non-classical-basis", c.pos,
                     detail=f"a command unit needs a classical or vector-typed "
-                           f"content, found {_show(self.uni.resolve(ch))}")
+                           f"content, found {type_str(self.uni.resolve(ch))}")
             self._classical(ct, c.pos)
             return ct, CUnit(c2, pos=c.pos, mode="classical", content_type=ct)
 
@@ -553,66 +495,16 @@ class Checker:
     # -- finalization: resolve every recorded annotation
 
     def finalize(self, node):
-        uni = self.uni
-
-        def res(t):
-            return None if t is None else uni.resolve_full(t, getattr(node, "pos", None))
-
-        if isinstance(node, (Var, BoolLit)):
-            return node
-        if isinstance(node, Pair):
-            return Pair(self.finalize(node.left), self.finalize(node.right), pos=node.pos)
-        if isinstance(node, Fst):
-            return Fst(self.finalize(node.arg), pos=node.pos)
-        if isinstance(node, Snd):
-            return Snd(self.finalize(node.arg), pos=node.pos)
-        if isinstance(node, Eq):
-            return Eq(self.finalize(node.left), self.finalize(node.right), pos=node.pos)
-        if isinstance(node, Lam):
-            return Lam(node.pat, self.finalize(node.body), pos=node.pos)
-        if isinstance(node, App):
-            return App(self.finalize(node.fn), self.finalize(node.arg), pos=node.pos)
-        if isinstance(node, Let):
-            return Let(node.pat, self.finalize(node.bound),
-                       self.finalize(node.body), pos=node.pos)
-        if isinstance(node, VecLet):
-            return VecLet(node.pat, self.finalize(node.bound),
-                          self.finalize(node.body), pos=node.pos,
-                          type_=res(node.type_))
-        if isinstance(node, If):
-            return If(self.finalize(node.cond), self.finalize(node.then),
-                      self.finalize(node.orelse), pos=node.pos)
-        if isinstance(node, VecUnit):
-            return VecUnit(self.finalize(node.content), pos=node.pos)
-        if isinstance(node, VecAdd):
-            return VecAdd(self.finalize(node.left), self.finalize(node.right), pos=node.pos)
-        if isinstance(node, VecSub):
-            return VecSub(self.finalize(node.left), self.finalize(node.right), pos=node.pos)
-        if isinstance(node, VecScale):
-            return VecScale(node.scalar, self.finalize(node.arg), pos=node.pos)
-        if isinstance(node, MZero):
-            return MZero(pos=node.pos, type_=res(node.type_))
-        if isinstance(node, ArrowAbs):
-            return ArrowAbs(node.pat, self.finalize(node.cmd), pos=node.pos,
-                            type_=res(node.type_))
-        if isinstance(node, CApp):
-            return CApp(self.finalize(node.fn), self.finalize(node.arg),
-                        pos=node.pos, fn_type=res(node.fn_type))
-        if isinstance(node, CUnit):
-            return CUnit(self.finalize(node.content), pos=node.pos,
-                         mode=node.mode, content_type=res(node.content_type))
-        if isinstance(node, CLet):
-            return CLet(node.pat, self.finalize(node.bound),
-                        self.finalize(node.body), pos=node.pos,
-                        bound_type=res(node.bound_type))
-        if isinstance(node, Meas):
-            return Meas(self.finalize(node.arg), pos=node.pos,
-                        arg_type=res(node.arg_type))
-        if isinstance(node, TrL):
-            return TrL(self.finalize(node.arg), pos=node.pos,
-                       arg_type=res(node.arg_type))
-        raise TypeCheckError("mismatch", getattr(node, "pos", None),
-                             detail=f"unexpected node {node!r}")
+        """Resolve every type recorded on the tree; an unsolved one is an
+        ambiguity error at the node that records it."""
+        changes = {}
+        for f in node.child_fields:
+            changes[f] = self.finalize(getattr(node, f))
+        for f in node.annot_fields:
+            t = getattr(node, f)
+            if isinstance(t, TypeExpr):
+                changes[f] = self.uni.resolve_full(t, node.pos)
+        return rebuild(node, changes)
 
 
 # --------------------------------------------------------------------------
@@ -656,19 +548,6 @@ def elaborate_term(env, term: Term,
 def infer_term(env, term: Term) -> TypeExpr:
     ty, _ = elaborate_term(env, term)
     return ty
-
-
-def check_command(env: EnvPair, cmd: Command) -> TypeExpr:
-    ty, _ = elaborate_command_env(env, cmd)
-    return ty
-
-
-def elaborate_command_env(env: EnvPair, cmd: Command) -> tuple[TypeExpr, Command]:
-    checker = Checker()
-    ty, c2 = checker.elaborate_command(env, cmd)
-    resolved = checker.uni.resolve_full(ty, cmd.pos)
-    checker.check_obligations()
-    return resolved, checker.finalize(c2)
 
 
 def elaborate_def(gamma: dict[str, TypeExpr], d: Def) -> tuple[TypeExpr, Def]:

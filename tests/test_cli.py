@@ -147,6 +147,16 @@ def test_run_dimension_mismatch(runcli, demo):
     assert "expects 2" in err
 
 
+@pytest.mark.parametrize("qubits", [20, 5000])
+def test_run_oversized_ket_refused_before_allocation(runcli, demo, qubits):
+    # a 20-qubit density matrix would need 16 TiB; the ket's bit count is
+    # checked against the definition before any amplitude is allocated
+    code, out, err = runcli("run", demo, "flip", "--input",
+                            "|" + "0" * qubits + ">")
+    assert code == BADINPUT and out == ""
+    assert "expects 2" in err and "Traceback" not in err
+
+
 def test_run_super_needs_input(runcli, demo):
     code, _, err = runcli("run", demo, "flip")
     assert code == BADINPUT and "needs --input" in err

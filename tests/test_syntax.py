@@ -1,12 +1,17 @@
-"""AST utilities: pretty/parse round trips, substitution, alpha-equivalence."""
+"""AST utilities: pretty/parse round trips, substitution, alpha-equivalence,
+and the per-class child declaration the generic walks rest on."""
+import dataclasses
+import typing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qarrow.parser import parse_program, parse_term
-from qarrow.syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CUnit, Fst,
-                           FunT, Lam, Pair, PPair, ProdT, PVar, SuperT, Var,
-                           VecT, alpha_eq, free_vars, lin_type, pattern_names,
+from qarrow.syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, Command, CUnit,
+                           Fst, FunT, Lam, Let, Node, Pair, Pattern, PPair, ProdT,
+                           PVar, rebuild, SuperT, Term, TypeExpr, Var, VecT,
+                           alpha_eq, free_vars, lin_type, pattern_names,
                            pretty, pretty_program, subst_map, type_str)
 
 import randprog
@@ -112,6 +117,9 @@ def test_alpha_eq_distinguishes():
     assert not alpha_eq(parse_term("\\x. y"), parse_term("\\x. z"))
     # bound occurrences must line up, not just names
     assert not alpha_eq(parse_term("\\x. \\y. x"), parse_term("\\x. \\y. y"))
+    # literals and scalars are compared by value
+    assert not alpha_eq(parse_term("True"), parse_term("False"))
+    assert not alpha_eq(parse_term("0.5 * [True]"), parse_term("0.25 * [True]"))
 
 
 def test_alpha_eq_free_vars_by_name():
@@ -178,3 +186,105 @@ def test_type_str_shapes():
         ("Dens (Bool,Bool)", "Dens (Bool,Bool)"),
     ]:
         assert type_str(parse_type(src)) == expect
+
+
+# ---- the child declaration ---------------------------------------------------
+
+def _node_classes():
+    todo, out = [Term, Command, TypeExpr], []
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            out.append(sub)
+            todo.append(sub)
+    return out
+
+
+@pytest.mark.parametrize("cls", _node_classes(), ids=lambda c: c.__name__)
+def test_child_declaration_is_complete(cls):
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    # declared children are real fields, listed in field order
+    assert list(cls.child_fields) == [n for n in names if n in cls.child_fields]
+    for f in fields:
+        hint = hints[f.name]
+        holds_node = isinstance(hint, type) and issubclass(hint, Node)
+        if f.name == "pat":
+            assert hint is Pattern and cls.binder
+            assert len(cls.child_fields) >= 1   # the binder's scope
+        elif f.compare:
+            # every compared subtree is a child; everything else is data
+            assert holds_node == (f.name in cls.child_fields), f.name
+            assert (f.name in cls.data_fields) == (not holds_node), f.name
+        elif f.name != "pos":
+            # recorded annotations: the checker resolves the TypeExpr ones
+            assert f.name in cls.annot_fields
+            assert not holds_node
+    assert cls.binder == ("pat" in names)
+
+
+def _bound_names(node):
+    names = set(pattern_names(node.pat)) if node.binder else set()
+    for f in node.child_fields:
+        names |= _bound_names(getattr(node, f))
+    return names
+
+
+def _freshen_all(node, env, counter):
+    """Rename every binder to a name no source program can contain."""
+    if type(node) is Var:
+        return Var(env.get(node.name, node.name))
+    if not node.binder:
+        return rebuild(node, {f: _freshen_all(getattr(node, f), env, counter)
+                              for f in node.child_fields})
+    *outer, body = node.child_fields
+    changes = {f: _freshen_all(getattr(node, f), env, counter) for f in outer}
+    inner = dict(env)
+
+    def rename(p):
+        if isinstance(p, PVar):
+            counter[0] += 1
+            inner[p.name] = f"#{counter[0]}"
+            return PVar(inner[p.name])
+        return PPair(rename(p.left), rename(p.right))
+
+    changes["pat"] = rename(node.pat)
+    changes[body] = _freshen_all(getattr(node, body), inner, counter)
+    return rebuild(node, changes)
+
+
+def test_walks_recurse_once_per_level():
+    # a 400-deep let chain stays inside the default recursion limit: each
+    # walk calls itself directly, substitution through its binder helper
+    t = Var("y")
+    for i in range(400):
+        t = Let(PVar(f"x{i}"), Var("y"), t)
+    out = subst_map(t, {"y": BoolLit(True)})
+    assert free_vars(t) == {"y"} and free_vars(out) == set()
+    assert alpha_eq(t, t) and not alpha_eq(t, out)
+
+
+def _random_term(seed, family):
+    if family == "super":
+        return randprog.random_super(seed, depth=2)[0]
+    return randprog.law_instance(seed, family).term
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6),
+       st.sampled_from(["super"] + sorted(randprog.FAMILIES)),
+       st.integers(0, 10**6))
+def test_walks_respect_binders(seed, family, pick):
+    t = _random_term(seed, family)
+    fv = sorted(free_vars(t))
+    if fv:
+        # substitute a term mentioning a name bound inside t, so that
+        # capture avoidance must rename a binder
+        x = fv[pick % len(fv)]
+        bound = sorted(_bound_names(t)) or ["z"]
+        n = Pair(Var(bound[pick % len(bound)]), Var("z"))
+        out = subst_map(t, {x: n})
+        assert free_vars(out) == (free_vars(t) - {x}) | free_vars(n)
+    fresh = _freshen_all(t, {}, [0])
+    assert alpha_eq(t, fresh) and alpha_eq(fresh, t)
+    assert free_vars(fresh) == free_vars(t)

@@ -96,6 +96,24 @@ def test_polymorphic_forms_are_ambiguous(prelude):
         assert "ambiguous" in ei.value.render("<input>")
 
 
+@pytest.mark.parametrize("src, message", [
+    ("\\x. x x",
+     "t.qarr:1:5: mismatch: expected ?, found ? -> ? (cyclic type)"),
+    ("\\x. [x] + x",
+     "t.qarr:1:9: mismatch: expected ?, found Vec ? (cyclic type)"),
+    ("\\@x. True @ x",
+     "t.qarr:1:6: mismatch: expected Super ? ?, found Bool "
+     "(arrow application needs a superoperator)"),
+    ("\\f. (fst f, f True)",
+     "t.qarr:1:13: mismatch: expected Bool -> ?, found (?,?) "
+     "(application needs a function)"),
+])
+def test_unknown_types_print_as_question_marks(prelude, src, message):
+    with pytest.raises(TypeCheckError) as ei:
+        infer_str(src, prelude.types)
+    assert ei.value.render("t.qarr") == message
+
+
 def test_unit_modes(prelude):
     # classical content -> classical unit; Vec content -> monadic lift
     _, t1 = elaborate_term(prelude.types, parse_term("\\@x. [not x]"),
