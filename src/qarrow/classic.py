@@ -138,6 +138,16 @@ def translate_term(t: ArrowAbs) -> ClassicExpr:
     return translate_command(delta, t.cmd)
 
 
+def _let_body_vars(cmd: Command, out: dict) -> frozenset[str]:
+    """Free variables of `cmd`.  Records those of each command let's body in
+    `out`, keyed by the let's id, so that one pass serves every let."""
+    if not isinstance(cmd, CLet):
+        return free_vars(cmd)
+    body = _let_body_vars(cmd.body, out)
+    out[id(cmd)] = body
+    return _let_body_vars(cmd.bound, out) | (body - set(pattern_names(cmd.pat)))
+
+
 def _arr_of(delta: tuple[DeltaEntry, ...], body: Term,
             out_type: TypeExpr) -> Arr:
     return Arr(PureFun(delta, body), in_type=delta_tuple_type(delta),
@@ -163,6 +173,15 @@ def _lift_fn_position(fn: Term) -> "tuple[str, Optional[ClassicExpr]]":
 
 
 def translate_command(delta: tuple[DeltaEntry, ...], cmd: Command) -> ClassicExpr:
+    body_vars: dict = {}
+    _let_body_vars(cmd, body_vars)
+    return _translate(delta, cmd, body_vars)
+
+
+def _translate(delta: tuple[DeltaEntry, ...], cmd: Command,
+               body_vars: dict) -> ClassicExpr:
+    """The pipeline of `cmd` over the context `delta`; `body_vars` maps the
+    id of each command let inside `cmd` to its body's free variables."""
     dtt = delta_tuple_type(delta)
 
     if isinstance(cmd, CUnit):
@@ -202,16 +221,17 @@ def translate_command(delta: tuple[DeltaEntry, ...], cmd: Command) -> ClassicExp
     if isinstance(cmd, CLet):
         if cmd.bound_type is None:
             raise TranslationError("command let lacks elaboration data", cmd.pos)
-        bound = translate_command(delta, cmd.bound)
-        live = free_vars(cmd.body) - set(pattern_names(cmd.pat))
+        bound = _translate(delta, cmd.bound, body_vars)
+        live = body_vars[id(cmd)] - set(pattern_names(cmd.pat))
         kept = tuple(entry for entry in delta
                      if set(pattern_names(entry[0])) & live)
         if not kept:
             # nothing from the old context survives: plain sequencing
-            body = translate_command(((cmd.pat, cmd.bound_type),), cmd.body)
+            body = _translate(((cmd.pat, cmd.bound_type),), cmd.body,
+                              body_vars)
             return Compose(bound, body, in_type=dtt, out_type=body.out_type)
         delta2 = kept + ((cmd.pat, cmd.bound_type),)
-        body = translate_command(delta2, cmd.body)
+        body = _translate(delta2, cmd.body, body_vars)
         if kept == delta:
             keep: Arr = _identity_arr(delta)
         else:

@@ -12,7 +12,8 @@ Subcommands:
                                  definition (optionally its inverse)
 
 Exit codes: 0 success; 1 the task failed (type error, unequal, translation
-restriction); 2 bad input (missing file, parse error, wrong dimension);
+restriction); 2 bad input (missing file, parse error, wrong dimension,
+nesting too deep for the stack, densities too large for memory);
 3 indeterminate (fuel exhausted, unknown verdict).
 """
 
@@ -197,7 +198,7 @@ def cmd_run(args) -> int:
     value = env[args.name]
 
     if isinstance(value, SuperV):
-        d = dim(value.val.in_type)
+        d = dim(value.in_type)
         if args.input is not None:
             rho = pure_density(parse_ket(args.input, d, args.name))
         elif args.density is not None:
@@ -218,7 +219,7 @@ def cmd_run(args) -> int:
             print(json.dumps({"def": args.name,
                               "type": type_str(types.get(args.name)
                                                or gamma[args.name]),
-                              "output": dens_to_json(out, value.val.out_type)},
+                              "output": dens_to_json(out, value.out_type)},
                              sort_keys=True))
         else:
             print(render_density(out))
@@ -394,6 +395,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (EvalError, TranslationError, RewriteError) as e:
         print(str(e), file=sys.stderr)
         return FAIL
+    except (RecursionError, MemoryError) as e:
+        # a program nested too deeply for the tree walks, or whose densities
+        # do not fit in memory: bad input, reported without a traceback
+        kind = "MemoryError" if isinstance(e, MemoryError) else "RecursionError"
+        detail = (str(e).splitlines() or [""])[0]
+        print(f"{args.file}: {kind}: {detail}", file=sys.stderr)
+        return BADINPUT
 
 
 if __name__ == "__main__":

@@ -1,13 +1,19 @@
 """Call-by-value evaluator.
 
 Ordinary terms evaluate to booleans, pairs, closures or amplitude vectors.
-An arrow abstraction evaluates to a *superoperator value*: it is translated
-to the combinator pipeline and the pipeline is materialized into its matrix
-by pushing a batch of vectorized densities through it column-blocked, with
-each combinator implemented by index arithmetic on the batch (scatter for
-pure functions, axis reshuffles for ``first``/``second``, einsum
-contractions for lifted linear maps) rather than by building the large
-intermediate superoperator matrices.
+An arrow abstraction evaluates to a *superoperator value*, ``SuperV``: it is
+translated to the combinator pipeline at once (so translation errors show
+when the definition is evaluated), and the value holds that pipeline with
+the environment it was evaluated in.  Nothing is multiplied out then.
+
+``run_super`` pushes ``vec(ρ)`` through the pipeline as a batch of one
+column, with each combinator implemented by index arithmetic on the batch
+(scatter for pure functions, axis reshuffles for ``first``/``second``,
+einsum contractions for lifted linear maps) rather than by building the
+large intermediate superoperator matrices.  The full matrix is a derived
+operation: ``SuperV.val`` builds it on first use by pushing the identity
+columns through the same pipeline, block by block, and keeps it; from then
+on ``run_super`` multiplies by it.  The prover and the tests read ``val``.
 
 ``reference_super`` provides a second, deliberately naive semantics for
 arrow abstractions — structural recursion over the command, using the dense
@@ -19,6 +25,7 @@ command lets and exists purely as an independent cross-check for tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,10 +34,10 @@ from . import classic as C
 from .classic import (Arr, ClassicExpr, Compose, delta_tuple_type, FanoutC,
                       First, LiftLin, MeasC, NamedSuper, PureFun, Second,
                       translate_term, TranslationError, TrLC)
-from .linalg import (apply_super, basis, dim, elem_index, fun2lin,
-                     super_arr, super_compose, super_fanout, super_from_lin,
-                     super_identity, super_meas, super_trL, SuperVal,
-                     vec_return, vec_zero)
+from .linalg import (apply_super, basis, check_density, dim, elem_index,
+                     fun2lin, super_arr, super_compose, super_fanout,
+                     super_from_lin, super_identity, super_meas, super_trL,
+                     SuperVal, vec_return, vec_zero)
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, Command,
                      CUnit, Eq, Fst, If, Lam, Let, Meas, MZero, Pair,
                      Pattern, PPair, ProdT, Program, PVar, Snd, SuperT, Term,
@@ -79,13 +86,32 @@ class VecV:
         return f"<vec dim {self.amp.shape[0]}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperV:
-    val: SuperVal
+    """A superoperator: the pipeline of an arrow abstraction and the
+    environment it was evaluated in.  ``val``, its matrix, is built on
+    first use and kept."""
+    pipe: ClassicExpr
+    env: dict
+
+    @property
+    def in_type(self) -> TypeExpr:
+        return self.pipe.in_type
+
+    @property
+    def out_type(self) -> TypeExpr:
+        return self.pipe.out_type
+
+    @cached_property
+    def val(self) -> SuperVal:
+        return materialize_super(self.pipe, self.env)
+
+    def built(self) -> bool:
+        return "val" in self.__dict__      # where cached_property keeps it
 
     def __repr__(self):
-        return (f"<super {dim(self.val.in_type)}x{dim(self.val.in_type)}"
-                f" -> {dim(self.val.out_type)}x{dim(self.val.out_type)}>")
+        di, do = dim(self.in_type), dim(self.out_type)
+        return f"<super {di}x{di} -> {do}x{do}>"
 
 
 Value = object
@@ -239,7 +265,7 @@ def eval_term(t: Term, env: dict) -> Value:
 
 
 # --------------------------------------------------------------------------
-# Pipeline materialization (batched column evaluation)
+# Pushing densities through pipelines (batched column evaluation)
 
 
 def _split_delta_elem(delta, elem) -> list:
@@ -282,6 +308,84 @@ def _lift_matrix(e: LiftLin, env: dict) -> np.ndarray:
     return mat
 
 
+def _scatter(r: np.ndarray, V: np.ndarray, n: int) -> np.ndarray:
+    """Relabel both indices of each vectorized density in the batch by the
+    index map ``r``, summing entries that land together:
+    ``out[(r a, r a')] += V[(a, a')]``, with ``n`` the new dimension.  An
+    injective ``r`` is one assignment; otherwise rows are grouped by sorting
+    ``r`` and summed slab-wise, one axis at a time."""
+    d, k = len(r), V.shape[1]
+    out = np.zeros((n, n, k), dtype=complex)
+    X = V.reshape(d, d, k)
+    order = np.argsort(r, kind="stable")
+    rs = r[order]
+    starts = np.flatnonzero(np.r_[True, rs[1:] != rs[:-1]])
+    if len(starts) < d:
+        if np.any(order != np.arange(d)):
+            X = X[np.ix_(order, order)]
+        X = np.add.reduceat(np.add.reduceat(X, starts, axis=0), starts, axis=1)
+        r = rs[starts]
+    out[np.ix_(r, r)] = X
+    return out.reshape(n * n, k)
+
+
+def _callee(e: NamedSuper, env: dict) -> SuperV:
+    s = env.get(e.name)
+    if not isinstance(s, SuperV):
+        raise EvalError(f"{e.name} is not a superoperator")
+    return s
+
+
+def _peel(right: ClassicExpr
+          ) -> tuple[Optional[Arr], Optional[ClassicExpr]]:
+    """Split the bound leg of a ``&&&`` into its pure argument map and the
+    rest, as translation emits every ``CApp``, ``meas`` and ``trL``.  A pure
+    bound leg (a classical ``let``) is all map, with no rest."""
+    if isinstance(right, Arr):
+        return right, None
+    if isinstance(right, Compose) and isinstance(right.first_, Arr):
+        return right.first_, right.then_
+    return None, right
+
+
+def _fanout_forms(e: FanoutC) -> tuple[int, int]:
+    """Per-column cells of the two ways to apply ``arr m &&& (p >>> g)``:
+    (i) scatter the batch into the grid over (m a, p a), then contract with
+    g's matrix; (ii) gather g's matrix at p over the whole context, multiply
+    it into the batch, then scatter by m."""
+    p, rest = _peel(e.right_)
+    di, dj = dim(e.in_type), dim(e.left_.out_type)
+    dr = di if p is None else dim(p.out_type)
+    dg = dr if rest is None else dim(rest.out_type)
+    return (dj * dr) ** 2, (di * dg) ** 2
+
+
+def _fanout_arr(e: FanoutC, V: np.ndarray, env: dict) -> np.ndarray:
+    # out[(j,c),(j',c')] = Σ_{a,a': m a=j, m a'=j'} G[(c,c'),(p a,p a')] V[(a,a')]
+    assert isinstance(e.left_, Arr)
+    p_arr, rest = _peel(e.right_)
+    di, dj, k = dim(e.in_type), dim(e.left_.out_type), V.shape[1]
+    m = _arr_index_map(e.left_, env)
+    p = np.arange(di) if p_arr is None else _arr_index_map(p_arr, env)
+    if rest is None:                    # a pure bound leg: a ↦ (m a, p a)
+        dr = dim(e.right_.out_type)
+        return _scatter(m * dr + p, V, dj * dr)
+    dr, dg = dim(rest.in_type), dim(rest.out_type)
+    G = (_callee(rest, env).val if isinstance(rest, NamedSuper)
+         else materialize_super(rest, env)).action
+    grid, gather = _fanout_forms(e)
+    if grid <= gather:
+        W = _scatter(m * dr + p, V, dj * dr)             # over (m a, p a)
+        W = (W.reshape(dj, dr, dj, dr, k).transpose(1, 3, 0, 2, 4)
+             .reshape(dr * dr, dj * dj * k))
+        return ((G @ W).reshape(dg, dg, dj, dj, k).transpose(2, 0, 3, 1, 4)
+                .reshape((dj * dg) ** 2, k))
+    G4 = G.reshape(dg, dg, dr, dr)[:, :, p[:, None], p[None, :]]
+    T = np.einsum("cdab,abk->acbdk", G4, V.reshape(di, di, k), optimize=True)
+    return _scatter((m[:, None] * dg + np.arange(dg)).reshape(-1),
+                    T.reshape((di * dg) ** 2, k), dj * dg)
+
+
 def apply_batch(e: ClassicExpr, V: np.ndarray, env: dict) -> np.ndarray:
     """Push a batch of vectorized densities (shape (din², k)) through a
     pipeline, returning shape (dout², k)."""
@@ -289,11 +393,7 @@ def apply_batch(e: ClassicExpr, V: np.ndarray, env: dict) -> np.ndarray:
     k = V.shape[1]
 
     if isinstance(e, Arr):
-        m = _arr_index_map(e, env)
-        rows = (m[:, None] * do + m[None, :]).reshape(-1)
-        out = np.zeros((do * do, k), dtype=complex)
-        np.add.at(out, rows, V)
-        return out
+        return _scatter(_arr_index_map(e, env), V, do)
 
     if isinstance(e, LiftLin):
         F = _lift_matrix(e, env)
@@ -302,10 +402,7 @@ def apply_batch(e: ClassicExpr, V: np.ndarray, env: dict) -> np.ndarray:
                          optimize=True).reshape(do * do, k)
 
     if isinstance(e, NamedSuper):
-        s = env.get(e.name)
-        if not isinstance(s, SuperV):
-            raise EvalError(f"{e.name} is not a superoperator")
-        return s.val.action @ V
+        return _callee(e, env).val.action @ V
 
     if isinstance(e, MeasC):
         V3 = V.reshape(di, di, k)
@@ -347,20 +444,7 @@ def apply_batch(e: ClassicExpr, V: np.ndarray, env: dict) -> np.ndarray:
 
     if isinstance(e, FanoutC):
         if isinstance(e.left_, Arr):
-            # out[(j,c),(j',c')] = Σ_{a,a': m[a]=j, m[a']=j'} G[(c,c'),(a,a')] V[(a,a')]
-            m = _arr_index_map(e.left_, env)
-            G = materialize_super(e.right_, env).action
-            dj, dg = dim(e.left_.out_type), dim(e.right_.out_type)
-            G4 = G.reshape(dg, dg, di, di)
-            T = np.einsum("cdab,abk->abcdk", G4, V.reshape(di, di, k),
-                          optimize=True)
-            cg = np.arange(dg)
-            rows = ((m[:, None, None, None] * dg + cg[None, None, :, None])
-                    * (dj * dg)
-                    + m[None, :, None, None] * dg + cg[None, None, None, :])
-            out = np.zeros(((dj * dg) ** 2, k), dtype=complex)
-            np.add.at(out, rows.reshape(-1), T.reshape(di * di * dg * dg, k))
-            return out
+            return _fanout_arr(e, V, env)
         # general: duplicate, then first, then second
         rows = ((np.arange(di) * di + np.arange(di))[:, None] * (di * di)
                 + (np.arange(di) * di + np.arange(di))[None, :]).reshape(-1)
@@ -386,7 +470,7 @@ def est_cells(e: ClassicExpr) -> int:
     if isinstance(e, FanoutC):
         di = dim(e.in_type)
         if isinstance(e.left_, Arr):
-            return max(base, di * di * dim(e.right_.out_type) ** 2)
+            return max(base, min(_fanout_forms(e)))
         return max(base, di ** 4,
                    est_cells(e.left_) * di ** 2,
                    est_cells(e.right_) * dim(e.left_.out_type) ** 2)
@@ -394,17 +478,21 @@ def est_cells(e: ClassicExpr) -> int:
 
 
 def materialize_super(e: ClassicExpr, env: dict) -> SuperVal:
+    """The matrix of a pipeline: its identity columns pushed through it, in
+    blocks sized to the budget; each block's columns are made as it goes."""
     n = dim(e.in_type) ** 2
     block = max(1, min(n, _BUDGET // max(est_cells(e), 1)))
-    eye = np.eye(n, dtype=complex)
-    parts = [apply_batch(e, eye[:, s:s + block], env)
-             for s in range(0, n, block)]
+    parts = []
+    for s in range(0, n, block):
+        w = min(block, n - s)
+        cols = np.zeros((n, w), dtype=complex)
+        cols[np.arange(s, s + w), np.arange(w)] = 1.0
+        parts.append(apply_batch(e, cols, env))
     return SuperVal(e.in_type, e.out_type, np.concatenate(parts, axis=1))
 
 
 def eval_arrow_abs(t: ArrowAbs, env: dict) -> SuperV:
-    pipe = translate_term(t)
-    return SuperV(materialize_super(pipe, env))
+    return SuperV(translate_term(t), env)
 
 
 # --------------------------------------------------------------------------
@@ -477,14 +565,24 @@ def _ref_command(delta, cmd: Command, env: dict) -> SuperVal:
 
 
 def run_super(s, rho: np.ndarray) -> np.ndarray:
-    val = s.val if isinstance(s, SuperV) else s
-    return apply_super(val, rho)
+    """Apply a superoperator value (or a ``SuperVal``) to a density.  Until
+    its matrix is built, ``vec(ρ)`` is pushed through the pipeline as a batch
+    of one column."""
+    if isinstance(s, SuperV) and not s.built():
+        check_density(rho, dim(s.in_type))
+        d_out = dim(s.out_type)
+        return (apply_batch(s.pipe, rho.reshape(-1, 1), s.env)
+                .reshape(d_out, d_out))
+    return apply_super(s.val if isinstance(s, SuperV) else s, rho)
 
 
 def eval_program(prog: Program, base_env: Optional[dict] = None) -> dict:
+    """Evaluate definitions in order.  Each sees the environment as it stood
+    when it was defined: values keep the dict they were evaluated in, so a
+    later definition must not change it."""
     env = dict(base_env or {})
     for d in prog.defs:
-        env[d.name] = eval_term(d.term, env)
+        env = {**env, d.name: eval_term(d.term, env)}
     return env
 
 

@@ -213,11 +213,15 @@ def super_trL(prod_t: TypeExpr) -> SuperVal:
     return SuperVal(prod_t, prod_t.right, action)
 
 
-def apply_super(s: SuperVal, rho: np.ndarray) -> np.ndarray:
-    d_in, d_out = dim(s.in_type), dim(s.out_type)
+def check_density(rho: np.ndarray, d_in: int) -> None:
     if rho.shape != (d_in, d_in):
         raise ValueError(f"density shape {rho.shape} does not match input "
                          f"dimension {d_in}")
+
+
+def apply_super(s: SuperVal, rho: np.ndarray) -> np.ndarray:
+    d_in, d_out = dim(s.in_type), dim(s.out_type)
+    check_density(rho, d_in)
     return (s.action @ rho.reshape(d_in * d_in)).reshape(d_out, d_out)
 
 

@@ -417,7 +417,7 @@ class Parser:
 
     # ---- programs
 
-    def parse_program(self, source_name: str) -> Program:
+    def parse_program(self) -> Program:
         defs: list[Def] = []
         seen: set[str] = set()
         while not self.at("EOF"):
@@ -441,30 +441,36 @@ class Parser:
             self.expect("=")
             term = self.parse_term()
             defs.append(Def(name_tok.text, annot, term, pos=name_tok.pos))
-        return Program(tuple(defs), source_name=source_name)
+        return Program(tuple(defs), source_name=self.filename)
+
+
+def _parse_all(src: str, source_name: str, rule):
+    """Parse the whole of `src` with `rule`, a `Parser` method.
+
+    The parser descends one Python frame per nesting level (six for each
+    parenthesis), so nesting is bounded by the interpreter's stack: a program
+    nested deeper than that is refused at the token where the stack ran out,
+    instead of crashing."""
+    p = Parser(tokenize(src, source_name), source_name)
+    try:
+        node = rule(p)
+    except RecursionError:
+        raise ParseError("nesting too deep", p.peek().pos, source_name) from None
+    p.expect("EOF")
+    return node
 
 
 def parse_program(src: str, source_name: str = "<input>") -> Program:
-    p = Parser(tokenize(src, source_name), source_name)
-    return p.parse_program(source_name)
+    return _parse_all(src, source_name, Parser.parse_program)
 
 
 def parse_term(src: str, source_name: str = "<input>") -> Term:
-    p = Parser(tokenize(src, source_name), source_name)
-    t = p.parse_term()
-    p.expect("EOF")
-    return t
+    return _parse_all(src, source_name, Parser.parse_term)
 
 
 def parse_command(src: str, source_name: str = "<input>") -> Command:
-    p = Parser(tokenize(src, source_name), source_name)
-    c = p.parse_command()
-    p.expect("EOF")
-    return c
+    return _parse_all(src, source_name, Parser.parse_command)
 
 
 def parse_type(src: str, source_name: str = "<type>") -> TypeExpr:
-    p = Parser(tokenize(src, source_name), source_name)
-    t = p.parse_type()
-    p.expect("EOF")
-    return t
+    return _parse_all(src, source_name, Parser.parse_type)

@@ -113,6 +113,39 @@ def test_dead_context_dropped(prelude):
     assert has_fanout(e2)
 
 
+def test_liveness_costs_linear_time_in_lets(prelude, monkeypatch):
+    # free-variable sets are computed once per translation, not once per
+    # let: doubling a chain of lets doubles the nodes free_vars visits
+    import qarrow.classic
+    import qarrow.syntax
+
+    def chain(n):
+        lets = " ".join(f"let x{i + 1} = QNot @ x{i} in" for i in range(n))
+        _, t = elaborate_term(prelude.types,
+                              parse_term(f"\\@x0. {lets} [(x0, x{n})]"),
+                              SuperT(B, BB))
+        return t
+
+    terms = {n: chain(n) for n in (100, 200)}
+    visits = [0]
+    real = qarrow.syntax.free_vars
+
+    def counting(node):
+        visits[0] += 1
+        return real(node)
+
+    # the walk recurses through the module global, so this counts nodes
+    monkeypatch.setattr(qarrow.syntax, "free_vars", counting)
+    monkeypatch.setattr(qarrow.classic, "free_vars", counting)
+    counts = {}
+    for n, t in terms.items():
+        visits[0] = 0
+        translate_term(t)
+        counts[n] = visits[0]
+    assert counts[100] > 0
+    assert counts[200] <= 2.1 * counts[100], counts
+
+
 def test_translation_requires_elaboration():
     with pytest.raises(TranslationError):
         translate_term(parse_term("\\@x. [x]"))

@@ -3,11 +3,17 @@ exercised in-process through ``main(argv)``."""
 
 import io
 import json
+import os
+import re
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qarrow
 from qarrow import dens_to_json, pure_density, render_density
 from qarrow.cli import BADINPUT, CliError, FAIL, main, OK, parse_ket, UNDECIDED
 from qarrow.linalg import render_vector
@@ -341,6 +347,138 @@ def test_emit_translation_restriction_exits_1(runcli):
     code, _, err = runcli("emit", "-", "\\@x. (fst (QNot, QNot)) @ x",
                           stdin="")
     assert code == FAIL and "translation failed" in err
+
+
+# --------------------------------------------------------------------------
+# evaluation on demand
+
+DEMO_SRC = """\
+dneg : Super Bool Bool
+dneg = \\@x. let y = (\\@z. [not z]) @ x in (\\@w. [not w]) @ y
+
+mix : Super Bool Bool
+mix = \\@q. let h = Had @ q in QMeas @ h
+"""
+
+STATIC_COMMANDS = [("check",), ("normalize", "dneg"), ("emit", "dneg"),
+                   ("emit", "toffoli", "--invert")]
+
+
+def test_static_commands_build_no_matrix(runcli, tmp_path, monkeypatch):
+    f = tmp_path / "demo.qarr"
+    f.write_text(DEMO_SRC)
+    want = [runcli(cmd[0], str(f), *cmd[1:]) for cmd in STATIC_COMMANDS]
+
+    def refuse(*args):
+        raise AssertionError("materialize_super called")
+
+    monkeypatch.setattr("qarrow.evaluator.materialize_super", refuse)
+    got = [runcli(cmd[0], str(f), *cmd[1:]) for cmd in STATIC_COMMANDS]
+    assert got == want
+    assert all(code == OK for code, _, _ in got)
+
+
+def test_redefinition_leaves_earlier_closures_alone(runcli, tmp_path):
+    f = tmp_path / "redef.qarr"
+    f.write_text("g : Bool -> Bool\ng = \\x. not x\n"
+                 "not : Bool -> Bool\nnot = \\x. x\n"
+                 "v : Bool\nv = g True\n")
+    assert runcli("run", str(f), "v") == (OK, "False\n", "")
+
+
+def test_redefinition_leaves_earlier_supers_alone(runcli, tmp_path):
+    f = tmp_path / "redef.qarr"
+    f.write_text("f : Super Bool Bool\nf = \\@x. QNot @ x\n"
+                 "QNot : Super Bool Bool\nQNot = \\@x. [x]\n")
+    code, out, _ = runcli("run", str(f), "f", "--input", "|0>")
+    want = render_density(pure_density(np.array([0, 1], dtype=complex)))
+    assert (code, out) == (OK, want + "\n")
+
+
+def _cli_child(tmp_path, *argv, address_space=None):
+    """Run the CLI in a fresh process, optionally under an address-space
+    cap, so that a failed allocation or a crash shows as it would to a
+    user."""
+    def limit():
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (address_space, address_space))
+
+    src = Path(qarrow.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "qarrow.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, preexec_fn=limit, timeout=120)
+
+
+def _ghz_source(n):
+    """GHZ-n in the prelude's projection style: each Cnot output is bound
+    whole and taken apart with fst/snd."""
+    qs = [f"q{i}" for i in range(1, n + 1)]
+    lines, prev = ["let h = Had @ q1 in"], "h"
+    for i in range(1, n):
+        lines.append(f"let p{i} = Cnot @ ({prev}, q{i + 1}) in")
+        prev = f"snd p{i}"
+    outs = [f"fst p{i}" for i in range(1, n)] + [f"snd p{n - 1}"]
+
+    def nest(xs):
+        return xs[0] if len(xs) == 1 else f"({xs[0]}, {nest(xs[1:])})"
+
+    t = nest(["Bool"] * n)
+    body = "\n  ".join(lines + [f"[{nest(outs)}]"])
+    return f"ghz : Super {t} {t}\nghz = \\@{nest(qs)}.\n  {body}\n"
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_ghz_runs_within_one_gib(tmp_path, n):
+    (tmp_path / "ghz.qarr").write_text(_ghz_source(n))
+    proc = _cli_child(tmp_path, "run", "ghz.qarr", "ghz", "--input",
+                      "|" + "0" * n + ">", address_space=1 << 30)
+    assert proc.returncode == OK, proc.stderr[-300:]
+    amp = np.zeros(2 ** n, dtype=complex)
+    amp[0] = amp[-1] = INV
+    assert proc.stdout == render_density(pure_density(amp)) + "\n"
+
+
+def _let_chain(n):
+    lines = [f"let x{i + 1} = QNot @ x{i} in" for i in range(n)]
+    return ("f : Super Bool Bool\nf = \\@x0.\n  " + "\n  ".join(lines)
+            + f"\n  [x{n}]\n")
+
+
+DEEP = {
+    "lets.qarr": _let_chain(1000),
+    "parens.qarr": "b : Bool\nb = " + "(" * 3000 + "True" + ")" * 3000 + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_nesting_is_a_clean_error(tmp_path, name):
+    (tmp_path / name).write_text(DEEP[name])
+    proc = _cli_child(tmp_path, "check", name)
+    assert proc.returncode == BADINPUT
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(rf"{name}:\d+:\d+: nesting too deep.*\n",
+                        proc.stderr), proc.stderr
+
+
+def test_memory_and_recursion_errors_exit_2(runcli, demo, monkeypatch):
+    def explode(*args):
+        raise MemoryError("Unable to allocate 4.00 GiB")
+
+    monkeypatch.setattr("qarrow.cli.run_super", explode)
+    code, out, err = runcli("run", demo, "flip", "--input", "|0>")
+    assert (code, out) == (BADINPUT, "")
+    assert err == f"{demo}: MemoryError: Unable to allocate 4.00 GiB\n"
+
+    def recurse(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("qarrow.cli.run_super", recurse)
+    code, _, err = runcli("run", demo, "flip", "--input", "|0>")
+    assert code == BADINPUT
+    assert err == (f"{demo}: RecursionError: maximum recursion depth "
+                   f"exceeded\n")
 
 
 # --------------------------------------------------------------------------

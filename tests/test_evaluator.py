@@ -21,6 +21,7 @@ from qarrow import (
     apply_closure,
     dens_close,
     elaborate_term,
+    elaborate_program,
     eval_program,
     eval_term,
     materialize_lin,
@@ -31,8 +32,9 @@ from qarrow import (
     run_super,
     translate_term,
 )
-from qarrow.classic import FanoutC
+from qarrow.classic import Arr, classic_children, FanoutC
 from qarrow.evaluator import (
+    _fanout_forms,
     apply_batch,
     elem_to_value,
     elem_type_of_value,
@@ -375,3 +377,128 @@ def test_batched_matches_reference_meas(prelude, src, t):
     got = eval_arrow_abs(term, dict(prelude.env)).val
     want = reference_super(term, dict(prelude.env))
     assert np.max(np.abs(got.action - want.action)) <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# Pushing states through the pipeline equals applying the built matrix
+
+
+def _densities(d):
+    """Every basis projector |i><i| and two seeded random densities."""
+    rng = np.random.default_rng(d)
+    return ([pure_density(np.eye(d, dtype=complex)[i]) for i in range(d)]
+            + [random_density(rng, d) for _ in range(2)])
+
+
+def _push_matches_matrix(s):
+    d_in = dim(s.in_type)
+    for rho in _densities(d_in):
+        pushed = apply_batch(s.pipe, rho.reshape(-1, 1), s.env)
+        built = s.val.action @ rho.reshape(-1)
+        assert np.max(np.abs(pushed[:, 0] - built)) <= 1e-12
+
+
+def test_push_matches_matrix_on_prelude(prelude):
+    supers = [v for v in prelude.env.values() if isinstance(v, SuperV)]
+    assert len(supers) == 12
+    for s in supers:
+        _push_matches_matrix(s)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_push_matches_matrix_on_random_programs(prelude, seed):
+    term, t = randprog.random_super(seed)
+    _, term = elaborate_term(prelude.types, term, t)
+    s = eval_term(term, dict(prelude.env))
+    assert not s.built()
+    rho = _densities(dim(t.arg))[-1]
+    pushed = run_super(s, rho)              # before the matrix exists
+    _push_matches_matrix(s)
+    assert np.max(np.abs(pushed - run_super(s, rho))) <= 1e-12
+
+
+def test_evaluation_builds_no_matrix(prelude, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("materialized")
+
+    monkeypatch.setattr("qarrow.evaluator.materialize_super", refuse)
+    _, prog = elaborate_program(parse_program(
+        "f : Super Bool Bool\nf = \\@x. let h = Had @ x in QMeas @ h\n"
+        "g : Super Bool Bool\ng = \\@x. f @ x\n"), prelude.types)
+    env = eval_program(prog, prelude.env)
+    assert repr(env["g"]) == "<super 2x2 -> 2x2>"
+    assert not env["f"].built() and not env["g"].built()
+    with pytest.raises(AssertionError, match="materialized"):
+        env["g"].val
+
+
+# --------------------------------------------------------------------------
+# The two ways to apply `arr m &&& (p >>> g)` agree with the reference
+
+
+def _shared_case(seed=238):
+    # an assoc-law instance: x1 feeds the keep leg and, through Had, the
+    # bound leg of the outer let.  Seed 238's contexts stay small enough for
+    # the reference (dimension 4), and its bound leg is coherent, so a wrong
+    # index order shows.
+    inst = randprog.law_instance(seed, "assoc")
+    return inst.term, inst.type_
+
+
+DISJOINT_SRC = ("\\@x. let n = (\\@z. [0.5+0.5i * [z] + 0.5-0.5i * [not z]]) "
+                "@ False in [(x, n)]")
+
+
+def _disjoint_case(src=DISJOINT_SRC, t=SuperT(B, BB)):
+    # the keep leg reads x, the bound leg no wire at all; its output has
+    # complex coherences, so a transposed density shows
+    return parse_term(src), t
+
+
+FANOUT_CASES = {"shared": _shared_case, "disjoint": _disjoint_case}
+
+
+def _fanout_pipe(prelude, make):
+    term, t = make()
+    _, term = elaborate_term(prelude.types, term, t)
+    return term, translate_term(term)
+
+
+def _fanouts(e):
+    if isinstance(e, FanoutC) and isinstance(e.left_, Arr):
+        yield e
+    for c in classic_children(e):
+        yield from _fanouts(c)
+
+
+@pytest.mark.parametrize("case", sorted(FANOUT_CASES))
+@pytest.mark.parametrize("form", ["grid", "gather"])
+def test_fanout_forms_match_reference(prelude, monkeypatch, case, form):
+    term, pipe = _fanout_pipe(prelude, FANOUT_CASES[case])
+    assert list(_fanouts(pipe))
+    want = reference_super(term, dict(prelude.env)).action
+    # make `form` the smaller one at every fanout
+    sizes = (0, 1) if form == "grid" else (1, 0)
+    monkeypatch.setattr("qarrow.evaluator._fanout_forms", lambda e: sizes)
+    got = materialize_super(pipe, dict(prelude.env)).action
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_fanout_form_is_chosen_by_size(prelude):
+    # seed 29's lets share wires over a context of dimension 16, where the
+    # gather form is the smaller one at some fanouts
+    fans = {case: list(_fanouts(_fanout_pipe(prelude, make)[1]))
+            for case, make in (
+                ("shared", lambda: _shared_case(29)),
+                # the second let keeps only h and binds QNot on y alone
+                ("disjoint", lambda: _disjoint_case(
+                    "\\@(x, y). let h = Had @ x in let n = QNot @ y in "
+                    "[(h, n)]", SuperT(BB, BB))))}
+    # _fanout_forms gives (grid, gather) cells per column
+    assert any(gather < grid for grid, gather in map(_fanout_forms,
+                                                      fans["shared"]))
+    assert any(grid < gather for grid, gather in map(_fanout_forms,
+                                                      fans["disjoint"]))
+    for f in fans["shared"] + fans["disjoint"]:
+        base = max(dim(f.in_type), dim(f.out_type)) ** 2
+        assert est_cells(f) == max(base, min(_fanout_forms(f)))
