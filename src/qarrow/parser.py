@@ -38,6 +38,11 @@ class ParseError(SyntaxError):
         self.pos = pos
         self.filename = filename
 
+    def __str__(self) -> str:
+        # exactly `file:line:col: message`: SyntaxError's own __str__ would
+        # append " (file)", since `filename` is set
+        return self.msg
+
 
 KEYWORDS = {
     "let", "in", "if", "then", "else", "True", "False", "fst", "snd",

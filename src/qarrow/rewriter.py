@@ -7,10 +7,19 @@ reducing one; the reverse direction is supported only where it is
 deterministic and needs no type information.
 
 Positions are paths: tuples of child indices, with the child order fixed
-per node class by its ``child_fields`` (see ``node_children``).
+per node class by its ``child_fields`` (see ``syntax.py``).
 ``normalize`` repeatedly applies the first law (in a fixed priority order)
 at the leftmost-outermost applicable position, recording one step per
 rewrite; the recorded trace replays exactly via ``apply_law_at``.
+
+The search for that position is incremental.  Each automatic law declares
+the node class that heads its redexes (``AUTO_LAWS``), so a node is tried
+only against the laws of its own class, in priority order.  Within one
+``normalize`` call, subtrees found free of redexes are remembered by
+identity: nodes are immutable and a matcher reads only its node and the
+unfoldable definitions, so such a subtree stays free of redexes, and after
+a rewrite the preorder walk from the root re-examines only the rebuilt
+spine and the new subtree.  The steps are those of the plain search.
 
 Definition unfolding (``delta``) is restricted to definitions that are not
 arrow abstractions; programs are non-recursive, so unfolding terminates.
@@ -82,10 +91,6 @@ def law_by_name(name: str) -> Law:
 
 # --------------------------------------------------------------------------
 # Paths
-
-def node_children(node: Node) -> tuple[Node, ...]:
-    return tuple(getattr(node, f) for f in node.child_fields)
-
 
 def get_at(node: Node, path: tuple[int, ...]) -> Node:
     for i in path:
@@ -370,18 +375,26 @@ _R2L: dict[Law, Callable] = {
     Law.BIND_PLUS: _bind_plus_r,
 }
 
-# priority order for automatic normalization (reducing laws only; the
-# eta/assoc family and the distributing bind.plus are manual-only)
-AUTO_LAWS: tuple[Law, ...] = (
-    Law.BETA_ARROW, Law.LEFT_UNIT, Law.RIGHT_UNIT,
-    Law.BETA_FUN, Law.BETA_PAIR1, Law.BETA_PAIR2, Law.LET_SUBST,
-    Law.IF_TRUE, Law.IF_FALSE, Law.EQ_LIT, Law.EQ_TRUE,
-    Law.IF_DISTRIB, Law.IF_ETA,
-    Law.BIND_LEFT, Law.BIND_RIGHT, Law.ZERO_BIND, Law.BIND_ZERO,
-    Law.ZERO_PLUS, Law.PLUS_ZERO,
-    Law.DELTA,
-)
-_AUTO_MATCHERS = tuple((law, _L2R[law]) for law in AUTO_LAWS)
+# automatic normalization: the reducing laws in priority order (the
+# eta/assoc family and the distributing bind.plus are manual-only), each with
+# the node class that heads its left-hand side
+AUTO_LAWS: dict[Law, type] = {
+    Law.BETA_ARROW: CApp, Law.LEFT_UNIT: CLet, Law.RIGHT_UNIT: CLet,
+    Law.BETA_FUN: App, Law.BETA_PAIR1: Fst, Law.BETA_PAIR2: Snd,
+    Law.LET_SUBST: Let,
+    Law.IF_TRUE: If, Law.IF_FALSE: If, Law.EQ_LIT: Eq, Law.EQ_TRUE: Eq,
+    Law.IF_DISTRIB: If, Law.IF_ETA: If,
+    Law.BIND_LEFT: VecLet, Law.BIND_RIGHT: VecLet, Law.ZERO_BIND: VecLet,
+    Law.BIND_ZERO: VecLet,
+    Law.ZERO_PLUS: VecAdd, Law.PLUS_ZERO: VecAdd,
+    Law.DELTA: Var,
+}
+# the (law, matcher) pairs to try at a node, by its exact class (node
+# classes are not subclassed), in priority order
+_AUTO_BY_CLASS: dict[type, tuple[tuple[Law, Callable], ...]] = {
+    head: tuple((law, _L2R[law]) for law, h in AUTO_LAWS.items() if h is head)
+    for head in AUTO_LAWS.values()
+}
 
 
 # --------------------------------------------------------------------------
@@ -461,16 +474,25 @@ class Rewriter:
                 f"{law.display} ({direction}) is not applicable at {path}")
         return replace_at(root, path, new)
 
-    def _find_redex(self, node: Node,
-                    path: tuple[int, ...] = ()) -> Optional[tuple]:
-        for law, match in _AUTO_MATCHERS:
+    def _find_redex(self, node: Node, path: tuple[int, ...],
+                    clean: dict[int, Node]) -> Optional[tuple]:
+        """The first redex of `node` in preorder, as (path, law, result).
+
+        `clean` maps ``id(n)`` to ``n`` for subtrees already found free of
+        redexes; they are skipped, and `node`'s subtree joins them when it
+        has none.  Holding the node keeps its id from being reused.
+        """
+        if id(node) in clean:
+            return None
+        for law, match in _AUTO_BY_CLASS.get(type(node), ()):
             new = match(self, node)
             if new is not None:
                 return path, law, new
-        for i, child in enumerate(node_children(node)):
-            found = self._find_redex(child, path + (i,))
+        for i, f in enumerate(node.child_fields):
+            found = self._find_redex(getattr(node, f), path + (i,), clean)
             if found is not None:
                 return found
+        clean[id(node)] = node
         return None
 
     def normalize(self, node: Node, fuel: Optional[int] = None) -> ProofTrace:
@@ -478,8 +500,9 @@ class Rewriter:
         start = node
         steps: list[Step] = []
         complete = True
+        clean: dict[int, Node] = {}     # stays valid for the whole call
         while True:
-            found = self._find_redex(node)
+            found = self._find_redex(node, (), clean)
             if found is None:
                 break
             if fuel <= 0:

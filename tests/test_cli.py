@@ -82,6 +82,17 @@ def test_check_parse_error_exits_2(runcli, tmp_path):
     assert "oops.qarr:" in err
 
 
+def test_parse_error_is_one_positioned_line(runcli, tmp_path):
+    f = tmp_path / "oops.qarr"
+    f.write_text("b : Bool\nb = (True\n")
+    code, _, err = runcli("check", str(f))
+    assert code == BADINPUT
+    assert err == f"{f}:3:1: expected ')', found end of input\n"
+    code, _, err = runcli("normalize", "-", "fli p(", stdin="")
+    assert code == BADINPUT
+    assert err == "<arg>:1:7: expected a term, found 'end of input'\n"
+
+
 def test_check_missing_file_exits_2(runcli):
     code, _, err = runcli("check", "/nonexistent/f.qarr")
     assert code == BADINPUT

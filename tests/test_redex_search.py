@@ -1,0 +1,126 @@
+"""The incremental redex search of ``Rewriter.normalize``, checked against
+the plain search it replaces: restart from the root after every rewrite and
+try every automatic law at every node.  The two must take the same steps;
+the incremental one must do far less matching."""
+
+import randprog
+from qarrow import apply_law_at, elaborate_term, parse_term, pretty
+from qarrow import rewriter
+from qarrow.rewriter import _L2R, AUTO_LAWS, Rewriter, replace_at
+
+GOLDEN_START = "\\@x. let y = (\\@z. [not z]) @ x in (\\@w. [not w]) @ y"
+
+
+def plain_steps(rw, node, fuel):
+    """The reference search: leftmost-outermost, the first law in priority
+    order, every law tried at every node, from the root after each rewrite.
+    Returns the steps as (law, path, pretty result) and the complete flag."""
+    def find(n, path):
+        for law in AUTO_LAWS:
+            new = _L2R[law](rw, n)
+            if new is not None:
+                return path, law, new
+        for i, f in enumerate(n.child_fields):
+            found = find(getattr(n, f), path + (i,))
+            if found is not None:
+                return found
+        return None
+
+    steps = []
+    while True:
+        found = find(node, ())
+        if found is None:
+            return steps, True
+        if fuel <= 0:
+            return steps, False
+        path, law, new = found
+        node = replace_at(node, path, new)
+        steps.append((law, path, pretty(node)))
+        fuel -= 1
+
+
+def incremental_steps(rw, node, fuel):
+    trace = rw.normalize(node, fuel)
+    return ([(s.law, s.path, pretty(s.result)) for s in trace.steps],
+            trace.complete)
+
+
+def _terms(prelude, defs_map):
+    """Every law family's instance before and after its law, over a few
+    seeds; every prelude definition; the README's ``dneg``."""
+    out = {}
+    for family in sorted(randprog.FAMILIES):
+        for seed in range(4):
+            inst = randprog.law_instance(seed, family)
+            _, before = elaborate_term(prelude.types, inst.term, inst.type_)
+            after = apply_law_at(before, inst.path, inst.law, inst.direction,
+                                 defs=defs_map)
+            _, after = elaborate_term(prelude.types, after, inst.type_)
+            out[f"{family}-{seed}-before"] = before
+            out[f"{family}-{seed}-after"] = after
+    for name, term in defs_map.items():
+        out[f"prelude-{name}"] = term
+    out["dneg"] = elaborate_term(prelude.types, parse_term(GOLDEN_START))[1]
+    return out
+
+
+def test_traces_match_the_plain_search(prelude, defs_map):
+    rw = Rewriter(defs_map)
+    terms = _terms(prelude, defs_map)
+    assert len(terms) > 100
+    stepped = 0
+    for name, term in terms.items():
+        for fuel in (1, 2, 3, 10000):
+            got = incremental_steps(rw, term, fuel)
+            want = plain_steps(rw, term, fuel)
+            assert got == want, (name, fuel)
+        stepped += bool(want[0])
+    # most inputs take steps, and some stop early at small fuel
+    assert stepped > len(terms) // 2
+
+
+def _count_matches(monkeypatch):
+    calls = [0]
+
+    def counting(match):
+        def counted(rw, node):
+            calls[0] += 1
+            return match(rw, node)
+        return counted
+
+    monkeypatch.setattr(rewriter, "_AUTO_BY_CLASS", {
+        cls: tuple((law, counting(m)) for law, m in pairs)
+        for cls, pairs in rewriter._AUTO_BY_CLASS.items()})
+    return calls
+
+
+def test_matcher_calls_on_a_long_normalization(prelude, defs_map, monkeypatch):
+    # 433 steps; the plain search makes about 6.5 million matcher calls here
+    inst = randprog.law_instance(2027, "beta_arrow")
+    _, term = elaborate_term(prelude.types, inst.term, inst.type_)
+    calls = _count_matches(monkeypatch)
+    trace = Rewriter(defs_map).normalize(term)
+    assert len(trace.steps) == 433 and trace.complete
+    assert calls[0] <= 30_000
+
+
+def _chain(n):
+    # a redex-free chain of n gate lets beside a chain of n classical lets
+    # that each reduce (left unit) at the same position
+    gates = " ".join(f"let x{i + 1} = QNot @ x{i} in" for i in range(n))
+    units = " ".join(f"let z{i + 1} = [{'True' if i == 0 else f'z{i}'}] in"
+                     for i in range(n))
+    return parse_term(f"\\@x0. let y = {gates} Had @ x{n} in {units} [(y, z{n})]")
+
+
+def test_matcher_calls_grow_linearly(prelude, defs_map, monkeypatch):
+    rw = Rewriter(defs_map)
+    counts = []
+    for size in (40, 80):
+        term = elaborate_term(prelude.types, _chain(size))[1]
+        calls = _count_matches(monkeypatch)
+        trace = rw.normalize(term)
+        assert len(trace.steps) == size and trace.complete
+        counts.append(calls[0])
+    # the redex-free chain is searched once, not once per step
+    assert counts[1] <= 2.2 * counts[0]

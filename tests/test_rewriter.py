@@ -30,7 +30,7 @@ from qarrow import (
     type_str,
     value_diff,
 )
-from qarrow.rewriter import AUTO_LAWS, ProofTrace, Rewriter, get_at, node_children, replace_at
+from qarrow.rewriter import AUTO_LAWS, ProofTrace, Rewriter, get_at, replace_at
 from qarrow.syntax import BoolT, CLet, CUnit, MZero, ProdT, PVar, Var, VecAdd, VecLet, VecT
 
 import randprog
@@ -238,7 +238,7 @@ def test_boolean_laws_truth_tables(before, after):
 
 def test_paths_walk_the_tree():
     t = T("\\@x. let y = QNot @ x in [not y]")
-    assert len(node_children(t)) == 1
+    assert len(t.child_fields) == 1
     cmd = get_at(t, (0,))
     assert isinstance(cmd, CLet)
     assert pretty(get_at(t, (0, 1, 0))) == "not y"
