@@ -20,6 +20,13 @@ Besides types, checking produces an *elaborated* copy of the tree:
 * arrow abstractions, command applications, lets, ``meas``/``trL`` record
   the types the translator needs.
 
+The first two are mode decisions, made on the types known at the moment
+the node is checked.  A decision made while the type it looks at is still
+an unsolved variable is a *guess*.  With no expected type, a term whose
+pass guessed is checked once more at the type that pass inferred, so the
+decisions see fully known types.  A pass that guessed nothing would decide
+the same way again, so its result stands.
+
 Error kinds: ``mismatch``, ``unbound``, ``delta-misuse``,
 ``non-classical-basis``, ``pattern-arity``.
 """
@@ -209,6 +216,10 @@ class Checker:
     def __init__(self) -> None:
         self.uni = Unifier()
         self.obligations: list[tuple[TypeExpr, Optional[Pos]]] = []
+        # set when a mode decision (vector let, unit mode) was made on a type
+        # whose head was still an unsolved variable, or a vector let was
+        # given up because its body failed to check
+        self.guessed = False
 
     # -- helpers
 
@@ -332,7 +343,9 @@ class Checker:
         if isinstance(t, Let):
             bt, b2 = self.elaborate_term(env, t.bound)
             bh = self.uni.head(bt)
-            if isinstance(bh, VecT):
+            if isinstance(bh, TVar):
+                self.guessed = True
+            elif isinstance(bh, VecT):
                 snap = self.uni.snapshot()
                 n_obl = len(self.obligations)
                 try:
@@ -342,9 +355,12 @@ class Checker:
                     if isinstance(nh, VecT):
                         self._classical(bh.elem, t.pos)
                         return nt, VecLet(t.pat, b2, n2, pos=t.pos, type_=nt)
+                    if isinstance(nh, TVar):
+                        self.guessed = True
                     self.uni.restore(snap)
                     del self.obligations[n_obl:]
                 except TypeCheckError:
+                    self.guessed = True
                     self.uni.restore(snap)
                     del self.obligations[n_obl:]
             env2 = env.bind_gamma(self.bind_pattern(t.pat, bt))
@@ -452,6 +468,8 @@ class Checker:
             if c.content_type is not None and c.mode == "classical":
                 self.uni.unify(c.content_type, ct, c.pos)
             ch = self.uni.head(ct)
+            if isinstance(ch, TVar):
+                self.guessed = True
             if isinstance(ch, VecT):
                 if c.content_type is not None and c.mode == "vec":
                     self.uni.unify(c.content_type, ch.elem, c.pos)
@@ -499,11 +517,16 @@ class Checker:
         ambiguity error at the node that records it."""
         changes = {}
         for f in node.child_fields:
-            changes[f] = self.finalize(getattr(node, f))
+            kid = getattr(node, f)
+            new = self.finalize(kid)
+            if new is not kid:
+                changes[f] = new
         for f in node.annot_fields:
             t = getattr(node, f)
             if isinstance(t, TypeExpr):
-                changes[f] = self.uni.resolve_full(t, node.pos)
+                new = self.uni.resolve_full(t, node.pos)
+                if new is not t:
+                    changes[f] = new
         return rebuild(node, changes)
 
 
@@ -511,38 +534,33 @@ class Checker:
 # Public entry points
 
 
-def _elaborate_closed(gamma: dict[str, TypeExpr], term: Term,
-                      expected: Optional[TypeExpr]) -> tuple[TypeExpr, Term]:
+def _elaborate_pass(env: EnvPair, term: Term, expected: Optional[TypeExpr]
+                    ) -> tuple[TypeExpr, Term, bool]:
     checker = Checker()
-    env = EnvPair(gamma)
     ty, t2 = checker.elaborate_term(env, term, expected)
     resolved = checker.uni.resolve_full(ty, term.pos)
     checker.check_obligations()
     validate_type(resolved, term.pos)
-    return resolved, checker.finalize(t2)
+    return resolved, checker.finalize(t2), checker.guessed
 
 
 def elaborate_term(env, term: Term,
                    expected: Optional[TypeExpr] = None) -> tuple[TypeExpr, Term]:
     """Infer (and elaborate) a term under an environment.
 
-    `env` may be an EnvPair or a plain mapping treated as gamma.  Two passes
-    are used when no expected type is given, so that mode decisions (unit
-    lifting, monadic lets) are made with fully known types.
+    `env` may be an EnvPair or a plain mapping treated as gamma.  When no
+    expected type is given and the pass guessed a mode (a monadic let or a
+    unit mode chosen on a type not yet known), the term is checked once more
+    at the type the first pass inferred, so that those decisions are made
+    with fully known types.  A pass that guessed nothing would make the same
+    decisions again, so it is not repeated.
     """
-    gamma = dict(env.gamma) if isinstance(env, EnvPair) else dict(env or {})
-    delta = dict(env.delta) if isinstance(env, EnvPair) else {}
-    if delta:
-        # delta-typed contexts: single pass under the merged environment
-        checker = Checker()
-        ty, t2 = checker.elaborate_term(EnvPair(gamma, delta), term, expected)
-        resolved = checker.uni.resolve_full(ty, term.pos)
-        checker.check_obligations()
-        validate_type(resolved, term.pos)
-        return resolved, checker.finalize(t2)
-    if expected is None:
-        expected, _ = _elaborate_closed(gamma, term, None)
-    return _elaborate_closed(gamma, term, expected)
+    if not isinstance(env, EnvPair):
+        env = EnvPair(env)
+    ty, t2, guessed = _elaborate_pass(env, term, expected)
+    if guessed and expected is None:
+        ty, t2, _ = _elaborate_pass(env, term, ty)
+    return ty, t2
 
 
 def infer_term(env, term: Term) -> TypeExpr:
@@ -553,10 +571,8 @@ def infer_term(env, term: Term) -> TypeExpr:
 def elaborate_def(gamma: dict[str, TypeExpr], d: Def) -> tuple[TypeExpr, Def]:
     if d.annot is not None:
         validate_type(d.annot, d.pos)
-        ty, t2 = _elaborate_closed(gamma, d.term, d.annot)
-        return ty, Def(d.name, d.annot, t2, pos=d.pos)
-    ty, t2 = elaborate_term(gamma, d.term)
-    return ty, Def(d.name, None, t2, pos=d.pos)
+    ty, t2 = elaborate_term(gamma, d.term, d.annot)
+    return ty, Def(d.name, d.annot, t2, pos=d.pos)
 
 
 def elaborate_program(program: Program,

@@ -417,6 +417,75 @@ def test_push_matches_matrix_on_random_programs(prelude, seed):
     assert np.max(np.abs(pushed - run_super(s, rho))) <= 1e-12
 
 
+# --------------------------------------------------------------------------
+# Every built matrix is completely positive and trace preserving
+
+
+def _choi(action, d_in, d_out):
+    """J = sum over i, j of |i><j| (x) Phi(|i><j|), indexed [(i, a), (j, b)]."""
+    a = action.reshape(d_out, d_out, d_in, d_in)
+    return a.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
+
+
+def _choi_of(s):
+    return _choi(s.val.action, dim(s.in_type), dim(s.out_type))
+
+
+def _assert_completely_positive(s):
+    choi = _choi_of(s)
+    assert np.max(np.abs(choi - choi.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(choi).min() >= -1e-9
+
+
+def _assert_trace_preserving(s):
+    # the partial trace of the Choi matrix over the output is the identity
+    d_in, d_out = dim(s.in_type), dim(s.out_type)
+    choi = _choi_of(s).reshape(d_in, d_out, d_in, d_out)
+    traced = np.einsum("iaja->ij", choi)
+    assert np.max(np.abs(traced - np.eye(d_in))) <= 1e-9
+
+
+def test_choi_detects_a_positive_map_that_is_not_completely_positive():
+    # the transpose is positive and trace preserving; its Choi matrix is
+    # the swap, with eigenvalue -1
+    transpose = np.eye(4).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3).reshape(4, 4)
+    assert np.linalg.eigvalsh(_choi(transpose, 2, 2)).min() == pytest.approx(-1)
+
+
+def test_prelude_channels_are_cptp(prelude):
+    supers = [v for v in prelude.env.values() if isinstance(v, SuperV)]
+    assert len(supers) == 12
+    for s in supers:
+        _assert_completely_positive(s)
+        _assert_trace_preserving(s)
+
+
+def _random_channel(prelude, seed):
+    term, t = randprog.random_super(seed)
+    _, term = elaborate_term(prelude.types, term, t)
+    return eval_term(term, dict(prelude.env))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_channels_are_completely_positive(prelude, seed):
+    _assert_completely_positive(_random_channel(prelude, seed))
+
+
+# These programs let a qubit go out of use without `trL` or `meas` (seed 1
+# is `\@x1. QNot @ False`).  Translation drops it with `arr` of a basis map
+# that is not injective, and that is not trace preserving: seed 1 maps
+# |+><+| to a density of trace 2 and |-><-| to zero.
+_DROP_A_QUBIT = pytest.mark.xfail(
+    strict=True, reason="a qubit dropped by a non-injective arr is not traced out")
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(s, marks=_DROP_A_QUBIT) if s in (1, 3, 5, 10, 11, 17, 19)
+    else s for s in range(20)])
+def test_random_channels_are_trace_preserving(prelude, seed):
+    _assert_trace_preserving(_random_channel(prelude, seed))
+
+
 def test_evaluation_builds_no_matrix(prelude, monkeypatch):
     def refuse(*args):
         raise AssertionError("materialized")

@@ -178,6 +178,13 @@ def test_env_pair_delta_lookup(prelude):
     assert type_str(ty) == "Bool"
 
 
+def test_env_pair_keeps_hidden_names():
+    env = EnvPair({}, {"q": B}, frozenset({"x"}))
+    with pytest.raises(TypeCheckError) as ei:
+        elaborate_term(env, parse_term("x"))
+    assert ei.value.kind == "delta-misuse"
+
+
 # ---- diagnostics ----------------------------------------------------------------
 
 @pytest.mark.parametrize("src,kind,why", ILL_TYPED,
