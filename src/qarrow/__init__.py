@@ -4,29 +4,58 @@ Programs are written with arrow abstractions over classical basis types;
 they typecheck against a two-environment discipline, translate to
 point-free combinator pipelines, evaluate as superoperators on density
 matrices, and can be rewritten with a sound equational law set.
+
+Importing the package loads none of its modules: each exported name is
+imported from its module on first access (PEP 562), so a caller that never
+touches the evaluator never loads numpy.
 """
 
-from .classic import (Arr, ClassicExpr, Compose, FanoutC, First, inverse_translate,
-                      LiftLin, MeasC, NamedSuper, PureFun, Second, sexpr,
-                      translate_command, translate_term, TranslationError, TrLC)
-from .evaluator import (apply_closure, BoolV, ClosureV, EvalError,
-                        eval_program, eval_term, materialize_lin, PairV,
-                        reference_super, run_super, SuperV, VecV)
-from .linalg import (apply_super, basis, dens_close, dens_from_json,
-                     dens_to_json, dim, elem_index, pure_density,
-                     random_density, render_density, super_arr, super_compose,
-                     super_fanout, super_first, super_identity, super_meas,
-                     super_second, super_trL, SuperVal)
-from .parser import parse_command, parse_program, parse_term, parse_type, ParseError
-from .rewriter import (apply_law_at, Law, law_by_name, normalize, NotEqual,
-                       ProofTrace, ProvedByNormalization, ProvedSemantically,
-                       prove_equal, render_trace, RewriteError, Rewriter, Step,
-                       trace_to_json, Unknown, value_diff)
-from .stdlib import load_prelude, prelude_env, prelude_program, prelude_types
-from .syntax import (alpha_eq, ArrowAbs, BoolT, DensT, free_vars, FunT,
-                     is_classical, pretty, ProdT, Program, SuperT, type_str,
-                     TypeExpr, VecT)
-from .typecheck import (check_program, elaborate_program, elaborate_term,
-                        EnvPair, infer_term, TypeCheckError)
+import importlib
 
+_EXPORTS = {
+    "classic": ("Arr", "ClassicExpr", "Compose", "FanoutC", "First",
+                "inverse_translate", "LiftLin", "MeasC", "NamedSuper",
+                "PureFun", "Second", "sexpr", "translate_command",
+                "translate_term", "TranslationError", "TrLC"),
+    "evaluator": ("apply_closure", "BoolV", "ClosureV", "EvalError",
+                  "eval_program", "eval_term", "materialize_lin", "PairV",
+                  "reference_super", "run_super", "SuperV", "value_diff",
+                  "VecV"),
+    "linalg": ("apply_super", "basis", "dens_close", "dens_from_json",
+               "dens_to_json", "dim", "elem_index", "pure_density",
+               "random_density", "render_density", "super_arr",
+               "super_compose", "super_fanout", "super_first",
+               "super_identity", "super_meas", "super_second", "super_trL",
+               "SuperVal"),
+    "parser": ("parse_command", "parse_program", "parse_term", "parse_type",
+               "ParseError"),
+    "rewriter": ("apply_law_at", "Law", "law_by_name", "normalize",
+                 "NotEqual", "ProofTrace", "ProvedByNormalization",
+                 "ProvedSemantically", "prove_equal", "render_trace",
+                 "RewriteError", "Rewriter", "Step", "trace_to_json",
+                 "Unknown"),
+    "stdlib": ("load_prelude", "prelude_env", "prelude_program",
+               "prelude_types"),
+    "syntax": ("alpha_eq", "ArrowAbs", "BoolT", "DensT", "free_vars", "FunT",
+               "is_classical", "pretty", "ProdT", "Program", "SuperT",
+               "type_str", "TypeExpr", "VecT"),
+    "typecheck": ("check_program", "elaborate_program", "elaborate_term",
+                  "EnvPair", "infer_term", "TypeCheckError"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{mod}", __name__), name)
+    globals()[name] = value         # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

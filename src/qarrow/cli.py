@@ -11,6 +11,12 @@ Subcommands:
 * ``emit FILE NAME``           — print the combinator pipeline of a
                                  definition (optionally its inverse)
 
+Every subcommand loads a file the same way: parse, typecheck, then
+translate every arrow abstraction in the file's definitions, wherever it
+sits (inside a lambda body too), so a translation error is reported whether
+or not evaluation would reach it.  Only ``run`` and ``prove`` evaluate; the
+other subcommands import neither the evaluator nor numpy.
+
 Exit codes: 0 success; 1 the task failed (type error, unequal, translation
 restriction); 2 bad input (missing file, parse error, wrong dimension,
 nesting too deep for the stack, densities too large for memory);
@@ -22,22 +28,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
-
-import numpy as np
+from typing import Optional, TYPE_CHECKING
 
 from .classic import inverse_translate, sexpr, translate_term, TranslationError
-from .evaluator import (BoolV, ClosureV, EvalError, eval_program, eval_term,
-                        PairV, run_super, SuperV, VecV)
-from .linalg import (dens_from_json, dens_to_json, dim, pure_density,
-                     render_density, render_vector, vec_to_json)
 from .parser import parse_program, parse_term, ParseError
 from .rewriter import (NotEqual, ProvedByNormalization, ProvedSemantically,
                        prove_equal, render_trace, Rewriter, RewriteError,
-                       trace_to_json, Unknown)
+                       trace_to_json)
 from .stdlib import load_prelude
 from .syntax import ArrowAbs, pretty, Program, type_str
 from .typecheck import elaborate_program, elaborate_term, TypeCheckError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OK, FAIL, BADINPUT, UNDECIDED = 0, 1, 2, 3
 
@@ -57,6 +60,8 @@ def parse_ket(s: str, d: Optional[int] = None, name: str = "") -> np.ndarray:
     """The amplitudes of a ket expression.  Given the dimension `d` that
     definition `name` expects, a basis ket of any other dimension is refused
     before its amplitudes are allocated."""
+    import numpy as np
+
     text = s.replace(" ", "")
     pos = 0
 
@@ -133,13 +138,16 @@ def parse_ket(s: str, d: Optional[int] = None, name: str = "") -> np.ndarray:
 # Shared loading
 
 
-def load_file(path: str, use_prelude: bool):
+def load_file(path: str, use_prelude: bool, evaluate: bool = False):
+    """Parse, typecheck and translate a program file.  Returns the file's
+    types, the types and terms of every definition in scope, and, when
+    `evaluate` is set, every definition's value (else None)."""
     if use_prelude:
         pre = load_prelude()
-        gamma, env = dict(pre.types), dict(pre.env)
+        gamma = dict(pre.types)
         defs = {d.name: d.term for d in pre.program.defs}
     else:
-        gamma, env, defs = {}, {}, {}
+        gamma, defs = {}, {}
     if path == "-":
         src = sys.stdin.read()
         name = "<stdin>"
@@ -159,9 +167,28 @@ def load_file(path: str, use_prelude: bool):
     except TypeCheckError as e:
         raise CliError(e.render(name), FAIL)
     gamma.update(types)
-    env = eval_program(elaborated, env)
+    check_translations(elaborated)
+    env = None
+    if evaluate:
+        from .evaluator import eval_program
+        env = eval_program(elaborated, load_prelude().env if use_prelude
+                           else None)
     defs.update({d.name: d.term for d in elaborated.defs})
-    return elaborated, types, gamma, env, defs
+    return types, gamma, env, defs
+
+
+def check_translations(prog: Program) -> None:
+    """Translate every arrow abstraction in `prog`, in definition order and
+    preorder, and raise the first ``TranslationError``.  Translation is
+    syntactic, so this finds every translation error that evaluating `prog`
+    could raise, and also those in bodies that no evaluation reaches."""
+    for d in prog.defs:
+        todo = [d.term]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ArrowAbs):
+                translate_term(node)
+            todo.extend(getattr(node, f) for f in reversed(node.child_fields))
 
 
 def resolve_target(target: str, gamma: dict, defs: dict):
@@ -180,7 +207,7 @@ def resolve_target(target: str, gamma: dict, defs: dict):
 
 
 def cmd_check(args) -> int:
-    _, types, _, _, _ = load_file(args.file, not args.no_prelude)
+    types, _, _, _ = load_file(args.file, not args.no_prelude)
     if args.json:
         out = {"defs": [{"name": n, "type": type_str(t)}
                         for n, t in types.items()]}
@@ -192,7 +219,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    _, types, gamma, env, defs = load_file(args.file, not args.no_prelude)
+    from .evaluator import BoolV, PairV, render_value, run_super, SuperV, VecV
+    from .linalg import (dens_from_json, dens_to_json, dim, pure_density,
+                         render_density, render_vector, vec_to_json)
+
+    types, gamma, env, _ = load_file(args.file, not args.no_prelude,
+                                     evaluate=True)
     if args.name not in env:
         raise CliError(f"no definition named {args.name!r}", BADINPUT)
     value = env[args.name]
@@ -205,7 +237,7 @@ def cmd_run(args) -> int:
             try:
                 with open(args.density, "r", encoding="utf-8") as fh:
                     rho = dens_from_json(json.load(fh))
-            except (OSError, ValueError, KeyError) as e:
+            except (OSError, ValueError, KeyError, TypeError) as e:
                 raise CliError(f"cannot read density: {e}", BADINPUT)
         else:
             raise CliError("a superoperator needs --input KET or "
@@ -237,7 +269,7 @@ def cmd_run(args) -> int:
             print(render_vector(value.amp))
         return OK
     if isinstance(value, (BoolV, PairV)):
-        rendered = _value_str(value)
+        rendered = render_value(value)
         if args.json:
             print(json.dumps({"def": args.name, "value": rendered},
                              sort_keys=True))
@@ -248,16 +280,8 @@ def cmd_run(args) -> int:
                    f"arguments inside a program instead", BADINPUT)
 
 
-def _value_str(v) -> str:
-    if isinstance(v, BoolV):
-        return "True" if v.value else "False"
-    if isinstance(v, PairV):
-        return f"({_value_str(v.left)}, {_value_str(v.right)})"
-    return repr(v)
-
-
 def cmd_normalize(args) -> int:
-    _, _, gamma, env, defs = load_file(args.file, not args.no_prelude)
+    _, gamma, _, defs = load_file(args.file, not args.no_prelude)
     term = resolve_target(args.target, gamma, defs)
     try:
         _, term = elaborate_term(gamma, term)
@@ -273,7 +297,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    _, _, gamma, env, defs = load_file(args.file, not args.no_prelude)
+    from .linalg import dens_to_json, render_density
+
+    _, gamma, env, defs = load_file(args.file, not args.no_prelude,
+                                    evaluate=True)
     lhs = resolve_target(args.lhs, gamma, defs)
     rhs = resolve_target(args.rhs, gamma, defs)
     verdict = prove_equal(lhs, rhs, types=gamma, env=env, defs=defs,
@@ -299,7 +326,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    _, _, gamma, env, defs = load_file(args.file, not args.no_prelude)
+    _, gamma, _, defs = load_file(args.file, not args.no_prelude)
     term = resolve_target(args.name, gamma, defs)
     try:
         _, term = elaborate_term(gamma, term)
@@ -382,6 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _eval_errors() -> tuple:
+    """``EvalError`` once the evaluator is loaded; until then nothing can
+    raise it, and the static subcommands do not load it to catch it."""
+    evaluator = sys.modules.get(f"{__package__}.evaluator")
+    return () if evaluator is None else (evaluator.EvalError,)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -392,7 +426,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, TypeCheckError) as e:
         print(str(e), file=sys.stderr)
         return FAIL
-    except (EvalError, TranslationError, RewriteError) as e:
+    except (TranslationError, RewriteError, *_eval_errors()) as e:
         print(str(e), file=sys.stderr)
         return FAIL
     except (RecursionError, MemoryError) as e:

@@ -15,6 +15,10 @@ operation: ``SuperV.val`` builds it on first use by pushing the identity
 columns through the same pipeline, block by block, and keeps it; from then
 on ``run_super`` multiplies by it.  The prover and the tests read ``val``.
 
+``compare_values`` is the prover's semantic stage: it compares two values
+of one type, and for superoperators that differ searches a fixed family of
+pure states for one that separates them.
+
 ``reference_super`` provides a second, deliberately naive semantics for
 arrow abstractions — structural recursion over the command, using the dense
 superoperator combinators from ``linalg`` exactly as written, with no
@@ -35,14 +39,14 @@ from .classic import (Arr, ClassicExpr, Compose, delta_tuple_type, FanoutC,
                       First, LiftLin, MeasC, NamedSuper, PureFun, Second,
                       translate_term, TranslationError, TrLC)
 from .linalg import (apply_super, basis, check_density, dim, elem_index,
-                     fun2lin, super_arr, super_compose, super_fanout,
-                     super_from_lin, super_identity, super_meas, super_trL,
-                     SuperVal, vec_return, vec_zero)
+                     fun2lin, pure_density, super_arr, super_compose,
+                     super_fanout, super_from_lin, super_identity, super_meas,
+                     super_trL, SuperVal, vec_return, vec_zero)
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, Command,
-                     CUnit, Eq, Fst, If, Lam, Let, Meas, MZero, Pair,
-                     Pattern, PPair, ProdT, Program, PVar, Snd, SuperT, Term,
-                     TrL, TypeExpr, Var, VecAdd, VecLet, VecScale, VecSub,
-                     VecT, VecUnit)
+                     CUnit, Eq, Fst, FunT, If, is_classical, Lam, Let, Meas,
+                     MZero, Pair, Pattern, PPair, ProdT, Program, PVar, Snd,
+                     SuperT, Term, TrL, TypeExpr, Var, VecAdd, VecLet,
+                     VecScale, VecSub, VecT, VecUnit)
 
 # memory budget (complex cells) for one column block during materialization
 _BUDGET = 4_000_000
@@ -129,6 +133,15 @@ def elem_to_value(e) -> Value:
     if isinstance(e, bool):
         return BoolV(e)
     return PairV(elem_to_value(e[0]), elem_to_value(e[1]))
+
+
+def render_value(v: Value) -> str:
+    """A boolean or a pair as the CLI prints it; other values by repr."""
+    if isinstance(v, BoolV):
+        return "True" if v.value else "False"
+    if isinstance(v, PairV):
+        return f"({render_value(v.left)}, {render_value(v.right)})"
+    return repr(v)
 
 
 def elem_type_of_value(v: Value) -> TypeExpr:
@@ -595,3 +608,71 @@ def materialize_lin(f: Value, in_t: TypeExpr, out_t: TypeExpr) -> np.ndarray:
             raise EvalError("expected a vector-valued function")
         mat[:, i] = v.amp
     return mat
+
+
+# --------------------------------------------------------------------------
+# Comparing denotations: the prover's semantic stage
+
+
+def _witness_states(d: int):
+    """A tomographically spanning family of pure states."""
+    for k in range(d):
+        amp = np.zeros(d, dtype=complex)
+        amp[k] = 1.0
+        yield amp
+    for i in range(d):
+        for j in range(i + 1, d):
+            for phase in (1.0, -1.0, 1j, -1j):
+                amp = np.zeros(d, dtype=complex)
+                amp[i] = 2 ** -0.5
+                amp[j] = phase * 2 ** -0.5
+                yield amp
+
+
+def compare_values(a, b, t: TypeExpr, tol: float):
+    """The largest observable difference between two values of type `t`, and
+    what separates them: for superoperators whose matrices differ by more
+    than `tol`, the best separating pure state as (gap, density); NaN when
+    the values cannot be compared."""
+    if isinstance(a, BoolV) and isinstance(b, BoolV):
+        return (0.0, None) if a.value == b.value else (1.0, None)
+    if isinstance(a, PairV) and isinstance(b, PairV) and isinstance(t, ProdT):
+        d1, w1 = compare_values(a.left, b.left, t.left, tol)
+        d2, w2 = compare_values(a.right, b.right, t.right, tol)
+        return (max(d1, d2), w1 if d1 >= d2 else w2)
+    if isinstance(a, VecV) and isinstance(b, VecV):
+        return (float(np.max(np.abs(a.amp - b.amp))), None)
+    if isinstance(a, SuperV) and isinstance(b, SuperV):
+        diff = float(np.max(np.abs(a.val.action - b.val.action)))
+        if diff <= tol:
+            return (diff, None)
+        best, best_rho = 0.0, None
+        for amp in _witness_states(dim(a.val.in_type)):
+            rho = pure_density(amp)
+            gap = float(np.max(np.abs(run_super(a, rho) - run_super(b, rho))))
+            if gap > best:
+                best, best_rho = gap, rho
+        return (diff, (best, best_rho))
+    if (isinstance(a, ClosureV) and isinstance(b, ClosureV)
+            and isinstance(t, FunT) and is_classical(t.arg)):
+        worst = 0.0
+        wit = None
+        for elem in basis(t.arg):
+            va = apply_closure(a, elem_to_value(elem))
+            vb = apply_closure(b, elem_to_value(elem))
+            d, w = compare_values(va, vb, t.res, tol)
+            if d > worst:
+                worst, wit = d, w
+        return (worst, wit)
+    return (float("nan"), None)
+
+
+def value_diff(a, b, t: TypeExpr, tol: float = 1e-9) -> float:
+    """Largest observable difference between two values of type `t`.
+
+    Booleans differ by 0 or 1, vectors by amplitude gap, superoperators by
+    matrix-entry gap, and classical-argument closures pointwise over the
+    argument basis.  Returns NaN when the values are incomparable.
+    """
+    diff, _ = compare_values(a, b, t, tol)
+    return diff

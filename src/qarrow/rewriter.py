@@ -23,25 +23,28 @@ spine and the new subtree.  The steps are those of the plain search.
 
 Definition unfolding (``delta``) is restricted to definitions that are not
 arrow abstractions; programs are non-recursive, so unfolding terminates.
+
+``prove_equal`` first normalizes both sides.  Only when that does not
+decide does it evaluate closed terms and compare their denotations, with
+``compare_values`` from ``evaluator``, which it imports then: rewriting and
+normalizing load neither the evaluator nor numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, TYPE_CHECKING
 
-import numpy as np
-
-from .evaluator import (apply_closure, BoolV, ClosureV, elem_to_value,
-                        eval_term, PairV, run_super, SuperV, VecV)
-from .linalg import basis, dim, pure_density
 from .syntax import (alpha_eq, App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq,
-                     free_vars, Fst, FunT, If, is_classical, Lam, Let, MZero,
-                     Node, Pair, pattern_names, pattern_subst, pattern_term,
-                     pretty, ProdT, PVar, rebuild, Snd, subst_map, Term,
-                     type_str, TypeExpr, Var, VecAdd, VecLet, VecUnit)
+                     free_vars, Fst, If, Lam, Let, MZero, Node, Pair,
+                     pattern_names, pattern_subst, pattern_term, pretty, PVar,
+                     rebuild, Snd, subst_map, Term, type_str, Var, VecAdd,
+                     VecLet, VecUnit)
 from .typecheck import elaborate_term, TypeCheckError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RewriteError(Exception):
@@ -586,67 +589,6 @@ class Unknown:
         return f"unknown: {self.reason}"
 
 
-def _witness_states(d: int):
-    """A tomographically spanning family of pure states."""
-    for k in range(d):
-        amp = np.zeros(d, dtype=complex)
-        amp[k] = 1.0
-        yield amp
-    for i in range(d):
-        for j in range(i + 1, d):
-            for phase in (1.0, -1.0, 1j, -1j):
-                amp = np.zeros(d, dtype=complex)
-                amp[i] = 2 ** -0.5
-                amp[j] = phase * 2 ** -0.5
-                yield amp
-
-
-def _compare_values(a, b, t: TypeExpr, tol: float):
-    """Returns (max_diff, witness_or_None) or raises Unknown via None."""
-    if isinstance(a, BoolV) and isinstance(b, BoolV):
-        return (0.0, None) if a.value == b.value else (1.0, None)
-    if isinstance(a, PairV) and isinstance(b, PairV) and isinstance(t, ProdT):
-        d1, w1 = _compare_values(a.left, b.left, t.left, tol)
-        d2, w2 = _compare_values(a.right, b.right, t.right, tol)
-        return (max(d1, d2), w1 if d1 >= d2 else w2)
-    if isinstance(a, VecV) and isinstance(b, VecV):
-        return (float(np.max(np.abs(a.amp - b.amp))), None)
-    if isinstance(a, SuperV) and isinstance(b, SuperV):
-        diff = float(np.max(np.abs(a.val.action - b.val.action)))
-        if diff <= tol:
-            return (diff, None)
-        best, best_rho = 0.0, None
-        for amp in _witness_states(dim(a.val.in_type)):
-            rho = pure_density(amp)
-            gap = float(np.max(np.abs(run_super(a, rho) - run_super(b, rho))))
-            if gap > best:
-                best, best_rho = gap, rho
-        return (diff, (best, best_rho))
-    if (isinstance(a, ClosureV) and isinstance(b, ClosureV)
-            and isinstance(t, FunT) and is_classical(t.arg)):
-        worst = 0.0
-        wit = None
-        for elem in basis(t.arg):
-            va = apply_closure(a, elem_to_value(elem))
-            vb = apply_closure(b, elem_to_value(elem))
-            d, w = _compare_values(va, vb, t.res, tol)
-            if d > worst:
-                worst, wit = d, w
-        return (worst, wit)
-    return (float("nan"), None)
-
-
-def value_diff(a, b, t: TypeExpr, tol: float = 1e-9) -> float:
-    """Largest observable difference between two values of type `t`.
-
-    Booleans differ by 0 or 1, vectors by amplitude gap, superoperators by
-    matrix-entry gap, and classical-argument closures pointwise over the
-    argument basis.  Returns NaN when the values are incomparable.
-    """
-    diff, _ = _compare_values(a, b, t, tol)
-    return diff
-
-
 def prove_equal(left: Term, right: Term, *, types: dict, env: dict,
                 defs: Optional[dict[str, Term]] = None,
                 fuel: int = 10000, tol: float = 1e-9):
@@ -684,9 +626,10 @@ def prove_equal(left: Term, right: Term, *, types: dict, env: dict,
 
     closed = (free_vars(left2) | free_vars(right2)) <= set(env.keys())
     if closed:
-        va = eval_term(left2, env)
-        vb = eval_term(right2, env)
-        diff, wit = _compare_values(va, vb, lt, tol)
+        # the semantic stage is the only part of the prover that evaluates
+        from .evaluator import compare_values, eval_term
+        diff, wit = compare_values(eval_term(left2, env),
+                                   eval_term(right2, env), lt, tol)
         if diff != diff:  # NaN: incomparable values
             return Unknown("values of this type cannot be compared "
                            "extensionally")

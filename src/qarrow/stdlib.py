@@ -1,11 +1,13 @@
-"""Bundled prelude: parse, typecheck and evaluate it once, then share."""
+"""Bundled prelude: parse and typecheck it once, then share.  Its values are
+evaluated on first use of ``env``, so commands that only check, rewrite or
+translate never load the evaluator."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib.resources import files
 
-from .evaluator import eval_program
 from .parser import parse_program
 from .syntax import Program, TypeExpr
 from .typecheck import elaborate_program
@@ -19,7 +21,12 @@ def prelude_source() -> str:
 class Prelude:
     program: Program            # elaborated definitions
     types: dict                 # name -> TypeExpr
-    env: dict                   # name -> evaluated Value
+
+    @cached_property
+    def env(self) -> dict:
+        """name -> evaluated Value"""
+        from .evaluator import eval_program
+        return eval_program(self.program)
 
 
 _cached: Prelude | None = None
@@ -30,8 +37,7 @@ def load_prelude() -> Prelude:
     if _cached is None:
         prog = parse_program(prelude_source(), "prelude.qarr")
         types, elaborated = elaborate_program(prog)
-        env = eval_program(elaborated)
-        _cached = Prelude(elaborated, types, env)
+        _cached = Prelude(elaborated, types)
     return _cached
 
 

@@ -21,11 +21,30 @@ Besides types, checking produces an *elaborated* copy of the tree:
   the types the translator needs.
 
 The first two are mode decisions, made on the types known at the moment
-the node is checked.  A decision made while the type it looks at is still
-an unsolved variable is a *guess*.  With no expected type, a term whose
-pass guessed is checked once more at the type that pass inferred, so the
-decisions see fully known types.  A pass that guessed nothing would decide
-the same way again, so its result stands.
+the node is checked.  With no expected type, a second pass at the type the
+first one inferred would see every type the first solved, and more, so it
+can decide differently only where the first decided on a type that was
+still an unsolved variable.  Two such decisions are *guesses*, because
+with the type known they may go the other way: a ``let`` whose bound type
+is unsolved is made plain, and so is one whose bound is a vector but whose
+body's type is unsolved; either may turn out to be monadic.  A term whose
+first pass guessed is checked once more at the type that pass inferred; any
+other pass's result stands.  Two decisions on unsolved types are not
+guesses:
+
+* A command unit whose content type is unsolved is made classical, with
+  the obligation that the content type be classical.  A pass succeeds only
+  if its kept obligations hold at its end, so the content's type is then
+  classical, and a pass that knew it would make the unit classical again.
+* A monadic ``let`` whose body fails to check falls back to a plain one.
+  A second pass would check that body with more of its types known; its
+  decisions there are the same (a guess inside would itself have called
+  for the second pass), and an equation that failed to unify fails again
+  beside more equations, so the body fails again and the fallback stands.
+  One case is left open: a unit inside that body whose content type was
+  unsolved, since its obligation is dropped with the attempt and the
+  previous point does not reach it.  ``tests/test_elaborate_once.py``
+  checks results against the elaboration that always takes two passes.
 
 Error kinds: ``mismatch``, ``unbound``, ``delta-misuse``,
 ``non-classical-basis``, ``pattern-arity``.
@@ -216,9 +235,8 @@ class Checker:
     def __init__(self) -> None:
         self.uni = Unifier()
         self.obligations: list[tuple[TypeExpr, Optional[Pos]]] = []
-        # set when a mode decision (vector let, unit mode) was made on a type
-        # whose head was still an unsolved variable, or a vector let was
-        # given up because its body failed to check
+        # set when a let was made plain while its bound type, or (for a
+        # vector bound) its body's type, was still an unsolved variable
         self.guessed = False
 
     # -- helpers
@@ -360,7 +378,6 @@ class Checker:
                     self.uni.restore(snap)
                     del self.obligations[n_obl:]
                 except TypeCheckError:
-                    self.guessed = True
                     self.uni.restore(snap)
                     del self.obligations[n_obl:]
             env2 = env.bind_gamma(self.bind_pattern(t.pat, bt))
@@ -468,8 +485,6 @@ class Checker:
             if c.content_type is not None and c.mode == "classical":
                 self.uni.unify(c.content_type, ct, c.pos)
             ch = self.uni.head(ct)
-            if isinstance(ch, TVar):
-                self.guessed = True
             if isinstance(ch, VecT):
                 if c.content_type is not None and c.mode == "vec":
                     self.uni.unify(c.content_type, ch.elem, c.pos)
@@ -549,11 +564,11 @@ def elaborate_term(env, term: Term,
     """Infer (and elaborate) a term under an environment.
 
     `env` may be an EnvPair or a plain mapping treated as gamma.  When no
-    expected type is given and the pass guessed a mode (a monadic let or a
-    unit mode chosen on a type not yet known), the term is checked once more
-    at the type the first pass inferred, so that those decisions are made
-    with fully known types.  A pass that guessed nothing would make the same
-    decisions again, so it is not repeated.
+    expected type is given and the pass guessed (made a let plain on a type
+    not yet known), the term is checked once more at the type the first pass
+    inferred, so that those decisions are made with fully known types.  A
+    pass that guessed nothing would make the same decisions again (see the
+    module docstring), so it is not repeated.
     """
     if not isinstance(env, EnvPair):
         env = EnvPair(env)

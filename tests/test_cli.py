@@ -360,6 +360,39 @@ def test_emit_translation_restriction_exits_1(runcli):
     assert code == FAIL and "translation failed" in err
 
 
+# a closure whose body holds an arrow abstraction that cannot be translated
+UNTRANSLATABLE = ("f : Bool -> Super Bool Bool\n"
+                  "f = \\b. \\@x. (fst (QNot, QNot)) @ x\n")
+FN_POSITION = ("the function of an arrow application must be a variable or "
+               "an arrow abstraction\n")
+
+
+@pytest.mark.parametrize("applied", [True, False])
+@pytest.mark.parametrize("cmd", [("check",), ("normalize", "f"),
+                                 ("emit", "QNot"), ("run", "f"),
+                                 ("prove", "f", "f")])
+def test_every_arrow_abstraction_is_translated(runcli, tmp_path, cmd,
+                                               applied):
+    """Every subcommand translates every arrow abstraction in the file, so
+    the error shows whether or not evaluation would reach the body."""
+    f = tmp_path / "closure.qarr"
+    f.write_text(UNTRANSLATABLE
+                 + ("g : Super Bool Bool\ng = f True\n" if applied else ""))
+    assert runcli(cmd[0], str(f), *cmd[1:]) == (FAIL, "", FN_POSITION)
+
+
+def test_check_does_not_evaluate(tmp_path):
+    """A 40-qubit vector would need 16 TiB of amplitudes; checking it needs
+    none."""
+    t, v = "Bool", "True"
+    for _ in range(39):
+        t, v = f"(Bool, {t})", f"(True, {v})"
+    (tmp_path / "wide.qarr").write_text(f"v : Vec {t}\nv = [{v}]\n")
+    proc = _cli_child(tmp_path, "check", "wide.qarr", address_space=1 << 30)
+    assert proc.returncode == OK, proc.stderr[-300:]
+    assert proc.stdout == f"v : Vec {t.replace(', ', ',')}\n"
+
+
 # --------------------------------------------------------------------------
 # evaluation on demand
 
@@ -387,6 +420,38 @@ def test_static_commands_build_no_matrix(runcli, tmp_path, monkeypatch):
     got = [runcli(cmd[0], str(f), *cmd[1:]) for cmd in STATIC_COMMANDS]
     assert got == want
     assert all(code == OK for code, _, _ in got)
+
+
+def test_static_commands_load_no_numpy(tmp_path):
+    """``import qarrow`` and the static subcommands leave numpy (and so the
+    evaluator) unloaded; ``run`` loads it."""
+    (tmp_path / "demo.qarr").write_text(DEMO_SRC)
+    probe = "\n".join([
+        "import sys",
+        "import qarrow",
+        "print('numpy' in sys.modules, file=sys.stderr)",
+        "from qarrow.cli import main",
+        "for argv in sys.argv[1:]:",
+        "    code = main(argv.split())",
+        "    print(argv, code, 'numpy' in sys.modules, file=sys.stderr)",
+    ])
+    cmds = ["check demo.qarr", "normalize demo.qarr dneg",
+            "emit demo.qarr toffoli --invert", "run demo.qarr mix --input |0>"]
+    src = Path(qarrow.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", probe, *cmds], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stderr.splitlines() == ["False"] + [
+        f"{c} 0 {c.startswith('run')}" for c in cmds]
+
+
+def test_every_export_resolves():
+    assert set(qarrow.__all__) <= set(dir(qarrow))
+    for name in qarrow.__all__:
+        assert getattr(qarrow, name) is not None, name
+    with pytest.raises(AttributeError):
+        qarrow.no_such_name
 
 
 def test_redefinition_leaves_earlier_closures_alone(runcli, tmp_path):
@@ -477,7 +542,7 @@ def test_memory_and_recursion_errors_exit_2(runcli, demo, monkeypatch):
     def explode(*args):
         raise MemoryError("Unable to allocate 4.00 GiB")
 
-    monkeypatch.setattr("qarrow.cli.run_super", explode)
+    monkeypatch.setattr("qarrow.evaluator.run_super", explode)
     code, out, err = runcli("run", demo, "flip", "--input", "|0>")
     assert (code, out) == (BADINPUT, "")
     assert err == f"{demo}: MemoryError: Unable to allocate 4.00 GiB\n"
@@ -485,7 +550,7 @@ def test_memory_and_recursion_errors_exit_2(runcli, demo, monkeypatch):
     def recurse(*args):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr("qarrow.cli.run_super", recurse)
+    monkeypatch.setattr("qarrow.evaluator.run_super", recurse)
     code, _, err = runcli("run", demo, "flip", "--input", "|0>")
     assert code == BADINPUT
     assert err == (f"{demo}: RecursionError: maximum recursion depth "
