@@ -19,7 +19,8 @@ other subcommands import neither the evaluator nor numpy.
 
 Exit codes: 0 success; 1 the task failed (type error, unequal, translation
 restriction); 2 bad input (missing file, parse error, wrong dimension,
-nesting too deep for the stack, densities too large for memory);
+negative fuel, a tolerance that is negative or not finite, nesting too deep
+for the stack, densities too large for memory);
 3 indeterminate (fuel exhausted, unknown verdict).
 """
 
@@ -191,6 +192,17 @@ def check_translations(prog: Program) -> None:
             todo.extend(getattr(node, f) for f in reversed(node.child_fields))
 
 
+def check_limits(fuel: int, tol: float = 0.0) -> None:
+    """Refuse a negative ``--fuel`` and a ``--tolerance`` that is negative
+    or not finite, before any file is read."""
+    if fuel < 0:
+        raise CliError(f"--fuel must be a non-negative integer, not {fuel}",
+                       BADINPUT)
+    if not 0.0 <= tol < float("inf"):
+        raise CliError(f"--tolerance must be a finite non-negative number, "
+                       f"not {tol!r}", BADINPUT)
+
+
 def resolve_target(target: str, gamma: dict, defs: dict):
     """A target is a definition name or an inline term."""
     if target in defs:
@@ -281,6 +293,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    check_limits(args.fuel)
     _, gamma, _, defs = load_file(args.file, not args.no_prelude)
     term = resolve_target(args.target, gamma, defs)
     try:
@@ -297,6 +310,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    check_limits(args.fuel, args.tolerance)
     from .linalg import dens_to_json, render_density
 
     _, gamma, env, defs = load_file(args.file, not args.no_prelude,

@@ -19,14 +19,13 @@ Complex literals are written without spaces: ``0.5``, ``2.0i``, ``0.5-0.5i``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
                      Def, DensT, Eq, Fst, FunT, If, Lam, Let, lin_type, Meas,
                      MZero, Pair, Pattern, pattern_names, PPair, Pos, ProdT,
-                     Program, PVar, Snd, SuperT, Term, TrL, TypeExpr, Var,
-                     VecAdd, VecScale, VecSub, VecT, VecUnit)
+                     Program, PVar, Record, Snd, SuperT, Term, TrL, TypeExpr,
+                     Var, VecAdd, VecScale, VecSub, VecT, VecUnit)
 
 INV_SQRT2 = 2 ** -0.5
 
@@ -58,8 +57,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _NUM_RE = re.compile(r"\d+(?:\.\d+)?(?:[+-]\d+(?:\.\d+)?i|i)?")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str          # NAME, NUM, or the symbol/keyword itself
     text: str
     pos: Pos

@@ -32,15 +32,14 @@ normalizing load neither the evaluator nor numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, TYPE_CHECKING
 
 from .syntax import (alpha_eq, App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq,
                      free_vars, Fst, If, Lam, Let, MZero, Node, Pair,
                      pattern_names, pattern_subst, pattern_term, pretty, PVar,
-                     rebuild, Snd, subst_map, Term, type_str, Var, VecAdd,
-                     VecLet, VecUnit)
+                     rebuild, Record, Snd, subst_map, Term, type_str, Var,
+                     VecAdd, VecLet, VecUnit)
 from .typecheck import elaborate_term, TypeCheckError
 
 if TYPE_CHECKING:
@@ -404,16 +403,14 @@ _AUTO_BY_CLASS: dict[type, tuple[tuple[Law, Callable], ...]] = {
 # Traces
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     law: Law
     path: tuple[int, ...]
     direction: str          # "L2R" | "R2L"
     result: Node            # whole tree after this step
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(Record):
     start: Node
     steps: tuple[Step, ...]
     end: Node
@@ -541,8 +538,7 @@ def normalize(node: Node, defs: Optional[dict[str, Term]] = None,
 # Equality prover
 
 
-@dataclass(frozen=True)
-class ProvedByNormalization:
+class ProvedByNormalization(Record):
     left_trace: ProofTrace
     right_trace: ProofTrace
 
@@ -553,8 +549,7 @@ class ProvedByNormalization:
         return f"equal: both sides normalize to the same term ({n} steps)"
 
 
-@dataclass(frozen=True)
-class ProvedSemantically:
+class ProvedSemantically(Record):
     max_diff: float
     left_trace: ProofTrace
     right_trace: ProofTrace
@@ -566,12 +561,9 @@ class ProvedSemantically:
                 f"agree (max deviation {self.max_diff:.3e})")
 
 
-@dataclass(frozen=True)
-class NotEqual:
+class NotEqual(Record):
     reason: str
-    witness: Optional[np.ndarray] = None
-    left_value: Optional[np.ndarray] = None
-    right_value: Optional[np.ndarray] = None
+    witness: Optional[np.ndarray] = None    # a density that separates them
 
     kind = "not-equal"
 
@@ -579,8 +571,7 @@ class NotEqual:
         return f"not equal: {self.reason}"
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record):
     reason: str
 
     kind = "unknown"

@@ -4,12 +4,11 @@ translate never load the evaluator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from importlib.resources import files
 
 from .parser import parse_program
-from .syntax import Program, TypeExpr
+from .syntax import Program, Record, TypeExpr
 from .typecheck import elaborate_program
 
 
@@ -17,8 +16,7 @@ def prelude_source() -> str:
     return files("qarrow").joinpath("prelude.qarr").read_text(encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class Prelude:
+class Prelude(Record):
     program: Program            # elaborated definitions
     types: dict                 # name -> TypeExpr
 

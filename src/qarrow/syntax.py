@@ -11,15 +11,21 @@ them: free variables, capture-avoiding substitution, alpha equivalence and
 pretty printing.  Every node carries an optional source position which is
 ignored by equality.
 
+Nodes are ``Record``s: immutable, declared by the annotations in the class
+body.  An annotated name with no value in the class body is a compared
+field: positional in the constructor, and read by ``==``, ``hash`` and
+``repr``.  An annotated name given a value there is a keyword-only field
+with that default, which ``==``, ``hash`` and ``repr`` ignore: ``pos`` and
+the annotations the checker records, such as ``type_``.
+
 Each term, command and type class declares its subtrees once, as the class
 attribute ``child_fields``: the names of its fields that hold a term, command
 or type, in field order.  Every other walk of the tree (here, in the checker
 and in the rewriter) is derived from that declaration and rebuilds nodes with
-``rebuild``.  From the dataclass fields the module also derives, per class,
-``data_fields`` (compared fields that are neither children nor ``pat``, such
-as a variable's name), ``annot_fields`` (uncompared fields other than
-``pos``, such as the types the checker records) and ``binder`` (whether it
-has a ``pat`` field).
+``rebuild``.  When a node class is created, ``Node`` also derives from its
+fields ``data_fields`` (compared fields that are neither children nor
+``pat``, such as a variable's name), ``annot_fields`` (keyword-only fields
+other than ``pos``) and ``binder`` (whether it has a ``pat`` field).
 
 The binder rule: a node with a ``pat`` field binds the pattern's names in its
 *last* child only.  So ``\\x. M`` and ``\\@x. Q`` bind ``x`` in their body,
@@ -32,7 +38,7 @@ depth of tree a walk can take within the recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 
@@ -41,11 +47,85 @@ class Pos(NamedTuple):
     col: int
 
 
-@dataclass(frozen=True)
-class Node:
-    pos: Optional[Pos] = field(default=None, kw_only=True, compare=False, repr=False)
+class Record:
+    """Base of immutable records declared by annotations (see above).
+
+    A subclass gets the tuples ``fields`` (every field, a base's first, in
+    declaration order) and ``compared_fields`` (the positional ones), and
+    one generated ``__init__`` that stores each field with
+    ``object.__setattr__``.  Equality, hashing, ``repr`` and the refusal to
+    assign are shared, and behave as a frozen dataclass's do:
+    ``hash(r) == hash(tuple of its compared fields)``, and assigning or
+    deleting an attribute raises ``AttributeError``.
+    """
+
+    fields = ()
+    compared_fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        new = tuple(n for n in cls.__annotations__ if n not in cls.fields)
+        cls.fields = cls.fields + new
+        cls.compared_fields = cls.compared_fields + tuple(
+            n for n in new if n not in cls.__dict__)
+        cls._key = staticmethod(_getter(cls.compared_fields))
+        keywords = [n for n in cls.fields if n not in cls.compared_fields]
+        params = ["self", *cls.compared_fields]
+        if keywords:
+            params += ["*", *keywords]
+        body = "".join(f"\n    _set(self, {n!r}, {n})" for n in cls.fields)
+        ns = {}
+        exec(f"def __init__({', '.join(params)}):{body or ' pass'}",
+             _INIT_GLOBALS, ns)
+        init = ns["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__kwdefaults__ = {n: getattr(cls, n) for n in keywords} or None
+        cls.__init__ = init
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        args = ", ".join([f"{n}={getattr(self, n)!r}"
+                          for n in self.compared_fields])
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_INIT_GLOBALS = {"_set": object.__setattr__}
+
+
+def _getter(names: tuple[str, ...]):
+    """The function from a record to the tuple of its `names` fields."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda r: (get(r),)
+    return attrgetter(*names) if names else lambda r: ()
+
+
+class Node(Record):
+    pos: Optional[Pos] = None
 
     child_fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        compared = cls.compared_fields
+        cls.binder = "pat" in compared
+        cls.data_fields = tuple(n for n in compared
+                                if n != "pat" and n not in cls.child_fields)
+        cls.annot_fields = tuple(n for n in cls.fields
+                                 if n not in compared and n != "pos")
 
 
 # --------------------------------------------------------------------------
@@ -56,45 +136,38 @@ class TypeExpr(Node):
     """Base class for type expressions."""
 
 
-@dataclass(frozen=True)
 class BoolT(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
 class ProdT(TypeExpr):
     left: TypeExpr
     right: TypeExpr
     child_fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FunT(TypeExpr):
     arg: TypeExpr
     res: TypeExpr
     child_fields = ("arg", "res")
 
 
-@dataclass(frozen=True)
 class VecT(TypeExpr):
     elem: TypeExpr
     child_fields = ("elem",)
 
 
-@dataclass(frozen=True)
 class DensT(TypeExpr):
     elem: TypeExpr
     child_fields = ("elem",)
 
 
-@dataclass(frozen=True)
 class SuperT(TypeExpr):
     arg: TypeExpr
     res: TypeExpr
     child_fields = ("arg", "res")
 
 
-@dataclass(frozen=True)
 class TVar(TypeExpr):
     """The checker's unification variable; printed as ``?``."""
     uid: int
@@ -151,12 +224,10 @@ class Pattern(Node):
     """A binder: a variable or a nested tuple of distinct variables."""
 
 
-@dataclass(frozen=True)
 class PVar(Pattern):
     name: str
 
 
-@dataclass(frozen=True)
 class PPair(Pattern):
     left: Pattern
     right: Pattern
@@ -185,57 +256,48 @@ class Term(Node):
     """Base class for terms."""
 
 
-@dataclass(frozen=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
 class BoolLit(Term):
     value: bool
 
 
-@dataclass(frozen=True)
 class Pair(Term):
     left: Term
     right: Term
     child_fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Fst(Term):
     arg: Term
     child_fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Snd(Term):
     arg: Term
     child_fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Eq(Term):
     left: Term
     right: Term
     child_fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Lam(Term):
     pat: Pattern
     body: Term
     child_fields = ("body",)
 
 
-@dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
     child_fields = ("fn", "arg")
 
 
-@dataclass(frozen=True)
 class Let(Term):
     """Ordinary (sharing) let.  The checker rewrites vector-level binds
     into VecLet, so after elaboration a Let is always classical."""
@@ -246,7 +308,6 @@ class Let(Term):
     child_fields = ("bound", "body")
 
 
-@dataclass(frozen=True)
 class If(Term):
     cond: Term
     then: Term
@@ -254,7 +315,6 @@ class If(Term):
     child_fields = ("cond", "then", "orelse")
 
 
-@dataclass(frozen=True)
 class VecUnit(Term):
     """[M] at the term level: the singleton vector at a classical value."""
 
@@ -262,50 +322,44 @@ class VecUnit(Term):
     child_fields = ("content",)
 
 
-@dataclass(frozen=True)
 class VecLet(Term):
     """Monadic bind at vector type; produced by the checker from Let."""
 
     pat: Pattern
     bound: Term
     body: Term
-    type_: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    type_: Optional[TypeExpr] = None
     child_fields = ("bound", "body")
 
 
-@dataclass(frozen=True)
 class VecAdd(Term):
     left: Term
     right: Term
     child_fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class VecSub(Term):
     left: Term
     right: Term
     child_fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class VecScale(Term):
     scalar: complex
     arg: Term
     child_fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class MZero(Term):
-    type_: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    type_: Optional[TypeExpr] = None
 
 
-@dataclass(frozen=True)
 class ArrowAbs(Term):
     """\\@x. Q - abstraction of a command over its input."""
 
     pat: Pattern
     cmd: "Command"
-    type_: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    type_: Optional[TypeExpr] = None
     child_fields = ("cmd",)
 
 
@@ -317,47 +371,42 @@ class Command(Node):
     """Base class for commands."""
 
 
-@dataclass(frozen=True)
 class CApp(Command):
     """L @ M - apply a superoperator-valued term to an argument term."""
 
     fn: Term
     arg: Term
-    fn_type: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    fn_type: Optional[TypeExpr] = None
     child_fields = ("fn", "arg")
 
 
-@dataclass(frozen=True)
 class CUnit(Command):
     """[M] as a command.  ``mode`` records how the checker read it:
     'classical' embeds a classical value, 'vec' lifts a vector-valued term."""
 
     content: Term
-    mode: Optional[str] = field(default=None, kw_only=True, compare=False, repr=False)
-    content_type: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    mode: Optional[str] = None
+    content_type: Optional[TypeExpr] = None
     child_fields = ("content",)
 
 
-@dataclass(frozen=True)
 class CLet(Command):
     pat: Pattern
     bound: Command
     body: Command
-    bound_type: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    bound_type: Optional[TypeExpr] = None
     child_fields = ("bound", "body")
 
 
-@dataclass(frozen=True)
 class Meas(Command):
     arg: Term
-    arg_type: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    arg_type: Optional[TypeExpr] = None
     child_fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class TrL(Command):
     arg: Term
-    arg_type: Optional[TypeExpr] = field(default=None, kw_only=True, compare=False, repr=False)
+    arg_type: Optional[TypeExpr] = None
     child_fields = ("arg",)
 
 
@@ -365,17 +414,20 @@ class TrL(Command):
 # Programs
 
 
-@dataclass(frozen=True)
 class Def(Node):
     name: str
     annot: Optional[TypeExpr]
     term: Term
 
 
-@dataclass(frozen=True)
 class Program(Node):
     defs: tuple[Def, ...]
-    source_name: str = field(default="<input>", kw_only=True, compare=False)
+    source_name: str = "<input>"
+
+    def __repr__(self):
+        # the source name shows, though equality ignores it
+        return (f"Program(defs={self.defs!r}, "
+                f"source_name={self.source_name!r})")
 
     def lookup(self, name: str) -> Optional[Def]:
         for d in self.defs:
@@ -384,27 +436,13 @@ class Program(Node):
         return None
 
 
-# --------------------------------------------------------------------------
-# The shape of each node class, derived from its dataclass fields
-
-
-for _sort in (TypeExpr, Term, Command):
-    for _cls in _sort.__subclasses__():
-        _compared = [f.name for f in fields(_cls) if f.compare]
-        _cls.binder = "pat" in _compared
-        _cls.data_fields = tuple(n for n in _compared
-                                 if n != "pat" and n not in _cls.child_fields)
-        _cls.annot_fields = tuple(f.name for f in fields(_cls)
-                                  if not f.compare and f.name != "pos")
-
-
 def rebuild(node: Node, changes: dict) -> Node:
     """A copy of `node` with the fields in `changes` replaced and every other
     field, ``pos`` included, copied; `node` itself when nothing changes.
 
-    Writes the instance dictionary directly, as the frozen dataclass's own
-    ``__init__`` does, so that a copy costs no more than a constructor call;
-    ``dataclasses.replace`` costs several times as much.
+    Fills the new instance's dictionary from the old one's in two C-level
+    updates, which costs less than calling the class with every field
+    spelled out.
     """
     if not changes:
         return node

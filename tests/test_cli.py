@@ -307,6 +307,31 @@ def test_prove_json(runcli):
     assert obj["kind"] == "not-equal" and "witness" in obj
 
 
+@pytest.mark.parametrize("argv", [
+    ("prove", "-", "Had", "QNot", "--tolerance", "inf"),
+    ("prove", "-", "Had", "QNot", "--tolerance=-inf"),
+    ("prove", "-", "Had", "QNot", "--tolerance", "nan"),
+    ("prove", "-", "Had", "QNot", "--tolerance", "-1"),
+    ("prove", "-", "Had", "QNot", "--fuel", "-5"),
+    ("normalize", "-", GOLDEN_START, "--fuel", "-5"),
+], ids=["tol-inf", "tol-minus-inf", "tol-nan", "tol-negative", "prove-fuel",
+        "normalize-fuel"])
+def test_unusable_limits_are_refused(runcli, argv):
+    code, out, err = runcli(*argv, stdin="")
+    assert code == BADINPUT and out == ""
+    option = next(a for a in argv if a.startswith("--")).split("=")[0]
+    assert err.count("\n") == 1 and err.startswith(f"{option} must be ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("prove", "-", "Had", "Had", "--tolerance", "0", "--fuel", "0"),
+    ("normalize", "-", GOLDEN_START, "--fuel", "0"),
+])
+def test_zero_limits_are_accepted(runcli, argv):
+    code, _, err = runcli(*argv, stdin="")
+    assert code in (OK, UNDECIDED) and err == ""
+
+
 # --------------------------------------------------------------------------
 # emit
 

@@ -4,8 +4,6 @@ to infer the type and a second at that type, always.  The two must give the
 same tree (positions and the checker's annotations included, which node
 equality ignores), the same type, and the same error."""
 
-from dataclasses import fields, is_dataclass
-
 import pytest
 
 import randprog
@@ -13,7 +11,8 @@ from ill_typed import ILL_TYPED
 from qarrow import (apply_law_at, elaborate_term, parse_program, parse_term,
                     pretty, prove_equal)
 from qarrow.stdlib import prelude_source
-from qarrow.syntax import Let, rebuild, TypeExpr, VecLet
+from qarrow.syntax import (ArrowAbs, BoolT, CApp, Let, Pos, PVar, rebuild, Record,
+                           SuperT, TypeExpr, Var, VecLet)
 from qarrow.typecheck import Checker, EnvPair, TypeCheckError, validate_type
 
 DEMO = """
@@ -66,12 +65,25 @@ def same(a, b):
     """Equal field by field, including the fields node equality skips."""
     if type(a) is not type(b):
         return False
-    if is_dataclass(a):
-        return all(same(getattr(a, f.name), getattr(b, f.name))
-                   for f in fields(a))
+    if isinstance(a, Record):
+        return all(same(getattr(a, f), getattr(b, f)) for f in a.fields)
     if isinstance(a, tuple):
         return len(a) == len(b) and all(map(same, a, b))
     return a == b
+
+
+def test_same_sees_positions_and_annotations():
+    """The oracle's comparison is stricter than node equality: one moved
+    position or one dropped annotation, deep in the tree, makes it False."""
+    inner = CApp(Var("f"), Var("x", pos=Pos(1, 9)),
+                 fn_type=SuperT(BoolT(), BoolT()))
+    tree = ArrowAbs(PVar("x"), inner, pos=Pos(1, 1))
+    copy = rebuild(tree, {"cmd": rebuild(inner, {"arg": Var("x", pos=Pos(1, 9))})})
+    moved = rebuild(tree, {"cmd": rebuild(inner, {"arg": Var("x", pos=Pos(1, 8))})})
+    retyped = rebuild(tree, {"cmd": rebuild(inner, {"fn_type": None})})
+    assert same(tree, copy)
+    for other in (moved, retyped):
+        assert other == tree and not same(tree, other)
 
 
 def outcome(elaborate, gamma, term, expected):

@@ -1,8 +1,6 @@
 """Evaluator behaviour: value forms, vector arithmetic, and the batched
 pipeline semantics checked against independently-built dense oracles."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -55,6 +53,7 @@ from qarrow.linalg import (
     super_second,
     super_trL,
 )
+from qarrow.syntax import rebuild
 
 import randprog
 
@@ -198,7 +197,8 @@ def test_vec_let_zero_coefficient(prelude):
 
 def test_raw_vec_let_requires_type(prelude):
     term = elab(prelude, "let y = [True] in [not y]", VecT(B))
-    stripped = dataclasses.replace(term, type_=None)
+    stripped = rebuild(term, {"type_": None})
+    assert stripped.type_ is None and term.type_ is not None
     with pytest.raises(EvalError, match="typecheck before evaluating"):
         eval_term(stripped, dict(prelude.env))
 

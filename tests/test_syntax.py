@@ -1,6 +1,5 @@
 """AST utilities: pretty/parse round trips, substitution, alpha-equivalence,
 and the per-class child declaration the generic walks rest on."""
-import dataclasses
 import typing
 
 import pytest
@@ -202,23 +201,24 @@ def _node_classes():
 @pytest.mark.parametrize("cls", _node_classes(), ids=lambda c: c.__name__)
 def test_child_declaration_is_complete(cls):
     hints = typing.get_type_hints(cls)
-    fields = dataclasses.fields(cls)
-    names = [f.name for f in fields]
+    names = list(cls.fields)
+    # every annotation is a field, a base's first
+    assert set(hints) == set(names) and names[0] == "pos"
     # declared children are real fields, listed in field order
     assert list(cls.child_fields) == [n for n in names if n in cls.child_fields]
-    for f in fields:
-        hint = hints[f.name]
+    for name in names:
+        hint = hints[name]
         holds_node = isinstance(hint, type) and issubclass(hint, Node)
-        if f.name == "pat":
+        if name == "pat":
             assert hint is Pattern and cls.binder
             assert len(cls.child_fields) >= 1   # the binder's scope
-        elif f.compare:
+        elif name in cls.compared_fields:
             # every compared subtree is a child; everything else is data
-            assert holds_node == (f.name in cls.child_fields), f.name
-            assert (f.name in cls.data_fields) == (not holds_node), f.name
-        elif f.name != "pos":
+            assert holds_node == (name in cls.child_fields), name
+            assert (name in cls.data_fields) == (not holds_node), name
+        elif name != "pos":
             # recorded annotations: the checker resolves the TypeExpr ones
-            assert f.name in cls.annot_fields
+            assert name in cls.annot_fields
             assert not holds_node
     assert cls.binder == ("pat" in names)
 
