@@ -8,12 +8,25 @@ the environment it was evaluated in.  Nothing is multiplied out then.
 
 ``run_super`` pushes ``vec(ρ)`` through the pipeline as a batch of one
 column, with each combinator implemented by index arithmetic on the batch
-(scatter for pure functions, axis reshuffles for ``first``/``second``,
-einsum contractions for lifted linear maps) rather than by building the
-large intermediate superoperator matrices.  The full matrix is a derived
-operation: ``SuperV.val`` builds it on first use by pushing the identity
-columns through the same pipeline, block by block, and keeps it; from then
-on ``run_super`` multiplies by it.  The prover and the tests read ``val``.
+(a scatter by its basis map for ``arr``, axis reshuffles for
+``first``/``second``, einsum contractions for lifted linear maps) rather
+than by building the large intermediate superoperator matrices.  The full
+matrix is a derived operation: ``SuperV.val`` builds it on first use by
+pushing the identity columns through the same pipeline, block by block,
+and keeps it; from then on ``run_super`` multiplies by it.  The prover and
+the tests read ``val``.
+
+The basis map of an ``arr`` node and the matrix of a ``lift`` node are
+computed over *wires*: each context variable is a tree of 0/1 arrays over
+the context basis, one per qubit, read off the binary digits of the basis
+index.  Variables, pairs, ``fst``/``snd`` and literals are index arithmetic
+on these arrays and evaluate nothing.  Any other subterm (an ``if``, an
+application, ``==``, a ``let``, a global name, a lifted body) is evaluated
+with ``eval_term`` once per basis element of only the context variables it
+reads, and its results are gathered through those variables' joint index.
+A subterm that reads every wire is evaluated once per context element.  A
+pair holding a closure or a vector has no wires, so a projection of it is
+evaluated whole in the same way.
 
 ``compare_values`` is the prover's semantic stage: it compares two values
 of one type, and for superoperators that differ searches a fixed family of
@@ -43,10 +56,10 @@ from .linalg import (apply_super, basis, check_density, dim, elem_index,
                      super_fanout, super_from_lin, super_identity, super_meas,
                      super_trL, SuperVal, vec_return, vec_zero)
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, Command,
-                     CUnit, Eq, Fst, FunT, If, is_classical, Lam, Let, Meas,
-                     MZero, Pair, Pattern, PPair, ProdT, Program, PVar, Snd,
-                     SuperT, Term, TrL, TypeExpr, Var, VecAdd, VecLet,
-                     VecScale, VecSub, VecT, VecUnit)
+                     CUnit, Eq, free_vars, Fst, FunT, If, is_classical, Lam,
+                     Let, Meas, MZero, Pair, Pattern, PPair, ProdT, Program,
+                     PVar, Snd, SuperT, Term, TrL, TypeExpr, Var, VecAdd,
+                     VecLet, VecScale, VecSub, VecT, VecUnit)
 
 # memory budget (complex cells) for one column block during materialization
 _BUDGET = 4_000_000
@@ -281,44 +294,129 @@ def eval_term(t: Term, env: dict) -> Value:
 # Pushing densities through pipelines (batched column evaluation)
 
 
-def _split_delta_elem(delta, elem) -> list:
+def _bind_context(delta, v, env: dict) -> dict:
+    """`env` with the patterns of `delta` bound, in order, to the entries of
+    the context tuple `v`: a value, or its wires."""
     parts: list = [None] * len(delta)
     for i in range(len(delta) - 1, 0, -1):
-        elem, parts[i] = elem
-    parts[0] = elem
-    return parts
-
-
-def _bind_pattern_elem(pat: Pattern, elem, env: dict) -> None:
-    bind_pattern_value(pat, elem_to_value(elem), env)
+        v, parts[i] = v.left, v.right
+    parts[0] = v
+    for (pat, _), part in zip(delta, parts):
+        bind_pattern_value(pat, part, env)
+    return env
 
 
 def _fn_env(fn: PureFun, elem, env: dict) -> dict:
-    env2 = dict(env)
-    for (pat, _), part in zip(fn.delta, _split_delta_elem(fn.delta, elem)):
-        _bind_pattern_elem(pat, part, env2)
-    return env2
+    return _bind_context(fn.delta, elem_to_value(elem), dict(env))
 
 
-def _arr_index_map(e: Arr, env: dict) -> np.ndarray:
-    m = np.empty(dim(e.in_type), dtype=np.int64)
-    for i, elem in enumerate(basis(e.in_type)):
-        v = eval_term(e.fn.body, _fn_env(e.fn, elem, env))
-        m[i] = elem_index(e.out_type, value_to_elem(v))
+# Index maps and lift matrices are computed over *wires*.  The wires of a
+# value of a classical type are a tree of ``PairV``s of the type's shape,
+# whose leaves, one per Bool, are 0/1 arrays over the context basis.  The
+# context tuple is left-major, so its leaves read in order are the binary
+# digits of the basis index.
+
+
+def _index_wires(t: TypeExpr, r: np.ndarray) -> tuple[Value, np.ndarray]:
+    """The wires of values of type `t` whose basis index at each context
+    element is given by `r`; and `r` shifted past them."""
+    if isinstance(t, ProdT):
+        right, r = _index_wires(t.right, r)
+        left, r = _index_wires(t.left, r)
+        return PairV(left, right), r
+    return r & 1, r >> 1
+
+
+def _context_wires(t: TypeExpr, d: int) -> Value:
+    """The wires of a context tuple of type `t` and dimension `d`."""
+    return _index_wires(t, np.arange(d))[0]
+
+
+def _leaves(w) -> list:
+    if isinstance(w, PairV):
+        return _leaves(w.left) + _leaves(w.right)
+    return [w]
+
+
+def _over_reads(t: Term, wires: dict, env: dict) -> tuple[list, np.ndarray]:
+    """`t` evaluated once per basis element of the context variables it
+    reads, and the index of that element at each context basis element
+    (0 if it reads none)."""
+    read = [x for x in free_vars(t) if x in wires]
+    digits = [leaf for x in read for leaf in _leaves(wires[x])]
+    joint = 0
+    for leaf in digits:
+        joint = joint * 2 + leaf
+    values = []
+    for j in range(1 << len(digits)):
+        bits = iter([BoolV(bool(j >> k & 1))
+                     for k in range(len(digits) - 1, -1, -1)])
+        env2 = dict(env)        # a result may be a closure over it
+        for x in read:
+            env2[x] = _value_of(wires[x], bits)
+        values.append(eval_term(t, env2))
+    return values, joint
+
+
+def _value_of(w, bits) -> Value:
+    if isinstance(w, PairV):
+        return PairV(_value_of(w.left, bits), _value_of(w.right, bits))
+    return next(bits)
+
+
+def _term_wires(t: Term, wires: dict, env: dict):
+    """The wires of `t`, or None if its values are not basis values (a
+    closure or a vector that a projection may drop).  Variables, pairs,
+    projections and literals are index arithmetic; any other term, and a
+    projection of a pair that has no wires, is evaluated over its reads
+    alone."""
+    cls = type(t)
+    if cls is Var and t.name in wires:
+        return wires[t.name]
+    if cls is BoolLit:
+        return int(t.value)
+    if cls is Pair:
+        left = _term_wires(t.left, wires, env)
+        right = None if left is None else _term_wires(t.right, wires, env)
+        return None if right is None else PairV(left, right)
+    if cls is Fst or cls is Snd:
+        w = _term_wires(t.arg, wires, env)
+        if isinstance(w, PairV):
+            return w.right if cls is Snd else w.left
+        if w is not None:
+            raise EvalError(f"{'snd' if cls is Snd else 'fst'} of a non-pair")
+    values, joint = _over_reads(t, wires, env)
+    try:
+        rt = elem_type_of_value(values[0])
+        idx = np.array([elem_index(rt, value_to_elem(v)) for v in values])
+    except EvalError:                   # not basis values
+        return None
+    return _index_wires(rt, idx[joint])[0]
+
+
+def _arr_index_map(e: Arr, env: dict, ctx: Value) -> np.ndarray:
+    """The basis map of `e`, given the wires `ctx` of its context tuple."""
+    w = _term_wires(e.fn.body, _bind_context(e.fn.delta, ctx, {}), env)
+    if w is None:
+        raise EvalError("an arr body must produce a basis value")
+    m = np.zeros_like(_leaves(ctx)[0])
+    for leaf in _leaves(w):
+        m = m * 2 + leaf
     return m
 
 
-def _lift_matrix(e: LiftLin, env: dict) -> np.ndarray:
-    do, di = dim(e.out_type), dim(e.in_type)
-    mat = np.zeros((do, di), dtype=complex)
-    for i, elem in enumerate(basis(e.in_type)):
-        v = eval_term(e.fn.body, _fn_env(e.fn, elem, env))
+def _lift_matrix(e: LiftLin, env: dict, di: int, do: int) -> np.ndarray:
+    ctx = _context_wires(e.in_type, di)
+    values, joint = _over_reads(e.fn.body, _bind_context(e.fn.delta, ctx, {}),
+                                env)
+    cols = np.empty((do, len(values)), dtype=complex)
+    for j, v in enumerate(values):
         if not isinstance(v, VecV):
             raise EvalError("lifted function must produce a vector")
         if v.amp.shape[0] != do:
             raise EvalError("lifted function dimension mismatch")
-        mat[:, i] = v.amp
-    return mat
+        cols[:, j] = v.amp
+    return cols[:, np.broadcast_to(joint, di)]
 
 
 def _scatter(r: np.ndarray, V: np.ndarray, n: int) -> np.ndarray:
@@ -378,8 +476,9 @@ def _fanout_arr(e: FanoutC, V: np.ndarray, env: dict) -> np.ndarray:
     assert isinstance(e.left_, Arr)
     p_arr, rest = _peel(e.right_)
     di, dj, k = dim(e.in_type), dim(e.left_.out_type), V.shape[1]
-    m = _arr_index_map(e.left_, env)
-    p = np.arange(di) if p_arr is None else _arr_index_map(p_arr, env)
+    ctx = _context_wires(e.in_type, di)
+    m = _arr_index_map(e.left_, env, ctx)
+    p = np.arange(di) if p_arr is None else _arr_index_map(p_arr, env, ctx)
     if rest is None:                    # a pure bound leg: a ↦ (m a, p a)
         dr = dim(e.right_.out_type)
         return _scatter(m * dr + p, V, dj * dr)
@@ -406,10 +505,11 @@ def apply_batch(e: ClassicExpr, V: np.ndarray, env: dict) -> np.ndarray:
     k = V.shape[1]
 
     if isinstance(e, Arr):
-        return _scatter(_arr_index_map(e, env), V, do)
+        return _scatter(_arr_index_map(e, env, _context_wires(e.in_type, di)),
+                        V, do)
 
     if isinstance(e, LiftLin):
-        F = _lift_matrix(e, env)
+        F = _lift_matrix(e, env, di, do)
         V3 = V.reshape(di, di, k)
         return np.einsum("ai,ijk,bj->abk", F, V3, F.conj(),
                          optimize=True).reshape(do * do, k)

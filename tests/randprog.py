@@ -194,6 +194,31 @@ def random_super(seed: int, in_t: Optional[TypeExpr] = None,
     return ArrowAbs(PVar(x), cmd), SuperT(in_t, out_t)
 
 
+def ghz_source(n: int, style: str = "proj") -> str:
+    """GHZ-n as H on qubit 1 then a CNOT chain, defined as ``ghz``.
+    ``proj`` binds each Cnot output whole and takes it apart with fst/snd
+    (the prelude's style); ``tuple`` binds it with a pair pattern."""
+    qs = [f"q{i}" for i in range(1, n + 1)]
+    lines, prev, outs = ["let h = Had @ q1 in"], "h", []
+    for i in range(1, n):
+        if style == "proj":
+            lines.append(f"let p{i} = Cnot @ ({prev}, q{i + 1}) in")
+            prev = f"snd p{i}"
+            outs.append(f"fst p{i}")
+        else:
+            lines.append(f"let (a{i}, b{i}) = Cnot @ ({prev}, q{i + 1}) in")
+            prev = f"b{i}"
+            outs.append(f"a{i}")
+    outs.append(prev)
+
+    def nest(xs):
+        return xs[0] if len(xs) == 1 else f"({xs[0]}, {nest(xs[1:])})"
+
+    t = nest(["Bool"] * n)
+    body = "\n  ".join(lines + [f"[{nest(outs)}]"])
+    return f"ghz : Super {t} {t}\nghz = \\@{nest(qs)}.\n  {body}\n"
+
+
 # ---- law instances --------------------------------------------------------
 
 

@@ -18,6 +18,8 @@ from qarrow import dens_to_json, pure_density, render_density
 from qarrow.cli import BADINPUT, CliError, FAIL, main, OK, parse_ket, UNDECIDED
 from qarrow.linalg import render_vector
 
+import randprog
+
 INV = 1 / np.sqrt(2)
 
 FLIP_SRC = """\
@@ -512,27 +514,9 @@ def _cli_child(tmp_path, *argv, address_space=None):
                           text=True, preexec_fn=limit, timeout=120)
 
 
-def _ghz_source(n):
-    """GHZ-n in the prelude's projection style: each Cnot output is bound
-    whole and taken apart with fst/snd."""
-    qs = [f"q{i}" for i in range(1, n + 1)]
-    lines, prev = ["let h = Had @ q1 in"], "h"
-    for i in range(1, n):
-        lines.append(f"let p{i} = Cnot @ ({prev}, q{i + 1}) in")
-        prev = f"snd p{i}"
-    outs = [f"fst p{i}" for i in range(1, n)] + [f"snd p{n - 1}"]
-
-    def nest(xs):
-        return xs[0] if len(xs) == 1 else f"({xs[0]}, {nest(xs[1:])})"
-
-    t = nest(["Bool"] * n)
-    body = "\n  ".join(lines + [f"[{nest(outs)}]"])
-    return f"ghz : Super {t} {t}\nghz = \\@{nest(qs)}.\n  {body}\n"
-
-
 @pytest.mark.parametrize("n", [4, 5])
 def test_ghz_runs_within_one_gib(tmp_path, n):
-    (tmp_path / "ghz.qarr").write_text(_ghz_source(n))
+    (tmp_path / "ghz.qarr").write_text(randprog.ghz_source(n))
     proc = _cli_child(tmp_path, "run", "ghz.qarr", "ghz", "--input",
                       "|" + "0" * n + ">", address_space=1 << 30)
     assert proc.returncode == OK, proc.stderr[-300:]
