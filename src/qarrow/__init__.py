@@ -13,20 +13,16 @@ touches the evaluator never loads numpy.
 import importlib
 
 _EXPORTS = {
-    "classic": ("Arr", "ClassicExpr", "Compose", "FanoutC", "First",
+    "classic": ("Arr", "ClassicExpr", "Compose", "FanoutC",
                 "inverse_translate", "LiftLin", "MeasC", "NamedSuper",
-                "PureFun", "Second", "sexpr", "translate_command",
-                "translate_term", "TranslationError", "TrLC"),
+                "PureFun", "sexpr", "translate_command", "translate_term",
+                "TranslationError", "TrLC"),
     "evaluator": ("apply_closure", "BoolV", "ClosureV", "EvalError",
                   "eval_program", "eval_term", "materialize_lin", "PairV",
-                  "reference_super", "run_super", "SuperV", "value_diff",
-                  "VecV"),
+                  "run_super", "SuperV", "value_diff", "VecV"),
     "linalg": ("apply_super", "basis", "dens_close", "dens_from_json",
                "dens_to_json", "dim", "elem_index", "pure_density",
-               "random_density", "render_density", "super_arr",
-               "super_compose", "super_fanout", "super_first",
-               "super_identity", "super_meas", "super_second", "super_trL",
-               "SuperVal"),
+               "random_density", "render_density", "SuperVal"),
     "parser": ("parse_command", "parse_program", "parse_term", "parse_type",
                "ParseError"),
     "rewriter": ("apply_law_at", "Law", "law_by_name", "normalize",
@@ -36,7 +32,7 @@ _EXPORTS = {
                  "Unknown"),
     "stdlib": ("load_prelude", "prelude_env", "prelude_program",
                "prelude_types"),
-    "syntax": ("alpha_eq", "ArrowAbs", "BoolT", "DensT", "free_vars", "FunT",
+    "syntax": ("alpha_eq", "ArrowAbs", "BoolT", "free_vars", "FunT",
                "is_classical", "pretty", "ProdT", "Program", "SuperT",
                "type_str", "TypeExpr", "VecT"),
     "typecheck": ("check_program", "elaborate_program", "elaborate_term",

@@ -5,8 +5,8 @@ An arrow abstraction elaborates into a pipeline built from:
 * ``Arr``      — lift a pure function on basis values,
 * ``LiftLin``  — lift a vector-valued (amplitude-producing) function,
 * ``Compose``  — sequential composition (left runs first),
-* ``First``    — run a pipeline on the left half of a pair,
-* ``Second`` / ``FanoutC`` — derived rewiring combinators,
+* ``FanoutC``  — ``arr keep &&& bound``: a pure map of the context paired
+  with a pipeline over it,
 * ``MeasC``    — computational-basis measurement,
 * ``TrLC``     — partial trace of the left half,
 * ``NamedSuper`` — a reference to a variable holding a superoperator.
@@ -15,7 +15,11 @@ Translation tracks the *binding context*: the ordered list of patterns
 (with their types) bound so far by the abstraction head and command lets.
 The context is passed along the pipeline as a left-nested tuple, so a
 command let extends it with ``(context, new)`` — exactly the shape
-``FanoutC`` produces, which keeps the clauses repacking-free.  Context
+``FanoutC`` produces, which keeps the clauses repacking-free.  This is the
+translation of ``let y ⇐ P in Q`` as ``(arr keep &&& ⟦P⟧) >>> ⟦Q⟧`` in
+Lindley, Wadler & Yallop's arrow calculus, so the left leg of every
+``&&&`` is an ``Arr``, and the pipeline language has no ``first`` or
+``second`` node of its own.  Context
 entries that the remainder of a command never mentions are dropped at
 each let (pure rewiring, so the denotation is unchanged); without this
 the context for a chain of n lets has dimension exponential in n.
@@ -33,9 +37,9 @@ from functools import reduce
 from typing import Optional
 
 from .syntax import (App, ArrowAbs, CApp, CLet, Command, CUnit, free_vars,
-                     Fst, Lam, Meas, Pair, Pattern, pattern_names,
-                     pattern_term, PPair, Pos, ProdT, PVar, Snd, SuperT, Term,
-                     TrL, TypeExpr, Var, pretty, pretty_pattern)
+                     Lam, Meas, Pair, Pattern, pattern_names, pattern_term,
+                     PPair, Pos, ProdT, PVar, SuperT, Term, TrL, TypeExpr, Var,
+                     pretty, pretty_pattern)
 
 DeltaEntry = tuple[Pattern, TypeExpr]
 
@@ -94,20 +98,8 @@ class Compose(ClassicExpr):
 
 
 @dataclass(frozen=True)
-class First(ClassicExpr):
-    inner: ClassicExpr
-    passive: TypeExpr
-
-
-@dataclass(frozen=True)
-class Second(ClassicExpr):
-    inner: ClassicExpr
-    passive: TypeExpr
-
-
-@dataclass(frozen=True)
 class FanoutC(ClassicExpr):
-    left_: ClassicExpr
+    left_: Arr
     right_: ClassicExpr
 
 
@@ -270,41 +262,16 @@ def inverse_translate(e: ClassicExpr) -> ArrowAbs:
                        bound_type=e.first_.out_type)
             return ArrowAbs(PVar(x), cmd, type_=ty)
 
-        if isinstance(e, First):
-            z, x = fresh("z"), fresh("x")
-            f = go(e.inner)
-            cmd = CLet(PVar(x), CApp(f, Fst(Var(z)), fn_type=f.type_),
-                       CUnit(Pair(Var(x), Snd(Var(z)))),
-                       bound_type=e.inner.out_type)
-            return ArrowAbs(PVar(z), cmd, type_=ty)
-
-        if isinstance(e, Second):
-            z, y = fresh("z"), fresh("y")
-            f = go(e.inner)
-            cmd = CLet(PVar(y), CApp(f, Snd(Var(z)), fn_type=f.type_),
-                       CUnit(Pair(Fst(Var(z)), Var(y))),
-                       bound_type=e.inner.out_type)
-            return ArrowAbs(PVar(z), cmd, type_=ty)
-
         if isinstance(e, FanoutC):
+            # the pure left leg is computed inside the unit instead of a
+            # second binding, which keeps the re-translated context one
+            # entry narrower
             z, y = fresh("z"), fresh("y")
-            if isinstance(e.left_, Arr):
-                # pure left leg: compute it inside the unit instead of a
-                # second binding, which keeps the re-translated context
-                # one entry narrower
-                g = go(e.right_)
-                keep = App(e.left_.fn.as_lambda(), Var(z))
-                cmd = CLet(PVar(y), CApp(g, Var(z), fn_type=g.type_),
-                           CUnit(Pair(keep, Var(y))),
-                           bound_type=e.right_.out_type)
-                return ArrowAbs(PVar(z), cmd, type_=ty)
-            x = fresh("x")
-            f, g = go(e.left_), go(e.right_)
-            cmd = CLet(PVar(x), CApp(f, Var(z), fn_type=f.type_),
-                       CLet(PVar(y), CApp(g, Var(z), fn_type=g.type_),
-                            CUnit(Pair(Var(x), Var(y))),
-                            bound_type=e.right_.out_type),
-                       bound_type=e.left_.out_type)
+            g = go(e.right_)
+            keep = App(e.left_.fn.as_lambda(), Var(z))
+            cmd = CLet(PVar(y), CApp(g, Var(z), fn_type=g.type_),
+                       CUnit(Pair(keep, Var(y))),
+                       bound_type=e.right_.out_type)
             return ArrowAbs(PVar(z), cmd, type_=ty)
 
         if isinstance(e, MeasC):
@@ -337,10 +304,6 @@ def sexpr(e: ClassicExpr) -> str:
         return f"(lift {_fn_str(e.fn)})"
     if isinstance(e, Compose):
         return f"(>>> {sexpr(e.first_)} {sexpr(e.then_)})"
-    if isinstance(e, First):
-        return f"(first {sexpr(e.inner)})"
-    if isinstance(e, Second):
-        return f"(second {sexpr(e.inner)})"
     if isinstance(e, FanoutC):
         return f"(&&& {sexpr(e.left_)} {sexpr(e.right_)})"
     if isinstance(e, MeasC):
@@ -359,8 +322,6 @@ def _fn_str(fn: PureFun) -> str:
 def classic_children(e: ClassicExpr) -> tuple[ClassicExpr, ...]:
     if isinstance(e, Compose):
         return (e.first_, e.then_)
-    if isinstance(e, (First, Second)):
-        return (e.inner,)
     if isinstance(e, FanoutC):
         return (e.left_, e.right_)
     return ()

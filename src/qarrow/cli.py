@@ -390,9 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="evaluate a definition")
     p.add_argument("file")
     p.add_argument("name")
-    p.add_argument("--input", help="pure input state, e.g. "
-                                   "'(|00>+|11>)/sqrt2'")
-    p.add_argument("--density", help="JSON density file")
+    state = p.add_mutually_exclusive_group()
+    state.add_argument("--input", help="pure input state, e.g. "
+                                       "'(|00>+|11>)/sqrt2'")
+    state.add_argument("--density", help="JSON density file")
     common(p)
     p.set_defaults(fn=cmd_run)
 

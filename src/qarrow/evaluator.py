@@ -8,9 +8,13 @@ the environment it was evaluated in.  Nothing is multiplied out then.
 
 ``run_super`` pushes ``vec(ρ)`` through the pipeline as a batch of one
 column, with each combinator implemented by index arithmetic on the batch
-(a scatter by its basis map for ``arr``, axis reshuffles for
-``first``/``second``, einsum contractions for lifted linear maps) rather
-than by building the large intermediate superoperator matrices.  The full
+(a scatter by its basis map for ``arr``, einsum contractions for lifted
+linear maps, and for ``arr keep &&& bound`` a scatter into the pairs of
+kept context and bound result, contracted with the bound command's own
+matrix) rather than by building the large intermediate superoperator
+matrices.  This evaluator is the only arrow instance in the package, and it
+runs exactly the nodes that translation emits: a ``&&&`` always has a pure
+left leg, and there is no ``first`` or ``second`` node.  The full
 matrix is a derived operation: ``SuperV.val`` builds it on first use by
 pushing the identity columns through the same pipeline, block by block,
 and keeps it; from then on ``run_super`` multiplies by it.  The prover and
@@ -31,12 +35,6 @@ evaluated whole in the same way.
 ``compare_values`` is the prover's semantic stage: it compares two values
 of one type, and for superoperators that differ searches a fixed family of
 pure states for one that separates them.
-
-``reference_super`` provides a second, deliberately naive semantics for
-arrow abstractions — structural recursion over the command, using the dense
-superoperator combinators from ``linalg`` exactly as written, with no
-context narrowing and no batching.  It is exponential in the number of
-command lets and exists purely as an independent cross-check for tests.
 """
 
 from __future__ import annotations
@@ -47,18 +45,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import classic as C
-from .classic import (Arr, ClassicExpr, Compose, delta_tuple_type, FanoutC,
-                      First, LiftLin, MeasC, NamedSuper, PureFun, Second,
-                      translate_term, TranslationError, TrLC)
+from .classic import (Arr, ClassicExpr, Compose, FanoutC, LiftLin, MeasC,
+                      NamedSuper, translate_term, TrLC)
 from .linalg import (apply_super, basis, check_density, dim, elem_index,
-                     fun2lin, pure_density, super_arr, super_compose,
-                     super_fanout, super_from_lin, super_identity, super_meas,
-                     super_trL, SuperVal, vec_return, vec_zero)
-from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, Command,
-                     CUnit, Eq, free_vars, Fst, FunT, If, is_classical, Lam,
-                     Let, Meas, MZero, Pair, Pattern, PPair, ProdT, Program,
-                     PVar, Snd, SuperT, Term, TrL, TypeExpr, Var, VecAdd,
+                     pure_density, SuperVal, vec_return, vec_zero)
+from .syntax import (App, ArrowAbs, BoolLit, BoolT, Eq, free_vars, Fst, FunT,
+                     If, is_classical, Lam, Let, MZero, Pair, Pattern, PPair,
+                     ProdT, Program, PVar, Snd, Term, TypeExpr, Var, VecAdd,
                      VecLet, VecScale, VecSub, VecT, VecUnit)
 
 # memory budget (complex cells) for one column block during materialization
@@ -306,10 +299,6 @@ def _bind_context(delta, v, env: dict) -> dict:
     return env
 
 
-def _fn_env(fn: PureFun, elem, env: dict) -> dict:
-    return _bind_context(fn.delta, elem_to_value(elem), dict(env))
-
-
 # Index maps and lift matrices are computed over *wires*.  The wires of a
 # value of a classical type are a tree of ``PairV``s of the type's shape,
 # whose leaves, one per Bool, are 0/1 arrays over the context basis.  The
@@ -473,7 +462,6 @@ def _fanout_forms(e: FanoutC) -> tuple[int, int]:
 
 def _fanout_arr(e: FanoutC, V: np.ndarray, env: dict) -> np.ndarray:
     # out[(j,c),(j',c')] = Σ_{a,a': m a=j, m a'=j'} G[(c,c'),(p a,p a')] V[(a,a')]
-    assert isinstance(e.left_, Arr)
     p_arr, rest = _peel(e.right_)
     di, dj, k = dim(e.in_type), dim(e.left_.out_type), V.shape[1]
     ctx = _context_wires(e.in_type, di)
@@ -535,40 +523,8 @@ def apply_batch(e: ClassicExpr, V: np.ndarray, env: dict) -> np.ndarray:
     if isinstance(e, Compose):
         return apply_batch(e.then_, apply_batch(e.first_, V, env), env)
 
-    if isinstance(e, First):
-        assert isinstance(e.in_type, ProdT)
-        da, dc = dim(e.inner.in_type), dim(e.passive)
-        db = dim(e.inner.out_type)
-        W = (V.reshape(da, dc, da, dc, k).transpose(0, 2, 1, 3, 4)
-             .reshape(da * da, dc * dc * k))
-        W2 = apply_batch(e.inner, W, env)
-        return (W2.reshape(db, db, dc, dc, k).transpose(0, 2, 1, 3, 4)
-                .reshape((db * dc) ** 2, k))
-
-    if isinstance(e, Second):
-        assert isinstance(e.in_type, ProdT)
-        da, dc = dim(e.inner.in_type), dim(e.passive)
-        db = dim(e.inner.out_type)
-        W = (V.reshape(dc, da, dc, da, k).transpose(1, 3, 0, 2, 4)
-             .reshape(da * da, dc * dc * k))
-        W2 = apply_batch(e.inner, W, env)
-        return (W2.reshape(db, db, dc, dc, k).transpose(2, 0, 3, 1, 4)
-                .reshape((dc * db) ** 2, k))
-
     if isinstance(e, FanoutC):
-        if isinstance(e.left_, Arr):
-            return _fanout_arr(e, V, env)
-        # general: duplicate, then first, then second
-        rows = ((np.arange(di) * di + np.arange(di))[:, None] * (di * di)
-                + (np.arange(di) * di + np.arange(di))[None, :]).reshape(-1)
-        W = np.zeros(((di * di) ** 2, k), dtype=complex)
-        W[rows] = V
-        aa = ProdT(e.in_type, e.in_type)
-        step1 = First(e.left_, e.in_type, in_type=aa,
-                      out_type=ProdT(e.left_.out_type, e.in_type))
-        step2 = Second(e.right_, e.left_.out_type,
-                       in_type=step1.out_type, out_type=e.out_type)
-        return apply_batch(step2, apply_batch(step1, W, env), env)
+        return _fanout_arr(e, V, env)
 
     raise EvalError(f"cannot apply pipeline node {e!r}")
 
@@ -578,15 +534,8 @@ def est_cells(e: ClassicExpr) -> int:
     base = max(dim(e.in_type) ** 2, dim(e.out_type) ** 2)
     if isinstance(e, Compose):
         return max(base, est_cells(e.first_), est_cells(e.then_))
-    if isinstance(e, (First, Second)):
-        return max(base, est_cells(e.inner) * dim(e.passive) ** 2)
     if isinstance(e, FanoutC):
-        di = dim(e.in_type)
-        if isinstance(e.left_, Arr):
-            return max(base, min(_fanout_forms(e)))
-        return max(base, di ** 4,
-                   est_cells(e.left_) * di ** 2,
-                   est_cells(e.right_) * dim(e.left_.out_type) ** 2)
+        return max(base, min(_fanout_forms(e)))
     return base
 
 
@@ -606,71 +555,6 @@ def materialize_super(e: ClassicExpr, env: dict) -> SuperVal:
 
 def eval_arrow_abs(t: ArrowAbs, env: dict) -> SuperV:
     return SuperV(translate_term(t), env)
-
-
-# --------------------------------------------------------------------------
-# Reference semantics (dense, clause-by-clause; for cross-checking)
-
-
-def reference_super(t: ArrowAbs, env: dict) -> SuperVal:
-    if t.type_ is None or not isinstance(t.type_, SuperT):
-        raise EvalError("typecheck before evaluating")
-    return _ref_command(((t.pat, t.type_.arg),), t.cmd, env)
-
-
-def _ref_pure(delta, body: Term, in_t: TypeExpr, out_t: TypeExpr,
-              env: dict) -> SuperVal:
-    fn = PureFun(delta, body)
-
-    def f(elem):
-        return value_to_elem(eval_term(body, _fn_env(fn, elem, env)))
-
-    return super_arr(f, in_t, out_t)
-
-
-def _ref_command(delta, cmd: Command, env: dict) -> SuperVal:
-    dtt = delta_tuple_type(delta)
-
-    if isinstance(cmd, CUnit):
-        if cmd.mode == "classical":
-            return _ref_pure(delta, cmd.content, dtt, cmd.content_type, env)
-        fn = PureFun(delta, cmd.content)
-
-        def f(elem):
-            v = eval_term(cmd.content, _fn_env(fn, elem, env))
-            assert isinstance(v, VecV)
-            return v.amp
-
-        return super_from_lin(fun2lin(f, dtt, cmd.content_type),
-                              dtt, cmd.content_type)
-
-    if isinstance(cmd, Meas):
-        prep = _ref_pure(delta, cmd.arg, dtt, cmd.arg_type, env)
-        return super_compose(prep, super_meas(cmd.arg_type))
-
-    if isinstance(cmd, TrL):
-        prep = _ref_pure(delta, cmd.arg, dtt, cmd.arg_type, env)
-        return super_compose(prep, super_trL(cmd.arg_type))
-
-    if isinstance(cmd, CApp):
-        assert isinstance(cmd.fn_type, SuperT)
-        prep = _ref_pure(delta, cmd.arg, dtt, cmd.fn_type.arg, env)
-        if isinstance(cmd.fn, ArrowAbs):
-            fnv = reference_super(cmd.fn, env)
-        else:
-            v = eval_term(cmd.fn, env)
-            if not isinstance(v, SuperV):
-                raise EvalError("arrow application of a non-superoperator")
-            fnv = v.val
-        return super_compose(prep, fnv)
-
-    if isinstance(cmd, CLet):
-        bound = _ref_command(delta, cmd.bound, env)
-        fan = super_fanout(super_identity(dtt), bound)
-        body = _ref_command(delta + ((cmd.pat, cmd.bound_type),), cmd.body, env)
-        return super_compose(fan, body)
-
-    raise EvalError(f"cannot evaluate command {cmd!r}")
 
 
 # --------------------------------------------------------------------------

@@ -5,28 +5,25 @@ A classical type denotes a finite basis: ``Bool`` has elements ``False``,
 index (matching the Kronecker-product convention used throughout).
 
 * ``Vec A``   — complex amplitude vector over the basis of ``A``.
-* ``Dens A``  — complex matrix over that basis (density when positive,
+* a density over ``A`` — complex matrix over that basis (positive and of
   trace one; the operations below never assume more than Hermitian input).
 * ``Super A B`` — linear map on densities, stored as its matrix acting on
   row-major vectorized densities:  ``vec(F ρ F†) = (F ⊗ conj(F)) vec(ρ)``.
 
-Superoperator constructors mirror the language primitives: lifting a pure
-function, lifting a vector-valued (Kraus) function, identity, sequential
-composition, ``first`` (act on the left half of a pair), measurement in
-the computational basis, and partial trace of the left half.  ``second``
-and ``fanout`` are *derived* from ``first`` with pure rewiring, and the
-implementation keeps them that way.
+This module holds the data: ``SuperVal`` and its application to a density,
+and the JSON and text forms of densities and vectors.  Superoperators are
+built by the evaluator, which pushes densities through a pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .syntax import BoolT, ProdT, TypeExpr, is_classical
+from .syntax import BoolT, ProdT, TypeExpr
 
 Elem = object  # bool or nested pairs of bool
 
@@ -96,21 +93,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Linear maps and superoperators
-
-
-def fun2lin(f: Callable[[Elem], np.ndarray], in_t: TypeExpr,
-            out_t: TypeExpr) -> np.ndarray:
-    """Matrix of a vector-valued function on basis elements: column a = f(a)."""
-    mat = np.zeros((dim(out_t), dim(in_t)), dtype=complex)
-    for i, v in enumerate(basis(in_t)):
-        mat[:, i] = f(v)
-    return mat
-
-
-def lin2super_matrix(mat: np.ndarray) -> np.ndarray:
-    """Action on row-major vectorized densities: ρ ↦ F ρ F†."""
-    return np.kron(mat, mat.conj())
+# Superoperators
 
 
 @dataclass(frozen=True)
@@ -125,92 +108,6 @@ class SuperVal:
         d_in, d_out = dim(self.in_type), dim(self.out_type)
         assert self.action.shape == (d_out * d_out, d_in * d_in), \
             (self.action.shape, d_out, d_in)
-
-
-def super_from_lin(mat: np.ndarray, in_t: TypeExpr, out_t: TypeExpr) -> SuperVal:
-    return SuperVal(in_t, out_t, lin2super_matrix(mat))
-
-
-def super_arr(f: Callable[[Elem], Elem], in_t: TypeExpr, out_t: TypeExpr) -> SuperVal:
-    """Lift a pure basis function."""
-    mat = np.zeros((dim(out_t), dim(in_t)), dtype=complex)
-    for i, v in enumerate(basis(in_t)):
-        mat[elem_index(out_t, f(v)), i] = 1.0
-    return super_from_lin(mat, in_t, out_t)
-
-
-def super_identity(t: TypeExpr) -> SuperVal:
-    d = dim(t)
-    return SuperVal(t, t, np.eye(d * d, dtype=complex))
-
-
-def super_compose(f: SuperVal, g: SuperVal) -> SuperVal:
-    """Sequential composition: f then g."""
-    if dim(f.out_type) != dim(g.in_type):
-        raise ValueError("composition type mismatch")
-    return SuperVal(f.in_type, g.out_type, g.action @ f.action)
-
-
-def super_first(f: SuperVal, c_t: TypeExpr) -> SuperVal:
-    """Act with f on the left half of a pair, leave the right half alone."""
-    da, db, dc = dim(f.in_type), dim(f.out_type), dim(c_t)
-    a4 = f.action.reshape(db, db, da, da)  # [b1, b2, a1, a2]
-    eye = np.eye(dc)
-    # rows (b1 c1 b2 c2), cols (a1 c1' a2 c2')
-    t8 = np.einsum("pqrs,ik,jl->piqjrksl", a4, eye, eye)
-    action = np.ascontiguousarray(t8).reshape((db * dc) ** 2, (da * dc) ** 2)
-    return SuperVal(ProdT(f.in_type, c_t), ProdT(f.out_type, c_t), action)
-
-
-def _swap_prod(t: TypeExpr) -> SuperVal:
-    assert isinstance(t, ProdT)
-    return super_arr(lambda v: (v[1], v[0]), t, ProdT(t.right, t.left))
-
-
-def super_second(f: SuperVal, c_t: TypeExpr) -> SuperVal:
-    """Derived: swap, first f, swap back."""
-    pre = _swap_prod(ProdT(c_t, f.in_type))
-    post = _swap_prod(ProdT(f.out_type, c_t))
-    return super_compose(super_compose(pre, super_first(f, c_t)), post)
-
-
-def super_fanout(f: SuperVal, g: SuperVal) -> SuperVal:
-    """Derived: duplicate the (classical) input, then first f, then second g."""
-    if dim(f.in_type) != dim(g.in_type):
-        raise ValueError("fanout inputs must share a type")
-    dup = super_arr(lambda v: (v, v), f.in_type, ProdT(f.in_type, f.in_type))
-    step1 = super_first(f, g.in_type)
-    step2 = super_second(g, f.out_type)
-    return super_compose(super_compose(dup, step1), step2)
-
-
-def super_meas(a_t: TypeExpr) -> SuperVal:
-    """Computational-basis measurement: keeps the diagonal, duplicating the
-    index so the result lives over (A,A)."""
-    da = dim(a_t)
-    out_t = ProdT(a_t, a_t)
-    dout = da * da
-    action = np.zeros((dout * dout, da * da), dtype=complex)
-    for a in range(da):
-        src = a * da + a                       # (a, a) of vec(ρ_in)
-        pair = a * da + a                      # basis index of (a,a) in A×A
-        action[pair * dout + pair, src] = 1.0  # ((a,a),(a,a)) diagonal entry
-    return SuperVal(a_t, out_t, action)
-
-
-def super_trL(prod_t: TypeExpr) -> SuperVal:
-    """Partial trace of the left component of a pair."""
-    assert isinstance(prod_t, ProdT)
-    da, db = dim(prod_t.left), dim(prod_t.right)
-    din = da * db
-    action = np.zeros((db * db, din * din), dtype=complex)
-    for a in range(da):
-        for b1 in range(db):
-            for b2 in range(db):
-                row = b1 * db + b2
-                col = (a * db + b1) * din + (a * db + b2)
-                action[row, col] = 1.0
-    return SuperVal(prod_t, prod_t.right, action)
 
 
 def check_density(rho: np.ndarray, d_in: int) -> None:
@@ -270,6 +167,8 @@ def dens_from_json(obj: dict) -> np.ndarray:
                    dtype=complex)
     if mat.shape != (obj["dim"], obj["dim"]):
         raise ValueError("density dimension mismatch")
+    if not np.isfinite(mat).all():
+        raise ValueError("density has a non-finite entry")
     return mat
 
 

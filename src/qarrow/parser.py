@@ -22,7 +22,7 @@ import re
 from typing import Optional
 
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
-                     Def, DensT, Eq, Fst, FunT, If, Lam, Let, lin_type, Meas,
+                     Def, Eq, Fst, FunT, If, Lam, Let, lin_type, Meas,
                      MZero, Pair, Pattern, pattern_names, PPair, Pos, ProdT,
                      Program, PVar, Record, Snd, SuperT, Term, TrL, TypeExpr,
                      Var, VecAdd, VecScale, VecSub, VecT, VecUnit)
@@ -46,7 +46,7 @@ class ParseError(SyntaxError):
 KEYWORDS = {
     "let", "in", "if", "then", "else", "True", "False", "fst", "snd",
     "meas", "trL", "mzero", "invsqrt2",
-    "Bool", "Vec", "Lin", "Dens", "Super",
+    "Bool", "Vec", "Lin", "Super",
 }
 
 # Tokens that can end an operand; a `-` right after one of these is the
@@ -214,9 +214,6 @@ class Parser:
         if tok.kind == "Vec":
             self.next()
             return VecT(self.parse_type_atom(), pos=tok.pos)
-        if tok.kind == "Dens":
-            self.next()
-            return DensT(self.parse_type_atom(), pos=tok.pos)
         if tok.kind == "Lin":
             self.next()
             a = self.parse_type_atom()

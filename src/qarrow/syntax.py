@@ -157,11 +157,6 @@ class VecT(TypeExpr):
     child_fields = ("elem",)
 
 
-class DensT(TypeExpr):
-    elem: TypeExpr
-    child_fields = ("elem",)
-
-
 class SuperT(TypeExpr):
     arg: TypeExpr
     res: TypeExpr
@@ -202,8 +197,6 @@ def type_str(t: Optional[TypeExpr]) -> str:
         return f"{arg} -> {type_str(t.res)}"
     if isinstance(t, VecT):
         return f"Vec {_type_atom(t.elem)}"
-    if isinstance(t, DensT):
-        return f"Dens {_type_atom(t.elem)}"
     if isinstance(t, SuperT):
         return f"Super {_type_atom(t.arg)} {_type_atom(t.res)}"
     raise TypeError(f"not a printable type: {t!r}")

@@ -55,7 +55,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
-                     Def, DensT, Eq, Fst, FunT, If, is_classical, Lam, Let,
+                     Def, Eq, Fst, FunT, If, is_classical, Lam, Let,
                      Meas, MZero, Pair, Pattern, pattern_names, Pos, ProdT,
                      Program, PVar, rebuild, Snd, SuperT, Term, TrL, TVar,
                      type_str, TypeExpr, Var, VecAdd, VecLet, VecScale, VecSub,
@@ -164,9 +164,9 @@ def _has_tvar(t: TypeExpr) -> bool:
 
 
 def validate_type(t: TypeExpr, pos: Optional[Pos] = None) -> None:
-    """Reject types whose Vec/Dens/Super arguments are not classical."""
+    """Reject types whose Vec/Super arguments are not classical."""
     where = t.pos or pos
-    if isinstance(t, (VecT, DensT)):
+    if isinstance(t, VecT):
         if not is_classical(t.elem):
             raise TypeCheckError("non-classical-basis", where,
                                  detail=f"{type_str(t)} needs a classical index type")
@@ -491,7 +491,7 @@ class Checker:
                 self._classical(ch.elem, c.pos)
                 return ch.elem, CUnit(c2, pos=c.pos, mode="vec",
                                       content_type=ch.elem)
-            if isinstance(ch, (FunT, SuperT, DensT)):
+            if isinstance(ch, (FunT, SuperT)):
                 raise TypeCheckError(
                     "non-classical-basis", c.pos,
                     detail=f"a command unit needs a classical or vector-typed "

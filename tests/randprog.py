@@ -194,6 +194,16 @@ def random_super(seed: int, in_t: Optional[TypeExpr] = None,
     return ArrowAbs(PVar(x), cmd), SuperT(in_t, out_t)
 
 
+# The README's quick-start program.
+DEMO_SRC = """\
+dneg : Super Bool Bool
+dneg = \\@x. let y = (\\@z. [not z]) @ x in (\\@w. [not w]) @ y
+
+mix : Super Bool Bool
+mix = \\@q. let h = Had @ q in QMeas @ h
+"""
+
+
 def ghz_source(n: int, style: str = "proj") -> str:
     """GHZ-n as H on qubit 1 then a CNOT chain, defined as ``ghz``.
     ``proj`` binds each Cnot output whole and takes it apart with fst/snd

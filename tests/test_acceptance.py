@@ -37,12 +37,10 @@ from qarrow.linalg import (
     is_hermitian,
     pure_density,
     random_density,
-    super_arr,
-    super_compose,
-    super_first,
 )
 
 import randprog
+from dense_arrow import super_arr, super_compose, super_first
 from ill_typed import ILL_TYPED
 
 B = BoolT()

@@ -1,23 +1,24 @@
 """Translation to point-free combinators, and its inverse.
 
-Soundness oracle: `reference_super` interprets commands clause by clause with
+Soundness oracle: `reference_super` (in `dense_arrow`) interprets commands clause by clause with
 dense context tuples and no liveness narrowing — an independent, exponential
 semantics that the production translation must agree with exactly.
 """
 import numpy as np
 import pytest
 
-from qarrow import elaborate_term, load_prelude
-from qarrow.classic import (Arr, Compose, FanoutC, First, LiftLin, MeasC,
-                            NamedSuper, Second, TranslationError, TrLC,
+from qarrow import elaborate_program, elaborate_term, load_prelude
+from qarrow.classic import (Arr, Compose, FanoutC, LiftLin, MeasC,
+                            NamedSuper, TranslationError, TrLC,
                             classic_children, inverse_translate, sexpr,
                             translate_term)
-from qarrow.evaluator import eval_term, materialize_super, reference_super
+from qarrow.evaluator import eval_term, materialize_super
 from qarrow.linalg import dim
-from qarrow.parser import parse_term
+from qarrow.parser import parse_program, parse_term
 from qarrow.syntax import ArrowAbs, BoolT, ProdT, SuperT, pretty, type_str
 
 import randprog
+from dense_arrow import reference_super
 
 B = BoolT()
 BB = ProdT(B, B)
@@ -62,24 +63,34 @@ def test_context_tuples_nest_left(prelude):
 
 
 def test_types_chain_through_pipelines(prelude):
+    # translation emits only these nodes, and the left leg of every &&& is
+    # pure: (arr keep &&& bound) for each command let
+    nodes = (Arr, LiftLin, Compose, FanoutC, MeasC, TrLC, NamedSuper)
+
     def walk(e):
-        kids = classic_children(e)
+        assert type(e) in nodes, sexpr(e)
         if isinstance(e, Compose):
             assert e.first_.in_type == e.in_type
             assert e.first_.out_type == e.then_.in_type
             assert e.then_.out_type == e.out_type
         if isinstance(e, FanoutC):
+            assert isinstance(e.left_, Arr), sexpr(e)
             assert e.left_.in_type == e.in_type
             assert e.right_.in_type == e.in_type
             assert ProdT(e.left_.out_type, e.right_.out_type) == e.out_type
-        if isinstance(e, (First, Second)):
-            assert isinstance(e.in_type, ProdT) and isinstance(e.out_type, ProdT)
-        for k in kids:
+        for k in classic_children(e):
             walk(k)
 
-    for d in prelude.program.defs:
-        if isinstance(d.term, ArrowAbs):
-            walk(translate_term(d.term))
+    _, demo = elaborate_program(parse_program(randprog.DEMO_SRC),
+                                dict(prelude.types))
+    terms = [d.term for d in prelude.program.defs + demo.defs]
+    for seed in range(20):
+        term, ty = randprog.random_super(seed)
+        terms.append(elaborate_term(prelude.types, term, ty)[1])
+    abstractions = [t for t in terms if isinstance(t, ArrowAbs)]
+    assert len(abstractions) == 12 + 2 + 20
+    for t in abstractions:
+        walk(translate_term(t))
 
 
 def test_liveness_narrowing_bounds_widths(prelude):

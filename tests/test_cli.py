@@ -160,6 +160,31 @@ def test_run_bad_density_file(runcli, demo, tmp_path):
     assert code == BADINPUT and "cannot read density" in err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_run_non_finite_density_refused(runcli, demo, tmp_path, bad, as_json):
+    # Python's json reads NaN and Infinity; they are not densities
+    obj = dens_to_json(np.eye(2, dtype=complex) / 2)
+    obj["rows"][1][0]["im"] = bad
+    f = tmp_path / "rho.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = runcli("run", demo, "flip", "--density", str(f),
+                            *(["--json"] if as_json else []))
+    assert code == BADINPUT and out == ""
+    assert err.count("\n") == 1 and "non-finite" in err
+
+
+def test_run_input_and_density_exclusive(capsys, demo, tmp_path):
+    f = tmp_path / "rho.json"
+    f.write_text(json.dumps(dens_to_json(np.eye(2, dtype=complex) / 2)))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", demo, "flip", "--input", "|0>", "--density", str(f)])
+    cap = capsys.readouterr()
+    assert exc.value.code == BADINPUT and cap.out == ""
+    assert ("error: argument --density: not allowed with argument --input"
+            in cap.err)
+
+
 def test_run_dimension_mismatch(runcli, demo):
     code, _, err = runcli("run", demo, "flip", "--input", "|00>")
     assert code == BADINPUT
@@ -423,21 +448,13 @@ def test_check_does_not_evaluate(tmp_path):
 # --------------------------------------------------------------------------
 # evaluation on demand
 
-DEMO_SRC = """\
-dneg : Super Bool Bool
-dneg = \\@x. let y = (\\@z. [not z]) @ x in (\\@w. [not w]) @ y
-
-mix : Super Bool Bool
-mix = \\@q. let h = Had @ q in QMeas @ h
-"""
-
 STATIC_COMMANDS = [("check",), ("normalize", "dneg"), ("emit", "dneg"),
                    ("emit", "toffoli", "--invert")]
 
 
 def test_static_commands_build_no_matrix(runcli, tmp_path, monkeypatch):
     f = tmp_path / "demo.qarr"
-    f.write_text(DEMO_SRC)
+    f.write_text(randprog.DEMO_SRC)
     want = [runcli(cmd[0], str(f), *cmd[1:]) for cmd in STATIC_COMMANDS]
 
     def refuse(*args):
@@ -452,7 +469,7 @@ def test_static_commands_build_no_matrix(runcli, tmp_path, monkeypatch):
 def test_static_commands_load_no_numpy(tmp_path):
     """``import qarrow`` and the static subcommands leave numpy (and so the
     evaluator) unloaded; ``run`` loads it."""
-    (tmp_path / "demo.qarr").write_text(DEMO_SRC)
+    (tmp_path / "demo.qarr").write_text(randprog.DEMO_SRC)
     probe = "\n".join([
         "import sys",
         "import qarrow",

@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 
 from qarrow.cli import main
 
-DEMO_SRC = """\
-dneg : Super Bool Bool
-dneg = \\@x. let y = (\\@z. [not z]) @ x in (\\@w. [not w]) @ y
-
-mix : Super Bool Bool
-mix = \\@q. let h = Had @ q in QMeas @ h
-"""
+from randprog import DEMO_SRC
 
 # fragments a mutation may insert into a program or an inline term
 TOKENS = ["\\@", "\\", ".", "@", "let", "in", "=", "(", ")", ",", "[", "]",

@@ -26,11 +26,10 @@ from qarrow import (
     parse_program,
     parse_term,
     pure_density,
-    reference_super,
     run_super,
     translate_term,
 )
-from qarrow.classic import Arr, classic_children, FanoutC
+from qarrow.classic import classic_children, FanoutC
 from qarrow.evaluator import (
     _fanout_forms,
     apply_batch,
@@ -45,17 +44,12 @@ from qarrow.linalg import (
     basis,
     dim,
     random_density,
-    super_arr,
-    super_fanout,
-    super_first,
-    super_from_lin,
-    super_meas,
-    super_second,
-    super_trL,
 )
 from qarrow.syntax import rebuild
 
 import randprog
+from dense_arrow import (reference_super, super_arr, super_first,
+                         super_from_lin, super_meas, super_second, super_trL)
 
 B = BoolT()
 BB = ProdT(B, B)
@@ -246,17 +240,6 @@ def test_first_and_second_via_lets(prelude):
     assert np.allclose(second.action, super_second(had, B).action, atol=1e-12)
 
 
-def test_general_fanout_branch(prelude):
-    # a fanout whose left leg is not a pure function exercises the
-    # duplicate-then-first-then-second path
-    h_pipe = translate_term(elab(prelude, "\\@x. Had @ x", SuperT(B, B)))
-    n_pipe = translate_term(elab(prelude, "\\@x. QNot @ x", SuperT(B, B)))
-    fan = FanoutC(h_pipe, n_pipe, in_type=B, out_type=BB)
-    got = materialize_super(fan, dict(prelude.env))
-    want = super_fanout(prelude.env["Had"].val, prelude.env["QNot"].val)
-    assert np.allclose(got.action, want.action, atol=1e-12)
-
-
 def test_named_super_missing_from_env(prelude):
     pipe = translate_term(elab(prelude, "\\@x. QNot @ x", SuperT(B, B)))
     with pytest.raises(EvalError, match="not a superoperator"):
@@ -273,11 +256,8 @@ def test_materialize_blocking_matches_unblocked(prelude, defs_map,
 
 
 def test_est_cells(prelude, defs_map):
-    from qarrow.classic import First
     simple = translate_term(elab(prelude, "\\@x. QNot @ x", SuperT(B, B)))
     assert est_cells(simple) == 4
-    lifted = First(simple, BB, in_type=ProdT(B, BB), out_type=ProdT(B, BB))
-    assert est_cells(lifted) == est_cells(simple) * dim(BB) ** 2
     # teleport fits in a single batch under the default working-set budget
     tele = translate_term(defs_map["teleport"])
     n = dim(tele.in_type) ** 2
@@ -534,7 +514,7 @@ def _fanout_pipe(prelude, make):
 
 
 def _fanouts(e):
-    if isinstance(e, FanoutC) and isinstance(e.left_, Arr):
+    if isinstance(e, FanoutC):
         yield e
     for c in classic_children(e):
         yield from _fanouts(c)

@@ -21,6 +21,7 @@ from qarrow.syntax import (ArrowAbs, BoolLit, BoolT, Fst, Pair, ProdT, PVar,
                            Snd, Var)
 
 import randprog
+from dense_arrow import _fn_env
 
 B = BoolT()
 
@@ -32,7 +33,7 @@ B = BoolT()
 def oracle_index_map(e: Arr, env: dict) -> np.ndarray:
     m = np.empty(dim(e.in_type), dtype=np.int64)
     for i, elem in enumerate(basis(e.in_type)):
-        v = ev.eval_term(e.fn.body, ev._fn_env(e.fn, elem, env))
+        v = ev.eval_term(e.fn.body, _fn_env(e.fn, elem, env))
         m[i] = elem_index(e.out_type, ev.value_to_elem(v))
     return m
 
@@ -41,7 +42,7 @@ def oracle_lift_matrix(e: LiftLin, env: dict) -> np.ndarray:
     do, di = dim(e.out_type), dim(e.in_type)
     mat = np.zeros((do, di), dtype=complex)
     for i, elem in enumerate(basis(e.in_type)):
-        v = ev.eval_term(e.fn.body, ev._fn_env(e.fn, elem, env))
+        v = ev.eval_term(e.fn.body, _fn_env(e.fn, elem, env))
         if not isinstance(v, ev.VecV):
             raise EvalError("lifted function must produce a vector")
         if v.amp.shape[0] != do:
@@ -134,19 +135,10 @@ def recorded(monkeypatch):
 # Sources
 
 
-DEMO_SRC = """\
-dneg : Super Bool Bool
-dneg = \\@x. let y = (\\@z. [not z]) @ x in (\\@w. [not w]) @ y
-
-mix : Super Bool Bool
-mix = \\@q. let h = Had @ q in QMeas @ h
-"""
-
-
 def test_prelude_and_demo(prelude):
     supers = supers_of(prelude.env)
     assert len(supers) == 12
-    demo = supers_of(eval_source(prelude, DEMO_SRC))
+    demo = supers_of(eval_source(prelude, randprog.DEMO_SRC))
     assert len(demo) == 2
     assert check_supers(supers + demo) >= 40
 

@@ -1,4 +1,6 @@
-"""Density-matrix and superoperator algebra against independent oracles.
+"""Density-matrix algebra (``qarrow.linalg``) and the dense superoperator
+arrow that the tests use as their oracle (``dense_arrow``), both against
+independent oracles.
 
 The oracles here deliberately avoid the construction paths used by the
 implementation: partial traces and subsystem maps are written as direct
@@ -12,14 +14,15 @@ import numpy as np
 import pytest
 
 from qarrow.linalg import (apply_super, basis, dens_close, dens_from_json,
-                           dens_to_json, dim, elem_index, elem_str, fun2lin,
-                           is_hermitian, lin2super_matrix, pure_density,
-                           random_density, render_density, render_vector,
-                           super_arr, super_compose, super_fanout,
-                           super_first, super_from_lin, super_identity,
-                           super_meas, super_second, super_trL, tensor,
-                           vec_bind, vec_return, vec_to_json, vec_zero)
+                           dens_to_json, dim, elem_index, elem_str,
+                           is_hermitian, pure_density, random_density,
+                           render_density, render_vector, tensor, vec_bind,
+                           vec_return, vec_to_json, vec_zero)
 from qarrow.syntax import BoolT, ProdT
+
+from dense_arrow import (fun2lin, lin2super_matrix, super_arr, super_compose,
+                         super_fanout, super_first, super_from_lin,
+                         super_identity, super_meas, super_second, super_trL)
 
 B = BoolT()
 BB = ProdT(B, B)

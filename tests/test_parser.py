@@ -112,6 +112,15 @@ def test_lin_desugars_to_function_type():
     assert parse_type("Lin Bool Bool") == FunT(BoolT(), VecT(BoolT()))
 
 
+def test_no_dens_type():
+    # no term produces or consumes a density value, so there is no type
+    # for one: `Dens` is an ordinary name, not a type
+    with pytest.raises(ParseError) as ei:
+        parse_type("Dens Bool")
+    assert str(ei.value) == "<type>:1:1: expected a type, found 'Dens'"
+    assert (ei.value.pos.line, ei.value.pos.col) == (1, 1)
+
+
 # ---- programs ------------------------------------------------------------------
 
 def test_program_inline_signature():

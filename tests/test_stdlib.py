@@ -18,7 +18,9 @@ from qarrow import (
     run_super,
     type_str,
 )
-from qarrow.linalg import random_density, super_compose, super_meas, super_trL
+from qarrow.linalg import random_density
+
+from dense_arrow import super_compose, super_meas, super_trL
 
 B = BoolT()
 BB = ProdT(B, B)

@@ -182,7 +182,6 @@ def test_type_str_shapes():
         ("(Bool,Bool)", "(Bool,Bool)"),
         ("Super (Bool,Bool) Bool", "Super (Bool,Bool) Bool"),
         ("Bool -> Vec Bool", "Bool -> Vec Bool"),
-        ("Dens (Bool,Bool)", "Dens (Bool,Bool)"),
     ]:
         assert type_str(parse_type(src)) == expect
 
