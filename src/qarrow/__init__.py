@@ -17,26 +17,23 @@ _EXPORTS = {
                 "inverse_translate", "LiftLin", "MeasC", "NamedSuper",
                 "PureFun", "sexpr", "translate_command", "translate_term",
                 "TranslationError", "TrLC"),
-    "evaluator": ("apply_closure", "BoolV", "ClosureV", "EvalError",
-                  "eval_program", "eval_term", "materialize_lin", "PairV",
-                  "run_super", "SuperV", "value_diff", "VecV"),
-    "linalg": ("apply_super", "basis", "dens_close", "dens_from_json",
-               "dens_to_json", "dim", "elem_index", "pure_density",
-               "random_density", "render_density", "SuperVal"),
+    "evaluator": ("apply_closure", "ClosureV", "EvalError", "eval_program",
+                  "eval_term", "run_super", "SuperV", "VecV"),
+    "linalg": ("apply_super", "basis", "dens_from_json", "dens_to_json",
+               "dim", "elem_index", "pure_density", "render_density",
+               "SuperVal"),
     "parser": ("parse_command", "parse_program", "parse_term", "parse_type",
                "ParseError"),
-    "rewriter": ("apply_law_at", "Law", "law_by_name", "normalize",
-                 "NotEqual", "ProofTrace", "ProvedByNormalization",
-                 "ProvedSemantically", "prove_equal", "render_trace",
-                 "RewriteError", "Rewriter", "Step", "trace_to_json",
-                 "Unknown"),
-    "stdlib": ("load_prelude", "prelude_env", "prelude_program",
-               "prelude_types"),
+    "rewriter": ("apply_law_at", "Law", "normalize", "NotEqual",
+                 "ProofTrace", "ProvedByNormalization", "ProvedSemantically",
+                 "prove_equal", "render_trace", "RewriteError", "Rewriter",
+                 "Step", "trace_to_json", "Unknown"),
+    "stdlib": ("load_prelude",),
     "syntax": ("alpha_eq", "ArrowAbs", "BoolT", "free_vars", "FunT",
                "is_classical", "pretty", "ProdT", "Program", "SuperT",
                "type_str", "TypeExpr", "VecT"),
-    "typecheck": ("check_program", "elaborate_program", "elaborate_term",
-                  "EnvPair", "infer_term", "TypeCheckError"),
+    "typecheck": ("elaborate_program", "elaborate_term", "EnvPair",
+                  "TypeCheckError"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -203,7 +203,7 @@ def check_limits(fuel: int, tol: float = 0.0) -> None:
                        f"not {tol!r}", BADINPUT)
 
 
-def resolve_target(target: str, gamma: dict, defs: dict):
+def resolve_target(target: str, defs: dict):
     """A target is a definition name or an inline term."""
     if target in defs:
         return defs[target]
@@ -212,6 +212,14 @@ def resolve_target(target: str, gamma: dict, defs: dict):
     except ParseError as e:
         raise CliError(str(e), BADINPUT)
     return term
+
+
+def elaborated_target(target: str, path: str, gamma: dict, defs: dict):
+    """A target, typechecked against `gamma`; a type error fails the task."""
+    try:
+        return elaborate_term(gamma, resolve_target(target, defs))[1]
+    except TypeCheckError as e:
+        raise CliError(e.render(path), FAIL)
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +239,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .evaluator import BoolV, PairV, render_value, run_super, SuperV, VecV
+    from .evaluator import run_super, SuperV, VecV
     from .linalg import (dens_from_json, dens_to_json, dim, pure_density,
                          render_density, render_vector, vec_to_json)
 
@@ -280,8 +288,8 @@ def cmd_run(args) -> int:
         else:
             print(render_vector(value.amp))
         return OK
-    if isinstance(value, (BoolV, PairV)):
-        rendered = render_value(value)
+    if isinstance(value, (bool, tuple)):
+        rendered = repr(value)
         if args.json:
             print(json.dumps({"def": args.name, "value": rendered},
                              sort_keys=True))
@@ -295,11 +303,7 @@ def cmd_run(args) -> int:
 def cmd_normalize(args) -> int:
     check_limits(args.fuel)
     _, gamma, _, defs = load_file(args.file, not args.no_prelude)
-    term = resolve_target(args.target, gamma, defs)
-    try:
-        _, term = elaborate_term(gamma, term)
-    except TypeCheckError as e:
-        raise CliError(e.render(args.file), FAIL)
+    term = elaborated_target(args.target, args.file, gamma, defs)
     rw = Rewriter(defs, args.fuel)
     trace = rw.normalize(term)
     if args.json:
@@ -315,8 +319,8 @@ def cmd_prove(args) -> int:
 
     _, gamma, env, defs = load_file(args.file, not args.no_prelude,
                                     evaluate=True)
-    lhs = resolve_target(args.lhs, gamma, defs)
-    rhs = resolve_target(args.rhs, gamma, defs)
+    lhs = resolve_target(args.lhs, defs)
+    rhs = resolve_target(args.rhs, defs)
     verdict = prove_equal(lhs, rhs, types=gamma, env=env, defs=defs,
                           fuel=args.fuel, tol=args.tolerance)
     if args.json:
@@ -341,11 +345,7 @@ def cmd_prove(args) -> int:
 
 def cmd_emit(args) -> int:
     _, gamma, _, defs = load_file(args.file, not args.no_prelude)
-    term = resolve_target(args.name, gamma, defs)
-    try:
-        _, term = elaborate_term(gamma, term)
-    except TypeCheckError as e:
-        raise CliError(e.render(args.file), FAIL)
+    term = elaborated_target(args.name, args.file, gamma, defs)
     if not isinstance(term, ArrowAbs):
         raise CliError(f"{args.name} is not an arrow abstraction", BADINPUT)
     try:

@@ -1,10 +1,13 @@
 """Call-by-value evaluator.
 
 Ordinary terms evaluate to booleans, pairs, closures or amplitude vectors.
-An arrow abstraction evaluates to a *superoperator value*, ``SuperV``: it is
-translated to the combinator pipeline at once (so translation errors show
-when the definition is evaluated), and the value holds that pipeline with
-the environment it was evaluated in.  Nothing is multiplied out then.
+A boolean is a Python ``bool`` and a pair a 2-tuple, also when it holds a
+closure or a vector, so a value of a classical type is its own basis
+element (see ``linalg``).  An arrow abstraction evaluates to a
+*superoperator value*, ``SuperV``: it is translated to the combinator
+pipeline at once (so translation errors show when the definition is
+evaluated), and the value holds that pipeline with the environment it was
+evaluated in.  Nothing is multiplied out then.
 
 ``run_super`` pushes ``vec(ρ)`` through the pipeline as a batch of one
 column, with each combinator implemented by index arithmetic on the batch
@@ -67,17 +70,6 @@ class EvalError(Exception):
 
 
 @dataclass(frozen=True)
-class BoolV:
-    value: bool
-
-
-@dataclass(frozen=True)
-class PairV:
-    left: "Value"
-    right: "Value"
-
-
-@dataclass(frozen=True)
 class ClosureV:
     pat: Pattern
     body: Term
@@ -124,37 +116,15 @@ class SuperV:
         return f"<super {di}x{di} -> {do}x{do}>"
 
 
-Value = object
-
-
-def value_to_elem(v: Value):
-    if isinstance(v, BoolV):
-        return v.value
-    if isinstance(v, PairV):
-        return (value_to_elem(v.left), value_to_elem(v.right))
-    raise EvalError(f"not a basis value: {v!r}")
-
-
-def elem_to_value(e) -> Value:
-    if isinstance(e, bool):
-        return BoolV(e)
-    return PairV(elem_to_value(e[0]), elem_to_value(e[1]))
-
-
-def render_value(v: Value) -> str:
-    """A boolean or a pair as the CLI prints it; other values by repr."""
-    if isinstance(v, BoolV):
-        return "True" if v.value else "False"
-    if isinstance(v, PairV):
-        return f"({render_value(v.left)}, {render_value(v.right)})"
-    return repr(v)
+Value = object   # a bool, a 2-tuple, a ClosureV, a VecV or a SuperV
 
 
 def elem_type_of_value(v: Value) -> TypeExpr:
-    if isinstance(v, BoolV):
+    """The type of a basis value: a bool or a pair of basis values."""
+    if isinstance(v, bool):
         return BoolT()
-    if isinstance(v, PairV):
-        return ProdT(elem_type_of_value(v.left), elem_type_of_value(v.right))
+    if isinstance(v, tuple):
+        return ProdT(elem_type_of_value(v[0]), elem_type_of_value(v[1]))
     raise EvalError(f"not a basis value: {v!r}")
 
 
@@ -163,10 +133,10 @@ def bind_pattern_value(pat: Pattern, v: Value, env: dict) -> None:
         env[pat.name] = v
         return
     if isinstance(pat, PPair):
-        if not isinstance(v, PairV):
+        if not isinstance(v, tuple):
             raise EvalError(f"pattern expects a pair, got {v!r}")
-        bind_pattern_value(pat.left, v.left, env)
-        bind_pattern_value(pat.right, v.right, env)
+        bind_pattern_value(pat.left, v[0], env)
+        bind_pattern_value(pat.right, v[1], env)
         return
     raise EvalError(f"unknown pattern {pat!r}")
 
@@ -191,27 +161,28 @@ def eval_term(t: Term, env: dict) -> Value:
             raise EvalError(f"unbound variable {t.name}") from None
 
     if isinstance(t, BoolLit):
-        return BoolV(t.value)
+        return t.value
 
     if isinstance(t, Pair):
-        return PairV(eval_term(t.left, env), eval_term(t.right, env))
+        return (eval_term(t.left, env), eval_term(t.right, env))
 
     if isinstance(t, Fst):
         v = eval_term(t.arg, env)
-        if not isinstance(v, PairV):
+        if not isinstance(v, tuple):
             raise EvalError("fst of a non-pair")
-        return v.left
+        return v[0]
 
     if isinstance(t, Snd):
         v = eval_term(t.arg, env)
-        if not isinstance(v, PairV):
+        if not isinstance(v, tuple):
             raise EvalError("snd of a non-pair")
-        return v.right
+        return v[1]
 
     if isinstance(t, Eq):
-        a = value_to_elem(eval_term(t.left, env))
-        b = value_to_elem(eval_term(t.right, env))
-        return BoolV(a == b)
+        a, b = eval_term(t.left, env), eval_term(t.right, env)
+        elem_type_of_value(a)           # refuses a value that is not a basis
+        elem_type_of_value(b)           # value, such as a closure
+        return a == b
 
     if isinstance(t, Lam):
         return ClosureV(t.pat, t.body, env)
@@ -238,7 +209,7 @@ def eval_term(t: Term, env: dict) -> Value:
             if a == 0:
                 continue
             env2 = dict(env)
-            bind_pattern_value(t.pat, elem_to_value(e), env2)
+            bind_pattern_value(t.pat, e, env2)
             piece = eval_term(t.body, env2)
             if not isinstance(piece, VecV):
                 raise EvalError("vector bind body must produce a vector")
@@ -247,14 +218,14 @@ def eval_term(t: Term, env: dict) -> Value:
 
     if isinstance(t, If):
         c = eval_term(t.cond, env)
-        if not isinstance(c, BoolV):
+        if not isinstance(c, bool):
             raise EvalError("if condition must be a boolean")
-        return eval_term(t.then if c.value else t.orelse, env)
+        return eval_term(t.then if c else t.orelse, env)
 
     if isinstance(t, VecUnit):
         v = eval_term(t.content, env)
         et = elem_type_of_value(v)
-        return VecV(et, vec_return(et, value_to_elem(v)))
+        return VecV(et, vec_return(et, v))
 
     if isinstance(t, (VecAdd, VecSub)):
         a = eval_term(t.left, env)
@@ -292,7 +263,7 @@ def _bind_context(delta, v, env: dict) -> dict:
     the context tuple `v`: a value, or its wires."""
     parts: list = [None] * len(delta)
     for i in range(len(delta) - 1, 0, -1):
-        v, parts[i] = v.left, v.right
+        v, parts[i] = v[0], v[1]
     parts[0] = v
     for (pat, _), part in zip(delta, parts):
         bind_pattern_value(pat, part, env)
@@ -300,7 +271,7 @@ def _bind_context(delta, v, env: dict) -> dict:
 
 
 # Index maps and lift matrices are computed over *wires*.  The wires of a
-# value of a classical type are a tree of ``PairV``s of the type's shape,
+# value of a classical type are a tree of 2-tuples of the type's shape,
 # whose leaves, one per Bool, are 0/1 arrays over the context basis.  The
 # context tuple is left-major, so its leaves read in order are the binary
 # digits of the basis index.
@@ -312,7 +283,7 @@ def _index_wires(t: TypeExpr, r: np.ndarray) -> tuple[Value, np.ndarray]:
     if isinstance(t, ProdT):
         right, r = _index_wires(t.right, r)
         left, r = _index_wires(t.left, r)
-        return PairV(left, right), r
+        return (left, right), r
     return r & 1, r >> 1
 
 
@@ -322,8 +293,8 @@ def _context_wires(t: TypeExpr, d: int) -> Value:
 
 
 def _leaves(w) -> list:
-    if isinstance(w, PairV):
-        return _leaves(w.left) + _leaves(w.right)
+    if isinstance(w, tuple):
+        return _leaves(w[0]) + _leaves(w[1])
     return [w]
 
 
@@ -338,7 +309,7 @@ def _over_reads(t: Term, wires: dict, env: dict) -> tuple[list, np.ndarray]:
         joint = joint * 2 + leaf
     values = []
     for j in range(1 << len(digits)):
-        bits = iter([BoolV(bool(j >> k & 1))
+        bits = iter([bool(j >> k & 1)
                      for k in range(len(digits) - 1, -1, -1)])
         env2 = dict(env)        # a result may be a closure over it
         for x in read:
@@ -348,8 +319,8 @@ def _over_reads(t: Term, wires: dict, env: dict) -> tuple[list, np.ndarray]:
 
 
 def _value_of(w, bits) -> Value:
-    if isinstance(w, PairV):
-        return PairV(_value_of(w.left, bits), _value_of(w.right, bits))
+    if isinstance(w, tuple):
+        return (_value_of(w[0], bits), _value_of(w[1], bits))
     return next(bits)
 
 
@@ -367,19 +338,19 @@ def _term_wires(t: Term, wires: dict, env: dict):
     if cls is Pair:
         left = _term_wires(t.left, wires, env)
         right = None if left is None else _term_wires(t.right, wires, env)
-        return None if right is None else PairV(left, right)
+        return None if right is None else (left, right)
     if cls is Fst or cls is Snd:
         w = _term_wires(t.arg, wires, env)
-        if isinstance(w, PairV):
-            return w.right if cls is Snd else w.left
+        if isinstance(w, tuple):
+            return w[1] if cls is Snd else w[0]
         if w is not None:
             raise EvalError(f"{'snd' if cls is Snd else 'fst'} of a non-pair")
     values, joint = _over_reads(t, wires, env)
     try:
         rt = elem_type_of_value(values[0])
-        idx = np.array([elem_index(rt, value_to_elem(v)) for v in values])
     except EvalError:                   # not basis values
         return None
+    idx = np.array([elem_index(rt, v) for v in values])
     return _index_wires(rt, idx[joint])[0]
 
 
@@ -561,16 +532,14 @@ def eval_arrow_abs(t: ArrowAbs, env: dict) -> SuperV:
 # Programs
 
 
-def run_super(s, rho: np.ndarray) -> np.ndarray:
-    """Apply a superoperator value (or a ``SuperVal``) to a density.  Until
-    its matrix is built, ``vec(ρ)`` is pushed through the pipeline as a batch
-    of one column."""
-    if isinstance(s, SuperV) and not s.built():
-        check_density(rho, dim(s.in_type))
-        d_out = dim(s.out_type)
-        return (apply_batch(s.pipe, rho.reshape(-1, 1), s.env)
-                .reshape(d_out, d_out))
-    return apply_super(s.val if isinstance(s, SuperV) else s, rho)
+def run_super(s: SuperV, rho: np.ndarray) -> np.ndarray:
+    """Apply a superoperator value to a density.  Until its matrix is built,
+    ``vec(ρ)`` is pushed through the pipeline as a batch of one column."""
+    if s.built():
+        return apply_super(s.val, rho)
+    check_density(rho, dim(s.in_type))
+    d_out = dim(s.out_type)
+    return apply_batch(s.pipe, rho.reshape(-1, 1), s.env).reshape(d_out, d_out)
 
 
 def eval_program(prog: Program, base_env: Optional[dict] = None) -> dict:
@@ -581,17 +550,6 @@ def eval_program(prog: Program, base_env: Optional[dict] = None) -> dict:
     for d in prog.defs:
         env = {**env, d.name: eval_term(d.term, env)}
     return env
-
-
-def materialize_lin(f: Value, in_t: TypeExpr, out_t: TypeExpr) -> np.ndarray:
-    """Matrix of a Vec-valued function value (column a = f a)."""
-    mat = np.zeros((dim(out_t), dim(in_t)), dtype=complex)
-    for i, elem in enumerate(basis(in_t)):
-        v = apply_closure(f, elem_to_value(elem))
-        if not isinstance(v, VecV):
-            raise EvalError("expected a vector-valued function")
-        mat[:, i] = v.amp
-    return mat
 
 
 # --------------------------------------------------------------------------
@@ -618,11 +576,11 @@ def compare_values(a, b, t: TypeExpr, tol: float):
     what separates them: for superoperators whose matrices differ by more
     than `tol`, the best separating pure state as (gap, density); NaN when
     the values cannot be compared."""
-    if isinstance(a, BoolV) and isinstance(b, BoolV):
-        return (0.0, None) if a.value == b.value else (1.0, None)
-    if isinstance(a, PairV) and isinstance(b, PairV) and isinstance(t, ProdT):
-        d1, w1 = compare_values(a.left, b.left, t.left, tol)
-        d2, w2 = compare_values(a.right, b.right, t.right, tol)
+    if isinstance(a, bool) and isinstance(b, bool):
+        return (0.0, None) if a == b else (1.0, None)
+    if isinstance(a, tuple) and isinstance(b, tuple) and isinstance(t, ProdT):
+        d1, w1 = compare_values(a[0], b[0], t.left, tol)
+        d2, w2 = compare_values(a[1], b[1], t.right, tol)
         return (max(d1, d2), w1 if d1 >= d2 else w2)
     if isinstance(a, VecV) and isinstance(b, VecV):
         return (float(np.max(np.abs(a.amp - b.amp))), None)
@@ -642,21 +600,11 @@ def compare_values(a, b, t: TypeExpr, tol: float):
         worst = 0.0
         wit = None
         for elem in basis(t.arg):
-            va = apply_closure(a, elem_to_value(elem))
-            vb = apply_closure(b, elem_to_value(elem))
+            va = apply_closure(a, elem)
+            vb = apply_closure(b, elem)
             d, w = compare_values(va, vb, t.res, tol)
             if d > worst:
                 worst, wit = d, w
         return (worst, wit)
     return (float("nan"), None)
 
-
-def value_diff(a, b, t: TypeExpr, tol: float = 1e-9) -> float:
-    """Largest observable difference between two values of type `t`.
-
-    Booleans differ by 0 or 1, vectors by amplitude gap, superoperators by
-    matrix-entry gap, and classical-argument closures pointwise over the
-    argument basis.  Returns NaN when the values are incomparable.
-    """
-    diff, _ = compare_values(a, b, t, tol)
-    return diff

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
-
 import numpy as np
 
 from .syntax import BoolT, ProdT, TypeExpr
@@ -78,20 +76,6 @@ def vec_return(t: TypeExpr, v: Elem) -> np.ndarray:
     return out
 
 
-def vec_bind(amp: np.ndarray, in_t: TypeExpr, out_t: TypeExpr,
-             f: Callable[[Elem], np.ndarray]) -> np.ndarray:
-    """Monadic bind: sum_a amp[a] * f(a)."""
-    out = vec_zero(out_t)
-    for i, v in enumerate(basis(in_t)):
-        if amp[i] != 0:
-            out += amp[i] * f(v)
-    return out
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
 # --------------------------------------------------------------------------
 # Superoperators
 
@@ -130,16 +114,6 @@ def pure_density(amp: np.ndarray) -> np.ndarray:
     return np.outer(amp, amp.conj())
 
 
-def dens_close(x: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> bool:
-    return x.shape == y.shape and bool(np.max(np.abs(x - y)) <= tol)
-
-
-def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def is_hermitian(mat: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
 
@@ -162,6 +136,8 @@ def dens_to_json(mat: np.ndarray, t: TypeExpr | None = None) -> dict:
 
 
 def dens_from_json(obj: dict) -> np.ndarray:
+    """A density from its JSON form.  It must be Hermitian with no eigenvalue
+    below -1e-9; its trace is used as written, as a ket's norm is."""
     rows = obj["rows"]
     mat = np.array([[complex(c["re"], c["im"]) for c in row] for row in rows],
                    dtype=complex)
@@ -169,6 +145,8 @@ def dens_from_json(obj: dict) -> np.ndarray:
         raise ValueError("density dimension mismatch")
     if not np.isfinite(mat).all():
         raise ValueError("density has a non-finite entry")
+    if not is_hermitian(mat) or np.linalg.eigvalsh(mat)[0] < -1e-9:
+        raise ValueError("the matrix is not Hermitian positive semidefinite")
     return mat
 
 

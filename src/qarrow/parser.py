@@ -54,7 +54,7 @@ KEYWORDS = {
 _OPERAND_END = {"NAME", "NUM", ")", "]", "True", "False", "mzero", "invsqrt2"}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_NUM_RE = re.compile(r"\d+(?:\.\d+)?(?:[+-]\d+(?:\.\d+)?i|i)?")
+_NUM_RE = re.compile(r"\d+(?:\.\d+)?(?:[+-]\d+(?:\.\d+)?i|i)?", re.ASCII)
 
 
 class Token(Record):
@@ -83,16 +83,14 @@ def tokenize(src: str, filename: str = "<input>") -> list[Token]:
                 i += 1
             continue
         pos = Pos(line, col)
-        if c.isdigit():
-            m = _NUM_RE.match(src, i)
-            assert m is not None
+        # str.isdigit and str.isalpha accept non-ASCII characters, which the
+        # patterns do not: those fall through to "unexpected character"
+        if c.isdigit() and (m := _NUM_RE.match(src, i)):
             toks.append(Token("NUM", m.group(), pos))
             col += m.end() - i
             i = m.end()
             continue
-        if c.isalpha() or c == "_":
-            m = _NAME_RE.match(src, i)
-            assert m is not None
+        if (c.isalpha() or c == "_") and (m := _NAME_RE.match(src, i)):
             word = m.group()
             kind = word if word in KEYWORDS else "NAME"
             toks.append(Token(kind, word, pos))
@@ -119,12 +117,10 @@ def tokenize(src: str, filename: str = "<input>") -> list[Token]:
             i += 2
             col += 2
             continue
-        if (c == "-" and i + 1 < n and src[i + 1].isdigit()
+        if (c == "-" and (m := _NUM_RE.match(src, i + 1))
                 and (not toks or toks[-1].kind not in _OPERAND_END)):
             # A minus immediately before digits where no operand precedes is
             # a negative scalar literal, not the subtraction operator.
-            m = _NUM_RE.match(src, i + 1)
-            assert m is not None
             toks.append(Token("NUM", "-" + m.group(), pos))
             col += m.end() - i
             i = m.end()

@@ -79,18 +79,6 @@ class Law(Enum):
     BIND_PLUS = "bind.plus"
     DELTA = "delta"
 
-    @property
-    def display(self) -> str:
-        return self.value
-
-
-def law_by_name(name: str) -> Law:
-    for law in Law:
-        if law.value == name or law.name.lower() == name.lower():
-            return law
-    raise RewriteError(f"unknown law {name!r}")
-
-
 # --------------------------------------------------------------------------
 # Paths
 
@@ -423,7 +411,7 @@ class ProofTrace(Record):
 def render_trace(trace: ProofTrace) -> str:
     lines = ["    " + pretty(trace.start)]
     for step in trace.steps:
-        lines.append(f"= {{ {step.law.display} }}")
+        lines.append(f"= {{ {step.law.value} }}")
         lines.append("    " + pretty(step.result))
     if not trace.complete:
         lines.append("-- fuel exhausted; not a normal form")
@@ -433,7 +421,7 @@ def render_trace(trace: ProofTrace) -> str:
 def trace_to_json(trace: ProofTrace) -> dict:
     return {
         "start": pretty(trace.start),
-        "steps": [{"law": s.law.display,
+        "steps": [{"law": s.law.value,
                    "path": list(s.path),
                    "direction": s.direction,
                    "result": pretty(s.result)} for s in trace.steps],
@@ -462,7 +450,7 @@ class Rewriter:
         fn = table.get(law)
         if fn is None:
             raise RewriteError(
-                f"direction {direction} is not supported for {law.display}")
+                f"direction {direction} is not supported for {law.value}")
         return fn(self, node)
 
     def apply_law_at(self, root: Node, path: tuple[int, ...], law: Law,
@@ -471,7 +459,7 @@ class Rewriter:
         new = self.try_law(target, law, direction)
         if new is None:
             raise RewriteError(
-                f"{law.display} ({direction}) is not applicable at {path}")
+                f"{law.value} ({direction}) is not applicable at {path}")
         return replace_at(root, path, new)
 
     def _find_redex(self, node: Node, path: tuple[int, ...],

@@ -8,7 +8,7 @@ from functools import cached_property
 from importlib.resources import files
 
 from .parser import parse_program
-from .syntax import Program, Record, TypeExpr
+from .syntax import Program, Record
 from .typecheck import elaborate_program
 
 
@@ -37,15 +37,3 @@ def load_prelude() -> Prelude:
         types, elaborated = elaborate_program(prog)
         _cached = Prelude(elaborated, types)
     return _cached
-
-
-def prelude_types() -> dict[str, TypeExpr]:
-    return dict(load_prelude().types)
-
-
-def prelude_env() -> dict:
-    return dict(load_prelude().env)
-
-
-def prelude_program() -> Program:
-    return load_prelude().program

@@ -675,13 +675,3 @@ def pretty(node, prec: int = _TERM) -> str:
     if isinstance(node, TypeExpr):
         return type_str(node)
     raise TypeError(f"pretty: unexpected node {node!r}")
-
-
-def pretty_program(p: Program) -> str:
-    lines = []
-    for d in p.defs:
-        if d.annot is not None:
-            lines.append(f"{d.name} : {type_str(d.annot)} = {pretty(d.term)}")
-        else:
-            lines.append(f"{d.name} = {pretty(d.term)}")
-    return "\n".join(lines) + "\n"

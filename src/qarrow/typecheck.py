@@ -578,11 +578,6 @@ def elaborate_term(env, term: Term,
     return ty, t2
 
 
-def infer_term(env, term: Term) -> TypeExpr:
-    ty, _ = elaborate_term(env, term)
-    return ty
-
-
 def elaborate_def(gamma: dict[str, TypeExpr], d: Def) -> tuple[TypeExpr, Def]:
     if d.annot is not None:
         validate_type(d.annot, d.pos)
@@ -602,9 +597,3 @@ def elaborate_program(program: Program,
         types[d.name] = ty
         new_defs.append(d2)
     return types, Program(tuple(new_defs), source_name=program.source_name)
-
-
-def check_program(program: Program,
-                  gamma: Optional[dict[str, TypeExpr]] = None) -> dict[str, TypeExpr]:
-    types, _ = elaborate_program(program, gamma)
-    return types

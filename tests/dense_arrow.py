@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from qarrow.classic import delta_tuple_type, PureFun
-from qarrow.evaluator import (_bind_context, elem_to_value, EvalError,
-                              eval_term, SuperV, value_to_elem, VecV)
+from qarrow.evaluator import (_bind_context, elem_type_of_value, EvalError,
+                              eval_term, SuperV, VecV)
 from qarrow.linalg import basis, dim, Elem, elem_index, SuperVal
 from qarrow.syntax import (ArrowAbs, CApp, CLet, Command, CUnit, Meas, ProdT,
                            SuperT, Term, TrL, TypeExpr)
@@ -141,7 +141,7 @@ def super_trL(prod_t: TypeExpr) -> SuperVal:
 
 
 def _fn_env(fn: PureFun, elem, env: dict) -> dict:
-    return _bind_context(fn.delta, elem_to_value(elem), dict(env))
+    return _bind_context(fn.delta, elem, dict(env))
 
 
 def reference_super(t: ArrowAbs, env: dict) -> SuperVal:
@@ -155,7 +155,9 @@ def _ref_pure(delta, body: Term, in_t: TypeExpr, out_t: TypeExpr,
     fn = PureFun(delta, body)
 
     def f(elem):
-        return value_to_elem(eval_term(body, _fn_env(fn, elem, env)))
+        v = eval_term(body, _fn_env(fn, elem, env))
+        elem_type_of_value(v)       # refuses a value that is not a basis value
+        return v
 
     return super_arr(f, in_t, out_t)
 

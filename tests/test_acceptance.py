@@ -14,8 +14,7 @@ from qarrow import (
     TypeCheckError,
     alpha_eq,
     apply_law_at,
-    check_program,
-    dens_close,
+    elaborate_program,
     elaborate_term,
     eval_term,
     normalize,
@@ -24,10 +23,9 @@ from qarrow import (
     run_super,
     translate_term,
     type_str,
-    value_diff,
 )
 from qarrow.classic import inverse_translate
-from qarrow.evaluator import eval_arrow_abs, materialize_super
+from qarrow.evaluator import compare_values, eval_arrow_abs, materialize_super
 from qarrow.linalg import (
     SuperVal,
     apply_super,
@@ -36,11 +34,11 @@ from qarrow.linalg import (
     elem_index,
     is_hermitian,
     pure_density,
-    random_density,
 )
 
 import randprog
 from dense_arrow import super_arr, super_compose, super_first
+from helpers import dens_close, random_density
 from ill_typed import ILL_TYPED
 
 B = BoolT()
@@ -212,7 +210,7 @@ def test_criterion_3_law_instances(prelude, defs_map):
                 continue
             va = eval_term(before, dict(prelude.env))
             vb = eval_term(after2, dict(prelude.env))
-            if not value_diff(va, vb, t1) <= 1e-9:
+            if not compare_values(va, vb, t1, 1e-9)[0] <= 1e-9:
                 failures.append((family, seed, "denotation"))
     ok = not failures
     _report(ok, "criterion 3: 13 rewrite-law families x 100 random instances "
@@ -310,7 +308,7 @@ def test_criterion_8_rejection_suite(prelude):
     failures = []
     for src, kind, why in ILL_TYPED:
         try:
-            check_program(parse_program(src), dict(prelude.types))
+            elaborate_program(parse_program(src), dict(prelude.types))
             failures.append((why, "accepted"))
         except TypeCheckError as e:
             if e.kind != kind:

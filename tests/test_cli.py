@@ -174,6 +174,31 @@ def test_run_non_finite_density_refused(runcli, demo, tmp_path, bad, as_json):
     assert err.count("\n") == 1 and "non-finite" in err
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 5], [0, -3]],                  # not Hermitian
+    [[2, 0], [0, -1]],                  # Hermitian, eigenvalue -1
+    [[0.5, 1], [1, 0.5]],               # Hermitian, eigenvalue -0.5
+])
+def test_run_matrix_that_is_not_a_density_refused(runcli, demo, tmp_path,
+                                                  rows):
+    obj = dens_to_json(np.array(rows, dtype=complex))
+    f = tmp_path / "rho.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = runcli("run", demo, "flip", "--density", str(f))
+    assert code == BADINPUT and out == ""
+    assert err == ("cannot read density: the matrix is not Hermitian "
+                   "positive semidefinite\n")
+
+
+def test_run_density_trace_is_used_as_written(runcli, demo, tmp_path):
+    rho = np.array([[2, 0], [0, 0]], dtype=complex)
+    f = tmp_path / "rho.json"
+    f.write_text(json.dumps(dens_to_json(rho)))
+    code, out, _ = runcli("run", demo, "flip", "--density", str(f))
+    assert code == OK
+    assert out == render_density(np.array([[0, 0], [0, 2]])) + "\n"
+
+
 def test_run_input_and_density_exclusive(capsys, demo, tmp_path):
     f = tmp_path / "rho.json"
     f.write_text(json.dumps(dens_to_json(np.eye(2, dtype=complex) / 2)))
@@ -216,6 +241,27 @@ def test_run_boolean_def(runcli, tmp_path):
     f.write_text("b : (Bool, Bool)\nb = (True, not True)\n")
     code, out, _ = runcli("run", str(f), "b")
     assert code == OK and out == "(True, False)\n"
+
+
+VALUES_SRC = """\
+p : (Bool, (Bool, Bool))
+p = (True, (False, True))
+b : Bool
+b = not True
+c : (Bool -> Bool, Bool)
+c = (not, True)
+"""
+
+
+@pytest.mark.parametrize("name, shown", [("p", "(True, (False, True))"),
+                                         ("b", "False"),
+                                         ("c", "(<closure>, True)")])
+def test_run_classical_values_print(runcli, tmp_path, name, shown):
+    f = tmp_path / "values.qarr"
+    f.write_text(VALUES_SRC)
+    assert runcli("run", str(f), name) == (OK, shown + "\n", "")
+    assert runcli("run", str(f), name, "--json") == (
+        OK, f'{{"def": "{name}", "value": "{shown}"}}\n', "")
 
 
 def test_run_vector_def(runcli, tmp_path):

@@ -21,7 +21,7 @@ TOKENS = ["\\@", "\\", ".", "@", "let", "in", "=", "(", ")", ",", "[", "]",
           ":", "->", "Super", "Vec", "Bool", "(Bool, Bool)", "True", "False",
           "fst", "snd", "if", "then", "else", "meas", "trL", "mzero", "+",
           "-", "*", "QNot", "Had", "Cnot", "hadamard", "x", "y", "q", "\n",
-          " ", "dneg", "mix"]
+          " ", "dneg", "mix", "\u00e9", "\u00b2", "\u0663"]
 NAMES = ["dneg", "mix", "QNot", "Had", "Cnot", "bell", "toffoli", "teleport",
          "not", "hadamard", "nosuch"]
 TERMS = ["\\@x. [x]", "\\@q. let h = Had @ q in Had @ h", "\\@q. [q]",

@@ -6,23 +6,19 @@ import pytest
 
 from qarrow import (
     BoolT,
-    BoolV,
     ClosureV,
     EvalError,
     FunT,
-    PairV,
     ProdT,
     SuperT,
     SuperV,
     VecT,
     VecV,
     apply_closure,
-    dens_close,
     elaborate_term,
     elaborate_program,
     eval_program,
     eval_term,
-    materialize_lin,
     parse_program,
     parse_term,
     pure_density,
@@ -33,23 +29,18 @@ from qarrow.classic import classic_children, FanoutC
 from qarrow.evaluator import (
     _fanout_forms,
     apply_batch,
-    elem_to_value,
     elem_type_of_value,
     est_cells,
     eval_arrow_abs,
     materialize_super,
-    value_to_elem,
 )
-from qarrow.linalg import (
-    basis,
-    dim,
-    random_density,
-)
+from qarrow.linalg import basis, dim
 from qarrow.syntax import rebuild
 
 import randprog
 from dense_arrow import (reference_super, super_arr, super_first,
                          super_from_lin, super_meas, super_second, super_trL)
+from helpers import dens_close, materialize_lin, random_density
 
 B = BoolT()
 BB = ProdT(B, B)
@@ -80,58 +71,71 @@ def super_of(prelude, src, expected=None):
 
 def test_literals_and_pairs():
     v = ev("(True, (False, True))")
-    assert v == PairV(BoolV(True), PairV(BoolV(False), BoolV(True)))
+    assert type(v) is tuple and v == (True, (False, True))
+    assert v[0] is True and v[1][0] is False and v[1][1] is True
 
 
 def test_projections():
-    assert ev("fst (True, False)") == BoolV(True)
-    assert ev("snd (True, False)") == BoolV(False)
-    assert ev("snd (fst ((True, False), True))") == BoolV(False)
+    assert ev("fst (True, False)") is True
+    assert ev("snd (True, False)") is False
+    assert ev("snd (fst ((True, False), True))") is False
 
 
 def test_structural_equality():
-    assert ev("(False, True) == (False, True)") == BoolV(True)
-    assert ev("(False, True) == (True, True)") == BoolV(False)
-    assert ev("True == False") == BoolV(False)
+    assert ev("(False, True) == (False, True)") is True
+    assert ev("(False, True) == (True, True)") is False
+    assert ev("True == False") is False
+
+
+def test_equality_refuses_values_that_are_not_basis_values():
+    for src in ("(\\x. x) == (\\x. x)", "(True, \\x. x) == (True, \\x. x)",
+                "[True] == [True]"):
+        with pytest.raises(EvalError, match="not a basis value"):
+            ev(src)
 
 
 def test_lambda_application():
-    assert ev("(\\x. x) True") == BoolV(True)
-    assert ev("(\\(a, b). (b, a)) (True, False)") == PairV(
-        BoolV(False), BoolV(True))
+    assert ev("(\\x. x) True") is True
+    assert ev("(\\(a, b). (b, a)) (True, False)") == (False, True)
 
 
 def test_let_pattern_and_shadowing():
     out = ev("let (a, b) = (True, False) in let a = b in (a, a)")
-    assert out == PairV(BoolV(False), BoolV(False))
+    assert out == (False, False)
 
 
 def test_conditional():
-    assert ev("if True == True then False else True") == BoolV(False)
+    assert ev("if True == True then False else True") is False
 
 
 def test_closures_capture_their_environment():
     pairer = ev("(\\x. \\y. (x, y)) True")
     assert isinstance(pairer, ClosureV)
-    assert apply_closure(pairer, BoolV(False)) == PairV(
-        BoolV(True), BoolV(False))
+    assert apply_closure(pairer, False) == (True, False)
+
+
+def test_pairs_hold_any_value():
+    v = ev("(\\x. x, [True])")
+    assert isinstance(v, tuple)
+    assert isinstance(v[0], ClosureV) and isinstance(v[1], VecV)
+    assert repr(v) == "(<closure>, <vec dim 2>)"
 
 
 def test_classical_error_paths():
     with pytest.raises(EvalError, match="unbound"):
         ev("nope")
     with pytest.raises(EvalError, match="non-function"):
-        apply_closure(BoolV(True), BoolV(False))
+        apply_closure(True, False)
     with pytest.raises(EvalError, match="non-pair"):
         ev("fst True")
 
 
-def test_elem_value_round_trip():
+def test_elem_type_of_basis_values():
     t = ProdT(BB, B)
     for elem in basis(t):
-        v = elem_to_value(elem)
-        assert value_to_elem(v) == elem
-        assert elem_type_of_value(v) == t
+        assert elem_type_of_value(elem) == t
+    with pytest.raises(EvalError, match="not a basis value"):
+        elem_type_of_value((True, ev("\\x. x")))
 
 
 # --------------------------------------------------------------------------
@@ -149,8 +153,8 @@ def test_vec_unit_amplitudes():
 
 def test_hadamard_amplitudes(prelude):
     h = prelude.env["hadamard"]
-    assert np.allclose(apply_closure(h, BoolV(False)).amp, [INV, INV])
-    assert np.allclose(apply_closure(h, BoolV(True)).amp, [INV, -INV])
+    assert np.allclose(apply_closure(h, False).amp, [INV, INV])
+    assert np.allclose(apply_closure(h, True).amp, [INV, -INV])
 
 
 def test_vector_arithmetic():
@@ -286,7 +290,7 @@ def test_run_super_applies_and_checks_dimensions(prelude):
 def test_eval_program_threads_definitions(prelude):
     prog = parse_program("t : Bool\nt = True\nu : Bool\nu = not t")
     env = eval_program(prog, prelude.env)
-    assert env["u"] == BoolV(False)
+    assert env["u"] is False
 
 
 def test_prelude_value_kinds(prelude):

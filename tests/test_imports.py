@@ -1,5 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every top-level function or class has a caller in the package or is
+exported."""
 import ast
+import collections
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,60 @@ def test_guard_sees_annotations_and_unused_names():
            "def f(p: 'Optional[a]') -> b:\n"
            "    pass\n")
     assert unused_imports(src) == ["c"]
+
+
+# Top-level names kept without a caller in the package, with the reason.
+KEPT = {
+    "classic.classic_children": "ROADMAP item 1 hands it to perfbench's "
+                                "pipeline_nodes, to count pipeline nodes",
+}
+
+
+def _referenced(tree: ast.AST) -> collections.Counter:
+    """How often each name is read in `tree`, as a name, an attribute or
+    inside a string annotation."""
+    refs = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        for ann in (getattr(node, "annotation", None),
+                    getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                refs.update(_annotation_names(ann))
+    return refs
+
+
+def orphans(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """``module.name`` of each top-level function or class in `sources`
+    (module -> source) that no module reads outside its own definition and
+    that is not in `exported`."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    refs = sum((_referenced(t) for t in trees.values()), collections.Counter())
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            # Python itself calls a dunder such as a module's __getattr__
+            if name.startswith("__") or name in exported:
+                continue
+            if refs[name] <= _referenced(node)[name]:
+                found.append(f"{mod}.{name}")
+    return sorted(found)
+
+
+def test_no_orphans():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert orphans(sources, set(qarrow.__all__)) == sorted(KEPT)
+
+
+def test_orphan_guard_sees_callers():
+    sources = {"a": "def f():\n    return f()\n"
+                    "def g():\n    pass\n"
+                    "class C:\n    pass\n",
+               "b": "from .a import g\n"
+                    "def h() -> 'C':\n    return g()\n"}
+    assert orphans(sources, {"h"}) == ["a.f"]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qarrow import (EvalError, SuperV, elaborate_program, elaborate_term,
-                    eval_program, eval_term, parse_program, value_diff)
+                    eval_program, eval_term, parse_program, parse_term)
 from qarrow import evaluator as ev
 from qarrow.classic import Arr, classic_children, LiftLin, PureFun
 from qarrow.linalg import basis, dim, elem_index
@@ -21,7 +21,7 @@ from qarrow.syntax import (ArrowAbs, BoolLit, BoolT, Fst, Pair, ProdT, PVar,
                            Snd, Var)
 
 import randprog
-from dense_arrow import _fn_env
+from dense_arrow import _fn_env, _ref_pure
 
 B = BoolT()
 
@@ -34,7 +34,8 @@ def oracle_index_map(e: Arr, env: dict) -> np.ndarray:
     m = np.empty(dim(e.in_type), dtype=np.int64)
     for i, elem in enumerate(basis(e.in_type)):
         v = ev.eval_term(e.fn.body, _fn_env(e.fn, elem, env))
-        m[i] = elem_index(e.out_type, ev.value_to_elem(v))
+        ev.elem_type_of_value(v)    # refuses a value that is not a basis value
+        m[i] = elem_index(e.out_type, v)
     return m
 
 
@@ -177,7 +178,7 @@ def test_law_instances(prelude, defs_map, recorded):
         _, after = elaborate_term(prelude.types, after, inst.type_)
         va = eval_term(before, dict(prelude.env))
         vb = eval_term(after, dict(prelude.env))
-        value_diff(va, vb, t1)
+        ev.compare_values(va, vb, t1, 1e-9)
         statics = [ev.eval_arrow_abs(a, prelude.env)
                    for term in (before, after) for a in _arrows(term)]
         count += check_supers(recorded) + check_supers(statics)
@@ -224,6 +225,17 @@ def test_shadowed_context_name_reads_the_later_binding(prelude):
               in_type=bb, out_type=B)
     assert index_map(dup, {}).tolist() == [0, 1, 0, 1]
     assert_agrees(dup, {})
+
+
+@pytest.mark.parametrize("body", ["\\y. y", "(x, \\y. y)", "[x]"])
+def test_a_map_to_values_that_are_not_basis_values_is_refused(body):
+    delta = ((PVar("x"), B),)
+    e = Arr(PureFun(delta, parse_term(body)), in_type=B, out_type=B)
+    for f in (index_map, oracle_index_map):
+        with pytest.raises(EvalError):
+            f(e, {})
+    with pytest.raises(EvalError, match="not a basis value"):
+        _ref_pure(delta, parse_term(body), B, B, {})
 
 
 def test_argument_maps_of_meas_and_trl(prelude):

@@ -13,16 +13,16 @@ import json
 import numpy as np
 import pytest
 
-from qarrow.linalg import (apply_super, basis, dens_close, dens_from_json,
-                           dens_to_json, dim, elem_index, elem_str,
-                           is_hermitian, pure_density, random_density,
-                           render_density, render_vector, tensor, vec_bind,
+from qarrow.linalg import (apply_super, basis, dens_from_json, dens_to_json,
+                           dim, elem_index, elem_str, is_hermitian,
+                           pure_density, render_density, render_vector,
                            vec_return, vec_to_json, vec_zero)
 from qarrow.syntax import BoolT, ProdT
 
-from dense_arrow import (fun2lin, lin2super_matrix, super_arr, super_compose,
+from dense_arrow import (lin2super_matrix, super_arr, super_compose,
                          super_fanout, super_first, super_from_lin,
                          super_identity, super_meas, super_second, super_trL)
+from helpers import dens_close, random_density
 
 B = BoolT()
 BB = ProdT(B, B)
@@ -63,43 +63,6 @@ def test_vec_return_is_basis_vector():
     expect = np.zeros(4, dtype=complex)
     expect[2] = 1.0
     assert np.array_equal(v, expect)
-
-
-def test_vec_monad_laws():
-    # left identity, right identity, associativity at amplitude level
-    d = dim(BB)
-    for _ in range(20):
-        amp = RNG.normal(size=d) + 1j * RNG.normal(size=d)
-        ftab = {e: RNG.normal(size=d) + 1j * RNG.normal(size=d)
-                for e in basis(BB)}
-        gtab = {e: RNG.normal(size=d) + 1j * RNG.normal(size=d)
-                for e in basis(BB)}
-        f = lambda e: ftab[e]
-        g = lambda e: gtab[e]
-        e0 = basis(BB)[1]
-        assert np.allclose(vec_bind(vec_return(BB, e0), BB, BB, f), f(e0),
-                           atol=1e-12)
-        assert np.allclose(
-            vec_bind(amp, BB, BB, lambda e: vec_return(BB, e)), amp,
-            atol=1e-12)
-        lhs = vec_bind(vec_bind(amp, BB, BB, f), BB, BB, g)
-        rhs = vec_bind(amp, BB, BB, lambda e: vec_bind(f(e), BB, BB, g))
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_vec_bind_is_matrix_multiplication():
-    d = dim(B)
-    amp = RNG.normal(size=d) + 1j * RNG.normal(size=d)
-    ftab = {e: RNG.normal(size=d) + 1j * RNG.normal(size=d) for e in basis(B)}
-    mat = fun2lin(lambda e: ftab[e], B, B)
-    assert np.allclose(vec_bind(amp, B, B, lambda e: ftab[e]), mat @ amp,
-                       atol=1e-12)
-
-
-def test_tensor_is_kron():
-    a = RNG.normal(size=2) + 1j * RNG.normal(size=2)
-    b = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-    assert np.allclose(tensor(a, b), np.kron(a, b), atol=1e-12)
 
 
 def test_vec_zero():

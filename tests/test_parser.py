@@ -183,6 +183,19 @@ def test_unexpected_character():
     assert "unexpected character" in str(ei.value)
 
 
+@pytest.mark.parametrize("src, col, char", [
+    ("x = \u00e9", 5, "\u00e9"),          # a letter outside ASCII
+    ("x = \u00b2", 5, "\u00b2"),          # a superscript digit
+    ("v = 1\u0663 * [True]", 6, "\u0663"),  # an Arabic-Indic digit after 1
+    ("v = -\u00b2 * [True]", 6, "\u00b2"),
+    ("v = a\u00e9", 6, "\u00e9"),
+])
+def test_non_ascii_character_is_unexpected(src, col, char):
+    with pytest.raises(ParseError) as ei:
+        parse_program(src, "u.qarr")
+    assert str(ei.value) == f"u.qarr:1:{col}: unexpected character {char!r}"
+
+
 def test_trailing_junk_rejected():
     with pytest.raises(ParseError):
         parse_term("True True True)")

@@ -1,5 +1,5 @@
 """The prelude: gate definitions against textbook matrices, the protocol
-programs (bell, Alice, Bob, teleport), and the loader accessors."""
+programs (bell, Alice, Bob, teleport), and the loader."""
 
 import numpy as np
 import pytest
@@ -7,20 +7,13 @@ import pytest
 from qarrow import (
     BoolT,
     ProdT,
-    SuperV,
-    dens_close,
     load_prelude,
-    materialize_lin,
-    prelude_env,
-    prelude_program,
-    prelude_types,
     pure_density,
     run_super,
     type_str,
 )
-from qarrow.linalg import random_density
-
 from dense_arrow import super_compose, super_meas, super_trL
+from helpers import dens_close, materialize_lin, random_density
 
 B = BoolT()
 BB = ProdT(B, B)
@@ -206,13 +199,3 @@ def test_inventory(prelude):
 
 def test_prelude_is_cached():
     assert load_prelude() is load_prelude()
-
-
-def test_accessors_return_copies(prelude):
-    env = prelude_env()
-    env["QNot"] = None
-    assert isinstance(prelude_env()["QNot"], SuperV)
-    types = prelude_types()
-    types["QNot"] = None
-    assert prelude_types()["QNot"] is not None
-    assert prelude_program() is prelude.program

@@ -5,8 +5,8 @@ from qarrow.parser import parse_program, parse_term, parse_type
 from qarrow.syntax import (ArrowAbs, BoolT, CApp, CLet, CUnit, FunT, Let,
                            Meas, ProdT, SuperT, TrL, Var, VecLet, VecT,
                            type_str)
-from qarrow.typecheck import (EnvPair, TypeCheckError, check_program,
-                              elaborate_term, infer_term)
+from qarrow.typecheck import (elaborate_program, elaborate_term, EnvPair,
+                              TypeCheckError)
 
 from ill_typed import ILL_TYPED
 
@@ -191,13 +191,14 @@ def test_env_pair_keeps_hidden_names():
                          ids=[c[2].replace(" ", "-") for c in ILL_TYPED])
 def test_ill_typed_programs(prelude, src, kind, why):
     with pytest.raises(TypeCheckError) as ei:
-        check_program(parse_program(src), dict(prelude.types))
+        elaborate_program(parse_program(src), dict(prelude.types))
     assert ei.value.kind == kind
 
 
 def test_error_rendering_format(prelude):
     with pytest.raises(TypeCheckError) as ei:
-        check_program(parse_program("f : Bool = [True]"), dict(prelude.types))
+        elaborate_program(parse_program("f : Bool = [True]"),
+                          dict(prelude.types))
     msg = ei.value.render("demo.qarr")
     assert msg.startswith("demo.qarr:1:12: mismatch: ")
     assert "expected Bool" in msg and "found Vec Bool" in msg
@@ -205,14 +206,16 @@ def test_error_rendering_format(prelude):
 
 def test_error_positions(prelude):
     with pytest.raises(TypeCheckError) as ei:
-        check_program(parse_program("f : Bool = True\ng : Bool = not (True, True)"),
-                      dict(prelude.types))
+        elaborate_program(
+            parse_program("f : Bool = True\ng : Bool = not (True, True)"),
+            dict(prelude.types))
     assert ei.value.pos.line == 2
 
 
 def test_annotation_validation_positions():
     with pytest.raises(TypeCheckError) as ei:
-        check_program(parse_program("f : Super (Vec Bool) Bool = \\@x. [x]"), {})
+        elaborate_program(
+            parse_program("f : Super (Vec Bool) Bool = \\@x. [x]"), {})
     assert ei.value.kind == "non-classical-basis"
 
 
@@ -239,7 +242,7 @@ def test_whole_prelude_checks(prelude):
     # load_prelude already elaborates; spell it out once explicitly
     from qarrow.parser import parse_program as pp
     from qarrow.stdlib import prelude_source
-    types = check_program(pp(prelude_source(), "prelude.qarr"))
+    types, _ = elaborate_program(pp(prelude_source(), "prelude.qarr"))
     assert type_str(types["teleport"]) == "Super (Bool,(Bool,Bool)) Bool"
     assert type_str(types["toffoli"]) == \
         "Super (Bool,(Bool,Bool)) (Bool,(Bool,Bool))"
