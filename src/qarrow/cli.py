@@ -14,14 +14,15 @@ Subcommands:
 Every subcommand loads a file the same way: parse, typecheck, then
 translate every arrow abstraction in the file's definitions, wherever it
 sits (inside a lambda body too), so a translation error is reported whether
-or not evaluation would reach it.  Only ``run`` and ``prove`` evaluate; the
-other subcommands import neither the evaluator nor numpy.
+or not evaluation would reach it.  Only ``run`` and ``prove`` evaluate, and
+``prove`` only when normalization does not decide; the other subcommands
+import neither the evaluator nor numpy.
 
 Exit codes: 0 success; 1 the task failed (type error, unequal, translation
 restriction); 2 bad input (missing file, parse error, wrong dimension,
 negative fuel, a tolerance that is negative or not finite, nesting too deep
 for the stack, densities too large for memory);
-3 indeterminate (fuel exhausted, unknown verdict).
+3 indeterminate (fuel exhausted or size bound reached, unknown verdict).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from typing import Optional, TYPE_CHECKING
 
 from .classic import inverse_translate, sexpr, translate_term, TranslationError
@@ -139,10 +141,37 @@ def parse_ket(s: str, d: Optional[int] = None, name: str = "") -> np.ndarray:
 # Shared loading
 
 
-def load_file(path: str, use_prelude: bool, evaluate: bool = False):
+class LazyEnv(Mapping):
+    """Every definition's value by name, all evaluated on the first lookup
+    of a value; the names are known without evaluating anything."""
+
+    def __init__(self, names, evaluate):
+        self._names = dict.fromkeys(names)
+        self._evaluate = evaluate
+        self._env = None
+
+    def load(self) -> dict:
+        if self._env is None:
+            self._env = self._evaluate()
+        return self._env
+
+    def __getitem__(self, name):
+        return self.load()[name]
+
+    def __contains__(self, name):
+        return name in self._names
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self):
+        return len(self._names)
+
+
+def load_file(path: str, use_prelude: bool):
     """Parse, typecheck and translate a program file.  Returns the file's
-    types, the types and terms of every definition in scope, and, when
-    `evaluate` is set, every definition's value (else None)."""
+    types, the types and terms of every definition in scope, and their
+    values as a ``LazyEnv``."""
     if use_prelude:
         pre = load_prelude()
         gamma = dict(pre.types)
@@ -169,11 +198,13 @@ def load_file(path: str, use_prelude: bool, evaluate: bool = False):
         raise CliError(e.render(name), FAIL)
     gamma.update(types)
     check_translations(elaborated)
-    env = None
-    if evaluate:
+
+    def evaluate() -> dict:
         from .evaluator import eval_program
-        env = eval_program(elaborated, load_prelude().env if use_prelude
-                           else None)
+        return eval_program(elaborated, load_prelude().env if use_prelude
+                            else None)
+
+    env = LazyEnv([*defs, *(d.name for d in elaborated.defs)], evaluate)
     defs.update({d.name: d.term for d in elaborated.defs})
     return types, gamma, env, defs
 
@@ -243,8 +274,8 @@ def cmd_run(args) -> int:
     from .linalg import (dens_from_json, dens_to_json, dim, pure_density,
                          render_density, render_vector, vec_to_json)
 
-    types, gamma, env, _ = load_file(args.file, not args.no_prelude,
-                                     evaluate=True)
+    types, gamma, env, _ = load_file(args.file, not args.no_prelude)
+    env = env.load()
     if args.name not in env:
         raise CliError(f"no definition named {args.name!r}", BADINPUT)
     value = env[args.name]
@@ -315,27 +346,27 @@ def cmd_normalize(args) -> int:
 
 def cmd_prove(args) -> int:
     check_limits(args.fuel, args.tolerance)
-    from .linalg import dens_to_json, render_density
-
-    _, gamma, env, defs = load_file(args.file, not args.no_prelude,
-                                    evaluate=True)
+    _, gamma, env, defs = load_file(args.file, not args.no_prelude)
     lhs = resolve_target(args.lhs, defs)
     rhs = resolve_target(args.rhs, defs)
     verdict = prove_equal(lhs, rhs, types=gamma, env=env, defs=defs,
                           fuel=args.fuel, tol=args.tolerance)
+    witness = verdict.witness if isinstance(verdict, NotEqual) else None
+    if witness is not None:
+        from .linalg import dens_to_json, render_density
     if args.json:
         out = {"kind": verdict.kind, "detail": verdict.describe()}
         if isinstance(verdict, (ProvedByNormalization, ProvedSemantically)):
             out["left_trace"] = trace_to_json(verdict.left_trace)
             out["right_trace"] = trace_to_json(verdict.right_trace)
-        if isinstance(verdict, NotEqual) and verdict.witness is not None:
-            out["witness"] = dens_to_json(verdict.witness)
+        if witness is not None:
+            out["witness"] = dens_to_json(witness)
         print(json.dumps(out, sort_keys=True))
     else:
         print(verdict.describe())
-        if isinstance(verdict, NotEqual) and verdict.witness is not None:
+        if witness is not None:
             print("witness density:")
-            print(render_density(verdict.witness))
+            print(render_density(witness))
     if isinstance(verdict, (ProvedByNormalization, ProvedSemantically)):
         return OK
     if isinstance(verdict, NotEqual):

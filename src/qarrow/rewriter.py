@@ -2,9 +2,9 @@
 replayable traces, and an equality prover.
 
 Laws operate on *elaborated* trees (so unit modes and vector types are
-known).  Each law has a canonical left-to-right direction, which is the
-reducing one; the reverse direction is supported only where it is
-deterministic and needs no type information.
+known).  Each law has a canonical left-to-right direction; the reverse
+direction is supported only where it is deterministic and needs no type
+information.
 
 Positions are paths: tuples of child indices, with the child order fixed
 per node class by its ``child_fields`` (see ``syntax.py``).
@@ -12,14 +12,61 @@ per node class by its ``child_fields`` (see ``syntax.py``).
 at the leftmost-outermost applicable position, recording one step per
 rewrite; the recorded trace replays exactly via ``apply_law_at``.
 
-The search for that position is incremental.  Each automatic law declares
-the node class that heads its redexes (``AUTO_LAWS``), so a node is tried
-only against the laws of its own class, in priority order.  Within one
-``normalize`` call, subtrees found free of redexes are remembered by
-identity: nodes are immutable and a matcher reads only its node and the
-unfoldable definitions, so such a subtree stays free of redexes, and after
-a rewrite the preorder walk from the root re-examines only the rebuilt
-spine and the new subtree.  The steps are those of the plain search.
+The automatic laws (``AUTO_LAWS``) are the reductions (the betas, the
+units, ``let``, the boolean laws, ``delta``, the ``mzero`` laws) and the
+terminating orientations of the structural laws of Lindley, Wadler & Yallop
+("The Arrow Calculus", JFP 2010): ``eta~>`` and ``eta`` as contractions
+(``\\@x. f @ x`` to ``f``, ``\\x. f x`` to ``f``, when x is not free in f),
+and ``assoc``, ``bind.assoc`` and ``plus.assoc`` toward right-nested lets
+and sums.  On elaborated terms ``eta~>``'s side condition always holds,
+since f is typed without the arrow's input; it is checked all the same.
+``assoc`` and ``bind.assoc`` rename the inner binder where the outer body
+reads a variable of its name, so they apply wherever the shape does.
+``bind.plus`` stays manual: it copies the bind's body into both summands,
+so it grows terms and raises the measure below.  ``eta.x`` stays manual as
+well.
+
+Termination measure (Baader & Nipkow, *Term Rewriting and All That*, 1998,
+ch. 5).  Every automatic step strictly lowers the pair (w, s), compared
+lexicographically:
+
+* w is a monotone interpretation in the style of Gandy ("Proofs of strong
+  normalization", 1980), collapsed to a natural number.  A term denotes a
+  natural (at least 1), a pair of denotations, or a function on them.  An
+  abstraction, ``\\x. M`` or ``\\@x. M``, denotes a |-> [M](a) + |a|, where
+  |a| collapses a denotation to a natural, so every construct is strictly
+  monotone in each argument.  ``if c then t else e`` denotes
+  |c| * ([t] + [e] + 1); a let, its body at the bound value plus that
+  value's collapse; a unit, its content plus 1; ``fst p``, the first
+  component plus the second's collapse; ``+``, the sum plus 1; an
+  unfoldable name, its definition plus 1; an opaque name, 1.  Every
+  automatic step but the three associativities lowers w, and those leave
+  it no higher.
+* s is the sum, over command lets and binds, of the size of the bound
+  part, plus, over sums, the size of the left summand; each of the three
+  associativity steps lowers it.
+
+``tests/test_termination.py`` implements (w, s) and checks the decrease on
+every step of generated normalizations.  The measure shows that
+normalization ends, not that it ends soon: ``if.distrib`` may double the
+term at each step.  So normalization also stops, with ``complete`` false and
+``stopped`` naming the bound, when its fuel runs out or when a rewrite would
+make the term larger than ``size_limit`` of the start term's size (nodes
+counted over ``child_fields``).
+
+The search for the next redex is incremental.  Each automatic law declares
+the node class that heads its redexes, so a node is tried only against the
+laws of its own class, in priority order.  Within one ``normalize`` call,
+subtrees found free of redexes are remembered by identity: nodes are
+immutable and a matcher reads only its node's subtree and the unfoldable
+definitions, so such a subtree stays free of redexes.  After a rewrite the
+walk goes straight down the rebuilt spine to the new subtree: the subtrees
+before the spine in preorder were found free of redexes, and every ancestor
+on it failed every law before the rewrite.  An ancestor is tried again only
+against the laws that read as deep as the rewrite (``_REACH``), and, since
+their side condition reads a whole subtree's free variables, the two eta
+laws at any depth.  The steps are those of the plain search, which restarts
+from the root and tries every law at every node.
 
 Definition unfolding (``delta``) is restricted to definitions that are not
 arrow abstractions; programs are non-recursive, so unfolding terminates.
@@ -32,14 +79,15 @@ normalizing load neither the evaluator nor numpy.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
 from typing import Callable, Optional, TYPE_CHECKING
 
 from .syntax import (alpha_eq, App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq,
-                     free_vars, Fst, If, Lam, Let, MZero, Node, Pair,
-                     pattern_names, pattern_subst, pattern_term, pretty, PVar,
-                     rebuild, Record, Snd, subst_map, Term, type_str, Var,
-                     VecAdd, VecLet, VecUnit)
+                     free_vars, fresh_name, Fst, If, Lam, Let, MZero, Node,
+                     Pair, Pattern, pattern_names, pattern_subst, pattern_term,
+                     PPair, pretty, PVar, rebuild, Record, Snd, subst_map,
+                     Term, type_str, Var, VecAdd, VecLet, VecUnit)
 from .typecheck import elaborate_term, TypeCheckError
 
 if TYPE_CHECKING:
@@ -135,14 +183,38 @@ def _right_unit(rw, n):
     return None
 
 
+def _unshadow(pat: Pattern, body: Node, outer: Pattern, rest: Node):
+    """The inner binder `pat` over `body`, renamed so that it can also scope
+    over `rest`: each of its names that `rest` reads, other than through the
+    outer binder `outer`, becomes fresh, in `pat` and in `body`."""
+    outer_names = set(pattern_names(outer))
+    rest_fv = free_vars(rest) - outer_names
+    clash = set(pattern_names(pat)) & rest_fv
+    if not clash:
+        return pat, body
+    taken = {*rest_fv, *free_vars(body), *outer_names, *pattern_names(pat)}
+    renaming: dict[str, Term] = {}
+
+    def go(q: Pattern) -> Pattern:
+        if isinstance(q, PPair):
+            return PPair(go(q.left), go(q.right), pos=q.pos)
+        if q.name not in clash:
+            return q
+        new = fresh_name(q.name, taken)
+        taken.add(new)
+        renaming[q.name] = Var(new)
+        return PVar(new, pos=q.pos)
+
+    pat = go(pat)
+    return pat, subst_map(body, renaming)
+
+
 def _assoc(rw, n):
-    # let y <= (let x <= P in Q) in R  ==>  let x <= P in let y <= Q in R
-    if (isinstance(n, CLet) and isinstance(n.bound, CLet)
-            and not set(pattern_names(n.bound.pat)) & free_vars(n.body)
-            and not set(pattern_names(n.bound.pat)) & set(pattern_names(n.pat))):
-        inner = CLet(n.pat, n.bound.body, n.body, bound_type=n.bound_type)
-        return CLet(n.bound.pat, n.bound.bound, inner,
-                    bound_type=n.bound.bound_type)
+    # let y = (let x = P in Q) in R  ==>  let x = P in let y = Q in R
+    if isinstance(n, CLet) and isinstance(n.bound, CLet):
+        pat, q = _unshadow(n.bound.pat, n.bound.body, n.pat, n.body)
+        inner = CLet(n.pat, q, n.body, bound_type=n.bound_type)
+        return CLet(pat, n.bound.bound, inner, bound_type=n.bound.bound_type)
     return None
 
 
@@ -264,11 +336,10 @@ def _bind_right(rw, n):
 
 
 def _bind_assoc(rw, n):
-    if (isinstance(n, VecLet) and isinstance(n.bound, VecLet)
-            and not set(pattern_names(n.bound.pat)) & free_vars(n.body)
-            and not set(pattern_names(n.bound.pat)) & set(pattern_names(n.pat))):
-        inner = VecLet(n.pat, n.bound.body, n.body, type_=n.type_)
-        return VecLet(n.bound.pat, n.bound.bound, inner, type_=n.type_)
+    if isinstance(n, VecLet) and isinstance(n.bound, VecLet):
+        pat, q = _unshadow(n.bound.pat, n.bound.body, n.pat, n.body)
+        inner = VecLet(n.pat, q, n.body, type_=n.type_)
+        return VecLet(pat, n.bound.bound, inner, type_=n.type_)
     return None
 
 
@@ -365,18 +436,19 @@ _R2L: dict[Law, Callable] = {
     Law.BIND_PLUS: _bind_plus_r,
 }
 
-# automatic normalization: the reducing laws in priority order (the
-# eta/assoc family and the distributing bind.plus are manual-only), each with
-# the node class that heads its left-hand side
+# automatic normalization: the laws that decrease the termination measure,
+# in priority order, each with the node class that heads its left-hand side
 AUTO_LAWS: dict[Law, type] = {
-    Law.BETA_ARROW: CApp, Law.LEFT_UNIT: CLet, Law.RIGHT_UNIT: CLet,
-    Law.BETA_FUN: App, Law.BETA_PAIR1: Fst, Law.BETA_PAIR2: Snd,
+    Law.BETA_ARROW: CApp, Law.ETA_ARROW: ArrowAbs,
+    Law.LEFT_UNIT: CLet, Law.RIGHT_UNIT: CLet, Law.ASSOC: CLet,
+    Law.BETA_FUN: App, Law.ETA_FUN: Lam,
+    Law.BETA_PAIR1: Fst, Law.BETA_PAIR2: Snd,
     Law.LET_SUBST: Let,
     Law.IF_TRUE: If, Law.IF_FALSE: If, Law.EQ_LIT: Eq, Law.EQ_TRUE: Eq,
     Law.IF_DISTRIB: If, Law.IF_ETA: If,
     Law.BIND_LEFT: VecLet, Law.BIND_RIGHT: VecLet, Law.ZERO_BIND: VecLet,
-    Law.BIND_ZERO: VecLet,
-    Law.ZERO_PLUS: VecAdd, Law.PLUS_ZERO: VecAdd,
+    Law.BIND_ZERO: VecLet, Law.BIND_ASSOC: VecLet,
+    Law.ZERO_PLUS: VecAdd, Law.PLUS_ZERO: VecAdd, Law.PLUS_ASSOC: VecAdd,
     Law.DELTA: Var,
 }
 # the (law, matcher) pairs to try at a node, by its exact class (node
@@ -385,6 +457,59 @@ _AUTO_BY_CLASS: dict[type, tuple[tuple[Law, Callable], ...]] = {
     head: tuple((law, _L2R[law]) for law, h in AUTO_LAWS.items() if h is head)
     for head in AUTO_LAWS.values()
 }
+# how many levels below its head each automatic matcher reads: a rewrite
+# deeper than that cannot change whether the law applies.  None: two levels
+# plus the depth of the node's pattern, which the unit's content is compared
+# with.  The eta laws read the free variables of a whole subtree.
+_ANYWHERE = float("inf")
+_REACH: dict[Law, Optional[float]] = {
+    **dict.fromkeys(AUTO_LAWS, 1), Law.LET_SUBST: 0, Law.DELTA: 0,
+    Law.RIGHT_UNIT: None, Law.BIND_RIGHT: None,
+    Law.ETA_ARROW: _ANYWHERE, Law.ETA_FUN: _ANYWHERE,
+}
+
+# the largest reach among the laws of each head class, which lets the walk
+# down the spine pass most ancestors without trying their laws one by one;
+# None, at least 2, exceeds the other reaches in its classes
+_CLASS_REACH: dict[type, Optional[float]] = {
+    head: max((_REACH[law] for law, _ in laws),
+              key=lambda reach: 2 if reach is None else reach)
+    for head, laws in _AUTO_BY_CLASS.items()
+}
+
+
+def _pattern_depth(p: Pattern) -> int:
+    if isinstance(p, PPair):
+        return 1 + max(_pattern_depth(p.left), _pattern_depth(p.right))
+    return 0
+
+
+def _reaches(reach: Optional[float], node: Node, below: int) -> bool:
+    """Whether a matcher of `reach` at `node` reads `below` levels down."""
+    if reach is None:
+        reach = 2 + _pattern_depth(node.pat)
+    return below <= reach
+
+
+def size_limit(size: int) -> int:
+    """The largest term, in nodes, that normalizing a term of `size` nodes
+    may build."""
+    return 64 * size + 1024
+
+
+def _size(node: Node) -> int:
+    """The number of nodes of `node`, counted over ``child_fields``."""
+    n = 1
+    for f in node.child_fields:
+        n += _size(getattr(node, f))
+    return n
+
+
+# the automatic laws whose result can be larger than their redex: those that
+# substitute, unfold or distribute
+_GROWING = frozenset({Law.BETA_ARROW, Law.LEFT_UNIT, Law.BETA_FUN,
+                      Law.LET_SUBST, Law.BIND_LEFT, Law.DELTA,
+                      Law.IF_DISTRIB})
 
 
 # --------------------------------------------------------------------------
@@ -402,10 +527,14 @@ class ProofTrace(Record):
     start: Node
     steps: tuple[Step, ...]
     end: Node
-    complete: bool          # False when fuel ran out
+    complete: bool          # False when a bound stopped normalization
+    stopped: Optional[str] = None   # that bound: "fuel" or "size"
 
     def laws(self) -> list[Law]:
         return [s.law for s in self.steps]
+
+
+_STOP_NOTES = {"fuel": "fuel exhausted", "size": "size bound reached"}
 
 
 def render_trace(trace: ProofTrace) -> str:
@@ -414,12 +543,13 @@ def render_trace(trace: ProofTrace) -> str:
         lines.append(f"= {{ {step.law.value} }}")
         lines.append("    " + pretty(step.result))
     if not trace.complete:
-        lines.append("-- fuel exhausted; not a normal form")
+        note = _STOP_NOTES[trace.stopped or "fuel"]
+        lines.append(f"-- {note}; not a normal form")
     return "\n".join(lines)
 
 
 def trace_to_json(trace: ProofTrace) -> dict:
-    return {
+    out = {
         "start": pretty(trace.start),
         "steps": [{"law": s.law.value,
                    "path": list(s.path),
@@ -428,6 +558,9 @@ def trace_to_json(trace: ProofTrace) -> dict:
         "end": pretty(trace.end),
         "complete": trace.complete,
     }
+    if not trace.complete:
+        out["stopped"] = trace.stopped or "fuel"
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -462,9 +595,10 @@ class Rewriter:
                 f"{law.value} ({direction}) is not applicable at {path}")
         return replace_at(root, path, new)
 
-    def _find_redex(self, node: Node, path: tuple[int, ...],
-                    clean: dict[int, Node]) -> Optional[tuple]:
-        """The first redex of `node` in preorder, as (path, law, result).
+    def _search(self, node: Node, path: list[int],
+                clean: dict[int, Node]) -> Optional[tuple]:
+        """The first redex of `node` in preorder, as (path, law, redex,
+        result), trying every law of each node's class.
 
         `clean` maps ``id(n)`` to ``n`` for subtrees already found free of
         redexes; they are skipped, and `node`'s subtree joins them when it
@@ -475,32 +609,89 @@ class Rewriter:
         for law, match in _AUTO_BY_CLASS.get(type(node), ()):
             new = match(self, node)
             if new is not None:
-                return path, law, new
+                return tuple(path), law, node, new
         for i, f in enumerate(node.child_fields):
-            found = self._find_redex(getattr(node, f), path + (i,), clean)
+            path.append(i)
+            found = self._search(getattr(node, f), path, clean)
+            path.pop()
             if found is not None:
                 return found
         clean[id(node)] = node
         return None
 
+    def _find_redex(self, root: Node, clean: dict[int, Node],
+                    spine: tuple[int, ...]) -> Optional[tuple]:
+        """``_search(root)`` just after a rewrite at path `spine`, which the
+        previous search found to be the first redex.
+
+        Every strict ancestor of `spine` failed every law then, and each
+        subtree before the spine in preorder was found free of redexes.  So
+        the walk goes straight down the spine, trying at an ancestor only
+        the laws that reach down to the rewrite; then it searches the new
+        subtree, then the subtrees after the spine, innermost first.
+        """
+        node = root
+        ancestors = []
+        for depth, i in enumerate(spine):
+            below = len(spine) - depth
+            if _reaches(_CLASS_REACH.get(type(node), -1), node, below):
+                for law, match in _AUTO_BY_CLASS[type(node)]:
+                    if _reaches(_REACH[law], node, below):
+                        new = match(self, node)
+                        if new is not None:
+                            return spine[:depth], law, node, new
+            ancestors.append(node)
+            node = getattr(node, node.child_fields[i])
+        path = list(spine)
+        found = self._search(node, path, clean)
+        while found is None and ancestors:
+            node = ancestors.pop()
+            fields = node.child_fields
+            last = path.pop()
+            for i in range(last + 1, len(fields)):
+                path.append(i)
+                found = self._search(getattr(node, fields[i]), path, clean)
+                path.pop()
+                if found is not None:
+                    break
+            else:
+                clean[id(node)] = node
+        return found
+
     def normalize(self, node: Node, fuel: Optional[int] = None) -> ProofTrace:
         fuel = self.fuel if fuel is None else fuel
         start = node
         steps: list[Step] = []
-        complete = True
+        stopped = None
         clean: dict[int, Node] = {}     # stays valid for the whole call
+        spine = None
+        # `size` bounds the term's size from above; it is exact at the start
+        # and whenever it is recomputed, which it is only near the limit
+        size = _size(node)
+        limit = size_limit(size)
         while True:
-            found = self._find_redex(node, (), clean)
+            found = (self._search(node, [], clean) if spine is None
+                     else self._find_redex(node, clean, spine))
             if found is None:
                 break
             if fuel <= 0:
-                complete = False
+                stopped = "fuel"
                 break
-            path, law, new = found
+            path, law, redex, new = found
+            if law in _GROWING:
+                growth = _size(new) - _size(redex)
+                size += growth
+                if size > limit:
+                    size = _size(node) + growth
+                    if size > limit:
+                        stopped = "size"
+                        break
             node = replace_at(node, path, new)
             steps.append(Step(law, path, "L2R", node))
             fuel -= 1
-        return ProofTrace(start, tuple(steps), node, complete)
+            spine = path
+        return ProofTrace(start, tuple(steps), node, stopped is None,
+                          stopped=stopped)
 
     def replay(self, trace: ProofTrace) -> bool:
         node = trace.start
@@ -568,11 +759,13 @@ class Unknown(Record):
         return f"unknown: {self.reason}"
 
 
-def prove_equal(left: Term, right: Term, *, types: dict, env: dict,
+def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
                 defs: Optional[dict[str, Term]] = None,
                 fuel: int = 10000, tol: float = 1e-9):
     """Decide whether two terms are equal: first by normalization, then by
-    evaluating closed terms and comparing denotations."""
+    evaluating closed terms and comparing denotations.  `env` maps names to
+    values; only the second stage reads a value, so `env` may evaluate them
+    on first lookup."""
     lt = rt = None
     left_err = right_err = None
     try:
@@ -607,6 +800,7 @@ def prove_equal(left: Term, right: Term, *, types: dict, env: dict,
     if closed:
         # the semantic stage is the only part of the prover that evaluates
         from .evaluator import compare_values, eval_term
+        env = dict(env)     # evaluates a lazy environment's values once
         diff, wit = compare_values(eval_term(left2, env),
                                    eval_term(right2, env), lt, tol)
         if diff != diff:  # NaN: incomparable values
@@ -631,5 +825,7 @@ def prove_equal(left: Term, right: Term, *, types: dict, env: dict,
                        f"tolerance {tol:g} and 1e-6")
 
     if not (ltr.complete and rtr.complete):
-        return Unknown("normalization ran out of fuel")
+        stopped = ltr.stopped or rtr.stopped
+        return Unknown("normalization ran out of fuel" if stopped == "fuel"
+                       else "normalization reached its size bound")
     return Unknown("open terms with distinct normal forms")

@@ -513,8 +513,9 @@ def test_static_commands_build_no_matrix(runcli, tmp_path, monkeypatch):
 
 
 def test_static_commands_load_no_numpy(tmp_path):
-    """``import qarrow`` and the static subcommands leave numpy (and so the
-    evaluator) unloaded; ``run`` loads it."""
+    """``import qarrow``, the static subcommands and a ``prove`` that
+    normalization decides leave numpy (and so the evaluator) unloaded;
+    ``run`` loads it."""
     (tmp_path / "demo.qarr").write_text(randprog.DEMO_SRC)
     probe = "\n".join([
         "import sys",
@@ -522,11 +523,13 @@ def test_static_commands_load_no_numpy(tmp_path):
         "print('numpy' in sys.modules, file=sys.stderr)",
         "from qarrow.cli import main",
         "for argv in sys.argv[1:]:",
-        "    code = main(argv.split())",
+        "    code = main(argv.split('\\t'))",
         "    print(argv, code, 'numpy' in sys.modules, file=sys.stderr)",
     ])
-    cmds = ["check demo.qarr", "normalize demo.qarr dneg",
-            "emit demo.qarr toffoli --invert", "run demo.qarr mix --input |0>"]
+    cmds = ["check\tdemo.qarr", "normalize\tdemo.qarr\tdneg",
+            "emit\tdemo.qarr\ttoffoli\t--invert",
+            "prove\tdemo.qarr\tdneg\t\\@x. [x]",
+            "run\tdemo.qarr\tmix\t--input\t|0>"]
     src = Path(qarrow.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", probe, *cmds], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=str(src)),

@@ -2,7 +2,9 @@
 the density file, every subcommand exits 0, 1, 2 or 3 and prints no Python
 traceback.  Inputs are mutations of the README demo; none of them can ask
 for a large allocation (the demo's widest superoperator has three qubits,
-and a ket of another width is refused before its amplitudes exist)."""
+and a ket of another width is refused before its amplitudes exist).  On
+terms that the structural laws rewrite, ``normalize`` and ``prove`` keep
+the same contract, and a ``normalize --json`` trace replays."""
 
 import contextlib
 import io
@@ -12,8 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qarrow.cli import main
+from qarrow import elaborate_term, Law, parse_term
+from qarrow.cli import load_file, main, resolve_target
+from qarrow.rewriter import ProofTrace, Rewriter, Step
 
+import structural
 from randprog import DEMO_SRC
 
 # fragments a mutation may insert into a program or an inline term
@@ -116,3 +121,41 @@ def test_every_subcommand_keeps_the_exit_code_contract(workdir, program, argv,
             code = e.code
     assert code in (0, 1, 2, 3), (argv, program, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, program)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue()
+
+
+def _replays(data: dict, type_, gamma: dict, defs: dict) -> bool:
+    """Rebuild a ``normalize --json`` trace from its printed terms, each
+    typechecked at `type_`, and replay it law by law."""
+    def term(src):
+        return elaborate_term(gamma, parse_term(src), type_)[1]
+
+    steps = tuple(Step(Law(s["law"]), tuple(s["path"]), s["direction"],
+                       term(s["result"])) for s in data["steps"])
+    trace = ProofTrace(term(data["start"]), steps, term(data["end"]),
+                       data["complete"])
+    return Rewriter(defs).replay(trace)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(case=structural.terms(3), other=structural.terms(2))
+def test_normalize_and_prove_keep_the_contract_on_structural_terms(
+        workdir, case, other):
+    demo = workdir / "demo.qarr"
+    demo.write_text(DEMO_SRC)
+    src = case[0]
+    code, out = _run(["normalize", str(demo), src, "--json"])
+    if code in (0, 3):
+        _, gamma, _, defs = load_file(str(demo), True)
+        type_ = elaborate_term(gamma, resolve_target(src, defs))[0]
+        assert _replays(json.loads(out), type_, gamma, defs), src
+    for rhs in (src, other[0]):
+        _run(["prove", str(demo), src, rhs, "--fuel", "400"])

@@ -3,10 +3,14 @@ the plain search it replaces: restart from the root after every rewrite and
 try every automatic law at every node.  The two must take the same steps;
 the incremental one must do far less matching."""
 
+import pytest
+from hypothesis import given, settings
+
 import randprog
-from qarrow import apply_law_at, elaborate_term, parse_term, pretty
+import structural
+from qarrow import apply_law_at, elaborate_term, parse_term, parse_type, pretty
 from qarrow import rewriter
-from qarrow.rewriter import _L2R, AUTO_LAWS, Rewriter, replace_at
+from qarrow.rewriter import _L2R, AUTO_LAWS, Law, Rewriter, replace_at
 
 GOLDEN_START = "\\@x. let y = (\\@z. [not z]) @ x in (\\@w. [not w]) @ y"
 
@@ -105,8 +109,9 @@ def test_matcher_calls_on_a_long_normalization(prelude, defs_map, monkeypatch):
 
 
 def _chain(n):
-    # a redex-free chain of n gate lets beside a chain of n classical lets
-    # that each reduce (left unit) at the same position
+    # a chain of n gate lets bound by an outer let, which assoc flattens one
+    # level per step, beside a chain of n classical lets that each reduce
+    # (left unit) at the same position
     gates = " ".join(f"let x{i + 1} = QNot @ x{i} in" for i in range(n))
     units = " ".join(f"let z{i + 1} = [{'True' if i == 0 else f'z{i}'}] in"
                      for i in range(n))
@@ -120,7 +125,49 @@ def test_matcher_calls_grow_linearly(prelude, defs_map, monkeypatch):
         term = elaborate_term(prelude.types, _chain(size))[1]
         calls = _count_matches(monkeypatch)
         trace = rw.normalize(term)
-        assert len(trace.steps) == size and trace.complete
+        assert len(trace.steps) == 2 * size and trace.complete
         counts.append(calls[0])
-    # the redex-free chain is searched once, not once per step
+    # the rebuilt spine is not searched again at every step
     assert counts[1] <= 2.2 * counts[0]
+
+
+# an eta redex (at path (0,)) whose side condition a rewrite three levels
+# further down makes true
+ETA_DEEP = "\\q. \\x. (if q then (if True then not else (\\y. x)) else not) x"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(structural.terms(3))
+def test_traces_match_the_plain_search_on_structural_terms(prelude, defs_map,
+                                                           case):
+    src, type_src = case
+    _, term = elaborate_term(prelude.types, parse_term(src),
+                             parse_type(type_src))
+    rw = Rewriter(defs_map)
+    for fuel in (2, 10000):
+        assert incremental_steps(rw, term, fuel) == plain_steps(rw, term,
+                                                                fuel)
+
+
+@pytest.mark.parametrize("src,first", [
+    (ETA_DEEP, [(Law.IF_TRUE, (0, 0, 0, 1)), (Law.ETA_FUN, (0,))]),
+    # the unit's content becomes the pattern's term three levels down
+    ("\\@p. let (a,b) = Cnot @ p in [(fst (a, True), b)]",
+     [(Law.BETA_PAIR1, (0, 1, 0, 0)), (Law.RIGHT_UNIT, (0,))]),
+])
+def test_laws_are_retried_as_far_up_as_they_read(prelude, defs_map, src,
+                                                 first):
+    _, term = elaborate_term(prelude.types, parse_term(src))
+    rw = Rewriter(defs_map)
+    got = incremental_steps(rw, term, 10000)
+    assert got == plain_steps(rw, term, 10000)
+    assert [(law, path) for law, path, _ in got[0][:2]] == first
+
+
+def test_matcher_calls_on_a_long_chain(prelude, defs_map, monkeypatch):
+    # 1 606 matcher calls when assoc was manual and the chain took 200 steps
+    term = elaborate_term(prelude.types, _chain(200))[1]
+    calls = _count_matches(monkeypatch)
+    trace = Rewriter(defs_map).normalize(term)
+    assert len(trace.steps) == 400 and trace.complete
+    assert calls[0] <= 20 * 1606
