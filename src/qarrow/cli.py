@@ -246,11 +246,14 @@ def resolve_target(target: str, defs: dict):
 
 
 def elaborated_target(target: str, path: str, gamma: dict, defs: dict):
-    """A target, typechecked against `gamma`; a type error fails the task."""
+    """A target, typechecked against `gamma`; a type error fails the task.
+    An inline target's error is placed in ``<arg>``, a definition's in
+    `path`."""
+    term = resolve_target(target, defs)
     try:
-        return elaborate_term(gamma, resolve_target(target, defs))[1]
+        return elaborate_term(gamma, term)[1]
     except TypeCheckError as e:
-        raise CliError(e.render(path), FAIL)
+        raise CliError(e.render(path if target in defs else "<arg>"), FAIL)
 
 
 # --------------------------------------------------------------------------

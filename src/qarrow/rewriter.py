@@ -6,8 +6,8 @@ known).  Each law has a canonical left-to-right direction; the reverse
 direction is supported only where it is deterministic and needs no type
 information.
 
-Positions are paths: tuples of child indices, with the child order fixed
-per node class by its ``child_fields`` (see ``syntax.py``).
+Positions are paths: tuples of non-negative child indices, with the child
+order fixed per node class by its ``child_fields`` (see ``syntax.py``).
 ``normalize`` repeatedly applies the first law (in a fixed priority order)
 at the leftmost-outermost applicable position, recording one step per
 rewrite; the recorded trace replays exactly via ``apply_law_at``.
@@ -54,19 +54,10 @@ term at each step.  So normalization also stops, with ``complete`` false and
 make the term larger than ``size_limit`` of the start term's size (nodes
 counted over ``child_fields``).
 
-The search for the next redex is incremental.  Each automatic law declares
-the node class that heads its redexes, so a node is tried only against the
-laws of its own class, in priority order.  Within one ``normalize`` call,
-subtrees found free of redexes are remembered by identity: nodes are
-immutable and a matcher reads only its node's subtree and the unfoldable
-definitions, so such a subtree stays free of redexes.  After a rewrite the
-walk goes straight down the rebuilt spine to the new subtree: the subtrees
-before the spine in preorder were found free of redexes, and every ancestor
-on it failed every law before the rewrite.  An ancestor is tried again only
-against the laws that read as deep as the rewrite (``_REACH``), and, since
-their side condition reads a whole subtree's free variables, the two eta
-laws at any depth.  The steps are those of the plain search, which restarts
-from the root and tries every law at every node.
+Within one ``normalize`` call, the leftmost-outermost search restarts from
+the root after each rewrite and skips the subtrees it has found free of
+redexes: nodes are immutable, and a matcher reads only its node's subtree
+and the unfoldable definitions, so such a subtree stays free of redexes.
 
 Definition unfolding (``delta``) is restricted to definitions that are not
 arrow abstractions; programs are non-recursive, so unfolding terminates.
@@ -132,7 +123,7 @@ class Law(Enum):
 
 def get_at(node: Node, path: tuple[int, ...]) -> Node:
     for i in path:
-        if i >= len(node.child_fields):
+        if not 0 <= i < len(node.child_fields):
             raise RewriteError(f"path {path} leaves the tree")
         node = getattr(node, node.child_fields[i])
     return node
@@ -143,7 +134,7 @@ def replace_at(node: Node, path: tuple[int, ...], new: Node) -> Node:
         return new
     fields = node.child_fields
     i = path[0]
-    if i >= len(fields):
+    if not 0 <= i < len(fields):
         raise RewriteError(f"path {path} leaves the tree")
     child = replace_at(getattr(node, fields[i]), path[1:], new)
     return rebuild(node, {fields[i]: child})
@@ -457,38 +448,6 @@ _AUTO_BY_CLASS: dict[type, tuple[tuple[Law, Callable], ...]] = {
     head: tuple((law, _L2R[law]) for law, h in AUTO_LAWS.items() if h is head)
     for head in AUTO_LAWS.values()
 }
-# how many levels below its head each automatic matcher reads: a rewrite
-# deeper than that cannot change whether the law applies.  None: two levels
-# plus the depth of the node's pattern, which the unit's content is compared
-# with.  The eta laws read the free variables of a whole subtree.
-_ANYWHERE = float("inf")
-_REACH: dict[Law, Optional[float]] = {
-    **dict.fromkeys(AUTO_LAWS, 1), Law.LET_SUBST: 0, Law.DELTA: 0,
-    Law.RIGHT_UNIT: None, Law.BIND_RIGHT: None,
-    Law.ETA_ARROW: _ANYWHERE, Law.ETA_FUN: _ANYWHERE,
-}
-
-# the largest reach among the laws of each head class, which lets the walk
-# down the spine pass most ancestors without trying their laws one by one;
-# None, at least 2, exceeds the other reaches in its classes
-_CLASS_REACH: dict[type, Optional[float]] = {
-    head: max((_REACH[law] for law, _ in laws),
-              key=lambda reach: 2 if reach is None else reach)
-    for head, laws in _AUTO_BY_CLASS.items()
-}
-
-
-def _pattern_depth(p: Pattern) -> int:
-    if isinstance(p, PPair):
-        return 1 + max(_pattern_depth(p.left), _pattern_depth(p.right))
-    return 0
-
-
-def _reaches(reach: Optional[float], node: Node, below: int) -> bool:
-    """Whether a matcher of `reach` at `node` reads `below` levels down."""
-    if reach is None:
-        reach = 2 + _pattern_depth(node.pat)
-    return below <= reach
 
 
 def size_limit(size: int) -> int:
@@ -579,8 +538,10 @@ class Rewriter:
 
     def try_law(self, node: Node, law: Law,
                 direction: str = "L2R") -> Optional[Node]:
-        table = _L2R if direction == "L2R" else _R2L
-        fn = table.get(law)
+        if direction not in ("L2R", "R2L"):
+            raise RewriteError(
+                f"direction must be L2R or R2L, not {direction!r}")
+        fn = (_L2R if direction == "L2R" else _R2L).get(law)
         if fn is None:
             raise RewriteError(
                 f"direction {direction} is not supported for {law.value}")
@@ -619,59 +580,18 @@ class Rewriter:
         clean[id(node)] = node
         return None
 
-    def _find_redex(self, root: Node, clean: dict[int, Node],
-                    spine: tuple[int, ...]) -> Optional[tuple]:
-        """``_search(root)`` just after a rewrite at path `spine`, which the
-        previous search found to be the first redex.
-
-        Every strict ancestor of `spine` failed every law then, and each
-        subtree before the spine in preorder was found free of redexes.  So
-        the walk goes straight down the spine, trying at an ancestor only
-        the laws that reach down to the rewrite; then it searches the new
-        subtree, then the subtrees after the spine, innermost first.
-        """
-        node = root
-        ancestors = []
-        for depth, i in enumerate(spine):
-            below = len(spine) - depth
-            if _reaches(_CLASS_REACH.get(type(node), -1), node, below):
-                for law, match in _AUTO_BY_CLASS[type(node)]:
-                    if _reaches(_REACH[law], node, below):
-                        new = match(self, node)
-                        if new is not None:
-                            return spine[:depth], law, node, new
-            ancestors.append(node)
-            node = getattr(node, node.child_fields[i])
-        path = list(spine)
-        found = self._search(node, path, clean)
-        while found is None and ancestors:
-            node = ancestors.pop()
-            fields = node.child_fields
-            last = path.pop()
-            for i in range(last + 1, len(fields)):
-                path.append(i)
-                found = self._search(getattr(node, fields[i]), path, clean)
-                path.pop()
-                if found is not None:
-                    break
-            else:
-                clean[id(node)] = node
-        return found
-
     def normalize(self, node: Node, fuel: Optional[int] = None) -> ProofTrace:
         fuel = self.fuel if fuel is None else fuel
         start = node
         steps: list[Step] = []
         stopped = None
         clean: dict[int, Node] = {}     # stays valid for the whole call
-        spine = None
         # `size` bounds the term's size from above; it is exact at the start
         # and whenever it is recomputed, which it is only near the limit
         size = _size(node)
         limit = size_limit(size)
         while True:
-            found = (self._search(node, [], clean) if spine is None
-                     else self._find_redex(node, clean, spine))
+            found = self._search(node, [], clean)
             if found is None:
                 break
             if fuel <= 0:
@@ -689,7 +609,6 @@ class Rewriter:
             node = replace_at(node, path, new)
             steps.append(Step(law, path, "L2R", node))
             fuel -= 1
-            spine = path
         return ProofTrace(start, tuple(steps), node, stopped is None,
                           stopped=stopped)
 

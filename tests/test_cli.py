@@ -327,6 +327,10 @@ def test_normalize_out_of_fuel_exits_3(runcli):
 def test_normalize_ill_typed_inline_exits_1(runcli):
     code, _, err = runcli("normalize", "-", "\\@x. not @ x", stdin="")
     assert code == FAIL and "mismatch" in err
+    # the position is in the argument, not in the file
+    assert err.startswith("<arg>:1:"), err
+    code, _, err = runcli("normalize", "-", "not (x, True)", stdin="")
+    assert code == FAIL and err.startswith("<arg>:1:6: unbound: x"), err
 
 
 def test_normalize_unparseable_target_exits_2(runcli):

@@ -1,7 +1,7 @@
-"""The incremental redex search of ``Rewriter.normalize``, checked against
-the plain search it replaces: restart from the root after every rewrite and
-try every automatic law at every node.  The two must take the same steps;
-the incremental one must do far less matching."""
+"""The redex search of ``Rewriter.normalize``, which skips subtrees it has
+found free of redexes, checked against the plain search with no memo:
+restart from the root after every rewrite and try every automatic law at
+every node.  The two must take the same steps."""
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +43,7 @@ def plain_steps(rw, node, fuel):
         fuel -= 1
 
 
-def incremental_steps(rw, node, fuel):
+def normalize_steps(rw, node, fuel):
     trace = rw.normalize(node, fuel)
     return ([(s.law, s.path, pretty(s.result)) for s in trace.steps],
             trace.complete)
@@ -75,7 +75,7 @@ def test_traces_match_the_plain_search(prelude, defs_map):
     stepped = 0
     for name, term in terms.items():
         for fuel in (1, 2, 3, 10000):
-            got = incremental_steps(rw, term, fuel)
+            got = normalize_steps(rw, term, fuel)
             want = plain_steps(rw, term, fuel)
             assert got == want, (name, fuel)
         stepped += bool(want[0])
@@ -108,29 +108,6 @@ def test_matcher_calls_on_a_long_normalization(prelude, defs_map, monkeypatch):
     assert calls[0] <= 30_000
 
 
-def _chain(n):
-    # a chain of n gate lets bound by an outer let, which assoc flattens one
-    # level per step, beside a chain of n classical lets that each reduce
-    # (left unit) at the same position
-    gates = " ".join(f"let x{i + 1} = QNot @ x{i} in" for i in range(n))
-    units = " ".join(f"let z{i + 1} = [{'True' if i == 0 else f'z{i}'}] in"
-                     for i in range(n))
-    return parse_term(f"\\@x0. let y = {gates} Had @ x{n} in {units} [(y, z{n})]")
-
-
-def test_matcher_calls_grow_linearly(prelude, defs_map, monkeypatch):
-    rw = Rewriter(defs_map)
-    counts = []
-    for size in (40, 80):
-        term = elaborate_term(prelude.types, _chain(size))[1]
-        calls = _count_matches(monkeypatch)
-        trace = rw.normalize(term)
-        assert len(trace.steps) == 2 * size and trace.complete
-        counts.append(calls[0])
-    # the rebuilt spine is not searched again at every step
-    assert counts[1] <= 2.2 * counts[0]
-
-
 # an eta redex (at path (0,)) whose side condition a rewrite three levels
 # further down makes true
 ETA_DEEP = "\\q. \\x. (if q then (if True then not else (\\y. x)) else not) x"
@@ -145,29 +122,22 @@ def test_traces_match_the_plain_search_on_structural_terms(prelude, defs_map,
                              parse_type(type_src))
     rw = Rewriter(defs_map)
     for fuel in (2, 10000):
-        assert incremental_steps(rw, term, fuel) == plain_steps(rw, term,
+        assert normalize_steps(rw, term, fuel) == plain_steps(rw, term,
                                                                 fuel)
 
 
 @pytest.mark.parametrize("src,first", [
-    (ETA_DEEP, [(Law.IF_TRUE, (0, 0, 0, 1)), (Law.ETA_FUN, (0,))]),
+    pytest.param(ETA_DEEP,
+                 [(Law.IF_TRUE, (0, 0, 0, 1)), (Law.ETA_FUN, (0,))],
+                 id="eta"),
     # the unit's content becomes the pattern's term three levels down
-    ("\\@p. let (a,b) = Cnot @ p in [(fst (a, True), b)]",
-     [(Law.BETA_PAIR1, (0, 1, 0, 0)), (Law.RIGHT_UNIT, (0,))]),
+    pytest.param("\\@p. let (a,b) = Cnot @ p in [(fst (a, True), b)]",
+                 [(Law.BETA_PAIR1, (0, 1, 0, 0)), (Law.RIGHT_UNIT, (0,))],
+                 id="right-unit"),
 ])
-def test_laws_are_retried_as_far_up_as_they_read(prelude, defs_map, src,
-                                                 first):
+def test_a_deep_rewrite_enables_an_outer_redex(prelude, defs_map, src, first):
     _, term = elaborate_term(prelude.types, parse_term(src))
     rw = Rewriter(defs_map)
-    got = incremental_steps(rw, term, 10000)
+    got = normalize_steps(rw, term, 10000)
     assert got == plain_steps(rw, term, 10000)
     assert [(law, path) for law, path, _ in got[0][:2]] == first
-
-
-def test_matcher_calls_on_a_long_chain(prelude, defs_map, monkeypatch):
-    # 1 606 matcher calls when assoc was manual and the chain took 200 steps
-    term = elaborate_term(prelude.types, _chain(200))[1]
-    calls = _count_matches(monkeypatch)
-    trace = Rewriter(defs_map).normalize(term)
-    assert len(trace.steps) == 400 and trace.complete
-    assert calls[0] <= 20 * 1606

@@ -68,6 +68,12 @@ def test_auto_laws_are_reducing():
 def test_unsupported_direction():
     with pytest.raises(RewriteError, match="not supported"):
         apply_law_at(T("(\\x. x) True"), (), Law.BETA_FUN, "R2L")
+    # a direction is exactly L2R or R2L; R2L applies here
+    cmd = C("let x = QNot @ a in let y = Had @ x in [y]")
+    apply_law_at(cmd, (), Law.ASSOC, "R2L")
+    for direction in ("L2R ", "r2l", "backwards"):
+        with pytest.raises(RewriteError, match="direction must be"):
+            apply_law_at(cmd, (), Law.ASSOC, direction)
 
 
 # --------------------------------------------------------------------------
@@ -250,8 +256,12 @@ def test_deep_application():
 
 
 def test_invalid_path():
-    with pytest.raises(RewriteError):
-        get_at(T("True"), (0,))
+    for term, path in [("True", (0,)),
+                       ("(fst (True, False), snd (True, False))", (-1,))]:
+        with pytest.raises(RewriteError, match="leaves the tree"):
+            get_at(T(term), path)
+        with pytest.raises(RewriteError, match="leaves the tree"):
+            replace_at(T(term), path, T("False"))
 
 
 # --------------------------------------------------------------------------
