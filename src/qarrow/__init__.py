@@ -30,8 +30,8 @@ _EXPORTS = {
                  "Step", "trace_to_json", "Unknown"),
     "stdlib": ("load_prelude",),
     "syntax": ("alpha_eq", "ArrowAbs", "BoolT", "free_vars", "FunT",
-               "is_classical", "pretty", "ProdT", "Program", "SuperT",
-               "type_str", "TypeExpr", "VecT"),
+               "is_classical", "pretty", "ProdT", "Program", "QarrowError",
+               "SuperT", "type_str", "TypeExpr", "VecT"),
     "typecheck": ("elaborate_program", "elaborate_term", "EnvPair",
                   "TypeCheckError"),
 }

@@ -38,17 +38,14 @@ from typing import Optional
 
 from .syntax import (App, ArrowAbs, CApp, CLet, Command, CUnit, free_vars,
                      Lam, Meas, Pair, Pattern, pattern_names, pattern_term,
-                     PPair, Pos, ProdT, PVar, SuperT, Term, TrL, TypeExpr, Var,
-                     pretty, pretty_pattern)
+                     PPair, ProdT, PVar, QarrowError, SuperT, Term, TrL,
+                     TypeExpr, Var, pretty, pretty_pattern)
 
 DeltaEntry = tuple[Pattern, TypeExpr]
 
 
-class TranslationError(Exception):
-    def __init__(self, message: str, pos: Optional[Pos] = None):
-        self.message = message
-        self.pos = pos
-        super().__init__(message)
+class TranslationError(QarrowError):
+    pass
 
 
 @dataclass(frozen=True)

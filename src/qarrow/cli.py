@@ -23,6 +23,15 @@ restriction); 2 bad input (missing file, parse error, wrong dimension,
 negative fuel, a tolerance that is negative or not finite, nesting too deep
 for the stack, densities too large for memory);
 3 indeterminate (fuel exhausted or size bound reached, unknown verdict).
+
+Every error is a ``QarrowError``, which ``main`` prints as one line, and an
+error with a position prints as ``source:line:col: message``.  The source
+is the file, ``<stdin>`` for ``-``, ``<arg>`` for an inline target, or
+``prelude.qarr``.  Usage errors, an unreadable file, a bad ket or density,
+evaluation errors, and running out of stack or memory (``file:
+RecursionError: …``, ``file: MemoryError: …``) carry no position.
+``prove`` reports an ill-typed side as an ``unknown`` verdict, with its
+position, and exits 3.
 """
 
 from __future__ import annotations
@@ -33,14 +42,13 @@ import sys
 from collections.abc import Mapping
 from typing import Optional, TYPE_CHECKING
 
-from .classic import inverse_translate, sexpr, translate_term, TranslationError
+from .classic import inverse_translate, sexpr, translate_term
 from .parser import parse_program, parse_term, ParseError
 from .rewriter import (NotEqual, ProvedByNormalization, ProvedSemantically,
-                       prove_equal, render_trace, Rewriter, RewriteError,
-                       trace_to_json)
+                       prove_equal, render_trace, Rewriter, trace_to_json)
 from .stdlib import load_prelude
-from .syntax import ArrowAbs, pretty, Program, type_str
-from .typecheck import elaborate_program, elaborate_term, TypeCheckError
+from .syntax import ArrowAbs, Pos, pretty, Program, QarrowError, type_str
+from .typecheck import elaborate_program, elaborate_term
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,11 +56,10 @@ if TYPE_CHECKING:
 OK, FAIL, BADINPUT, UNDECIDED = 0, 1, 2, 3
 
 
-class CliError(Exception):
+class CliError(QarrowError):
     def __init__(self, message: str, code: int):
-        self.message = message
-        self.code = code
         super().__init__(message)
+        self.code = code
 
 
 # --------------------------------------------------------------------------
@@ -178,24 +185,9 @@ def load_file(path: str, use_prelude: bool):
         defs = {d.name: d.term for d in pre.program.defs}
     else:
         gamma, defs = {}, {}
-    if path == "-":
-        src = sys.stdin.read()
-        name = "<stdin>"
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                src = fh.read()
-        except OSError as e:
-            raise CliError(f"cannot read {path}: {e.strerror}", BADINPUT)
-        name = path
-    try:
-        prog = parse_program(src, name)
-    except ParseError as e:
-        raise CliError(str(e), BADINPUT)
-    try:
-        types, elaborated = elaborate_program(prog, gamma)
-    except TypeCheckError as e:
-        raise CliError(e.render(name), FAIL)
+    name = "<stdin>" if path == "-" else path
+    prog = parse_program(read_source(path, name), name)
+    types, elaborated = elaborate_program(prog, gamma)
     gamma.update(types)
     check_translations(elaborated)
 
@@ -207,6 +199,35 @@ def load_file(path: str, use_prelude: bool):
     env = LazyEnv([*defs, *(d.name for d in elaborated.defs)], evaluate)
     defs.update({d.name: d.term for d in elaborated.defs})
     return types, gamma, env, defs
+
+
+def read_source(path: str, name: str) -> str:
+    """The text of the file at `path`, or of stdin for ``-``.  A byte that
+    is not UTF-8 is a parse error at its position in `name`."""
+    if path == "-":
+        # the bytes under stdin when it has them, so no locale decodes them
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+    else:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as e:
+            raise CliError(f"cannot read {path}: {e.strerror}", BADINPUT)
+    if isinstance(data, str):
+        return data
+    try:
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        head = _newlines(data[:e.start].decode("utf-8"))
+        line = head.count("\n") + 1
+        col = len(head) - head.rfind("\n")
+        raise ParseError(f"invalid UTF-8 byte 0x{data[e.start]:02x}",
+                         Pos(line, col, name)) from None
+
+
+def _newlines(text: str) -> str:
+    """`text` with its line ends read as a text-mode file reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def check_translations(prog: Program) -> None:
@@ -235,25 +256,17 @@ def check_limits(fuel: int, tol: float = 0.0) -> None:
 
 
 def resolve_target(target: str, defs: dict):
-    """A target is a definition name or an inline term."""
+    """A target is a definition name or an inline term, read from
+    ``<arg>``."""
+    return defs[target] if target in defs else parse_term(target, "<arg>")
+
+
+def elaborated_target(target: str, gamma: dict, defs: dict):
+    """A target's elaborated term: a definition's as `load_file` elaborated
+    it, at its annotation, or an inline term typechecked against `gamma`."""
     if target in defs:
         return defs[target]
-    try:
-        term = parse_term(target, "<arg>")
-    except ParseError as e:
-        raise CliError(str(e), BADINPUT)
-    return term
-
-
-def elaborated_target(target: str, path: str, gamma: dict, defs: dict):
-    """A target, typechecked against `gamma`; a type error fails the task.
-    An inline target's error is placed in ``<arg>``, a definition's in
-    `path`."""
-    term = resolve_target(target, defs)
-    try:
-        return elaborate_term(gamma, term)[1]
-    except TypeCheckError as e:
-        raise CliError(e.render(path if target in defs else "<arg>"), FAIL)
+    return elaborate_term(gamma, resolve_target(target, defs))[1]
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +350,7 @@ def cmd_run(args) -> int:
 def cmd_normalize(args) -> int:
     check_limits(args.fuel)
     _, gamma, _, defs = load_file(args.file, not args.no_prelude)
-    term = elaborated_target(args.target, args.file, gamma, defs)
+    term = elaborated_target(args.target, gamma, defs)
     rw = Rewriter(defs, args.fuel)
     trace = rw.normalize(term)
     if args.json:
@@ -379,13 +392,10 @@ def cmd_prove(args) -> int:
 
 def cmd_emit(args) -> int:
     _, gamma, _, defs = load_file(args.file, not args.no_prelude)
-    term = elaborated_target(args.name, args.file, gamma, defs)
+    term = elaborated_target(args.name, gamma, defs)
     if not isinstance(term, ArrowAbs):
         raise CliError(f"{args.name} is not an arrow abstraction", BADINPUT)
-    try:
-        pipe = translate_term(term)
-    except TranslationError as e:
-        raise CliError(f"translation failed: {e.message}", FAIL)
+    pipe = translate_term(term)
     inv = inverse_translate(pipe) if args.invert else None
     if args.json:
         out = {"pipeline": sexpr(pipe),
@@ -458,26 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _eval_errors() -> tuple:
-    """``EvalError`` once the evaluator is loaded; until then nothing can
-    raise it, and the static subcommands do not load it to catch it."""
-    evaluator = sys.modules.get(f"{__package__}.evaluator")
-    return () if evaluator is None else (evaluator.EvalError,)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(e.message, file=sys.stderr)
-        return e.code
-    except (ParseError, TypeCheckError) as e:
-        print(str(e), file=sys.stderr)
-        return FAIL
-    except (TranslationError, RewriteError, *_eval_errors()) as e:
-        print(str(e), file=sys.stderr)
-        return FAIL
+    except QarrowError as e:
+        print(e, file=sys.stderr)
+        if isinstance(e, CliError):
+            return e.code
+        return BADINPUT if isinstance(e, ParseError) else FAIL
     except (RecursionError, MemoryError) as e:
         # a program nested too deeply for the tree walks, or whose densities
         # do not fit in memory: bad input, reported without a traceback

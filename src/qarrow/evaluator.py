@@ -54,14 +54,14 @@ from .linalg import (apply_super, basis, check_density, dim, elem_index,
                      pure_density, SuperVal, vec_return, vec_zero)
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, Eq, free_vars, Fst, FunT,
                      If, is_classical, Lam, Let, MZero, Pair, Pattern, PPair,
-                     ProdT, Program, PVar, Snd, Term, TypeExpr, Var, VecAdd,
-                     VecLet, VecScale, VecSub, VecT, VecUnit)
+                     ProdT, Program, PVar, QarrowError, Snd, Term, TypeExpr,
+                     Var, VecAdd, VecLet, VecScale, VecSub, VecT, VecUnit)
 
 # memory budget (complex cells) for one column block during materialization
 _BUDGET = 4_000_000
 
 
-class EvalError(Exception):
+class EvalError(QarrowError):
     pass
 
 

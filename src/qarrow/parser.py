@@ -24,23 +24,16 @@ from typing import Optional
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
                      Def, Eq, Fst, FunT, If, Lam, Let, lin_type, Meas,
                      MZero, Pair, Pattern, pattern_names, PPair, Pos, ProdT,
-                     Program, PVar, Record, Snd, SuperT, Term, TrL, TypeExpr,
-                     Var, VecAdd, VecScale, VecSub, VecT, VecUnit)
+                     Program, PVar, QarrowError, Record, Snd, SuperT, Term,
+                     TrL, TypeExpr, Var, VecAdd, VecScale, VecSub, VecT,
+                     VecUnit)
 
 INV_SQRT2 = 2 ** -0.5
 
 
-class ParseError(SyntaxError):
-    def __init__(self, message: str, pos: Pos, filename: str = "<input>"):
-        super().__init__(f"{filename}:{pos.line}:{pos.col}: {message}")
-        self.message = message
-        self.pos = pos
-        self.filename = filename
-
-    def __str__(self) -> str:
-        # exactly `file:line:col: message`: SyntaxError's own __str__ would
-        # append " (file)", since `filename` is set
-        return self.msg
+class ParseError(QarrowError, SyntaxError):
+    """A parse error.  It is also a ``SyntaxError``, so callers that catch
+    Python's own parse failures catch it too."""
 
 
 KEYWORDS = {
@@ -63,7 +56,7 @@ class Token(Record):
     pos: Pos
 
 
-def tokenize(src: str, filename: str = "<input>") -> list[Token]:
+def tokenize(src: str, source: str = "<input>") -> list[Token]:
     toks: list[Token] = []
     line, col = 1, 1
     i, n = 0, len(src)
@@ -82,7 +75,7 @@ def tokenize(src: str, filename: str = "<input>") -> list[Token]:
             while i < n and src[i] != "\n":
                 i += 1
             continue
-        pos = Pos(line, col)
+        pos = Pos(line, col, source)
         # str.isdigit and str.isalpha accept non-ASCII characters, which the
         # patterns do not: those fall through to "unexpected character"
         if c.isdigit() and (m := _NUM_RE.match(src, i)):
@@ -135,8 +128,8 @@ def tokenize(src: str, filename: str = "<input>") -> list[Token]:
             i += 1
             col += 1
             continue
-        raise ParseError(f"unexpected character {c!r}", pos, filename)
-    toks.append(Token("EOF", "", Pos(line, col)))
+        raise ParseError(f"unexpected character {c!r}", pos)
+    toks.append(Token("EOF", "", Pos(line, col, source)))
     return toks
 
 
@@ -164,10 +157,9 @@ def _parse_scalar(text: str) -> complex:
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], filename: str = "<input>"):
+    def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
-        self.filename = filename
 
     # ---- token plumbing
 
@@ -188,8 +180,7 @@ class Parser:
         if t.kind not in kinds:
             expected = " or ".join(repr(k) for k in kinds)
             found = repr(t.text) if t.text else "end of input"
-            raise ParseError(f"expected {expected}, found {found}",
-                             t.pos, self.filename)
+            raise ParseError(f"expected {expected}, found {found}", t.pos)
         return self.next()
 
     def _at_definition_boundary(self) -> bool:
@@ -238,7 +229,7 @@ class Parser:
             for p in reversed(parts[:-1]):
                 t = ProdT(p, t, pos=tok.pos)
             return t
-        raise ParseError(f"expected a type, found {tok.text!r}", tok.pos, self.filename)
+        raise ParseError(f"expected a type, found {tok.text!r}", tok.pos)
 
     # ---- patterns
 
@@ -259,12 +250,12 @@ class Parser:
                 p = PPair(q, p, pos=tok.pos)
             self._check_distinct(p, tok.pos)
             return p
-        raise ParseError(f"expected a pattern, found {tok.text!r}", tok.pos, self.filename)
+        raise ParseError(f"expected a pattern, found {tok.text!r}", tok.pos)
 
     def _check_distinct(self, p: Pattern, pos: Pos) -> None:
         names = pattern_names(p)
         if len(set(names)) != len(names):
-            raise ParseError("pattern variables must be distinct", pos, self.filename)
+            raise ParseError("pattern variables must be distinct", pos)
 
     # ---- terms
 
@@ -372,7 +363,7 @@ class Parser:
                 t = Pair(p, t, pos=tok.pos)
             return t
         raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}",
-                         tok.pos, self.filename)
+                         tok.pos)
 
     # ---- commands
 
@@ -406,7 +397,7 @@ class Parser:
             t = self.peek()
             raise ParseError(
                 "expected '@' (arrow application) after the function term of a command",
-                t.pos if t.kind != "EOF" else tok.pos, self.filename)
+                t.pos if t.kind != "EOF" else tok.pos)
         self.next()
         arg = self.parse_term()
         return CApp(fn, arg, pos=tok.pos)
@@ -420,7 +411,7 @@ class Parser:
             name_tok = self.expect("NAME")
             if name_tok.text in seen:
                 raise ParseError(f"duplicate definition of {name_tok.text!r}",
-                                 name_tok.pos, self.filename)
+                                 name_tok.pos)
             seen.add(name_tok.text)
             annot: Optional[TypeExpr] = None
             if self.at(":"):
@@ -433,11 +424,11 @@ class Parser:
                         raise ParseError(
                             f"signature for {name_tok.text!r} must be followed "
                             f"by its definition, found {def_tok.text!r}",
-                            def_tok.pos, self.filename)
+                            def_tok.pos)
             self.expect("=")
             term = self.parse_term()
             defs.append(Def(name_tok.text, annot, term, pos=name_tok.pos))
-        return Program(tuple(defs), source_name=self.filename)
+        return Program(tuple(defs))
 
 
 def _parse_all(src: str, source_name: str, rule):
@@ -447,11 +438,11 @@ def _parse_all(src: str, source_name: str, rule):
     parenthesis), so nesting is bounded by the interpreter's stack: a program
     nested deeper than that is refused at the token where the stack ran out,
     instead of crashing."""
-    p = Parser(tokenize(src, source_name), source_name)
+    p = Parser(tokenize(src, source_name))
     try:
         node = rule(p)
     except RecursionError:
-        raise ParseError("nesting too deep", p.peek().pos, source_name) from None
+        raise ParseError("nesting too deep", p.peek().pos) from None
     p.expect("EOF")
     return node
 

@@ -77,15 +77,15 @@ from typing import Callable, Optional, TYPE_CHECKING
 from .syntax import (alpha_eq, App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq,
                      free_vars, fresh_name, Fst, If, Lam, Let, MZero, Node,
                      Pair, Pattern, pattern_names, pattern_subst, pattern_term,
-                     PPair, pretty, PVar, rebuild, Record, Snd, subst_map,
-                     Term, type_str, Var, VecAdd, VecLet, VecUnit)
+                     PPair, pretty, PVar, QarrowError, rebuild, Record, Snd,
+                     subst_map, Term, type_str, Var, VecAdd, VecLet, VecUnit)
 from .typecheck import elaborate_term, TypeCheckError
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-class RewriteError(Exception):
+class RewriteError(QarrowError):
     pass
 
 
@@ -702,10 +702,10 @@ def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
         elif rt is None and lt is not None:
             rt, right2 = elaborate_term(types, right, lt)
     except TypeCheckError as e:
-        return Unknown(f"typechecking failed: {e.render()}")
+        return Unknown(f"typechecking failed: {e}")
     if lt is None or rt is None:
         err = left_err or right_err
-        return Unknown(f"typechecking failed: {err.render()}")
+        return Unknown(f"typechecking failed: {err}")
     if type_str(lt) != type_str(rt):
         return NotEqual(f"types differ: {type_str(lt)} vs {type_str(rt)}")
 

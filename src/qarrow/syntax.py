@@ -45,6 +45,23 @@ from typing import NamedTuple, Optional
 class Pos(NamedTuple):
     line: int
     col: int
+    source: str = "<input>"     # the file, <stdin>, <arg> or <input> it is in
+
+
+class QarrowError(Exception):
+    """Base of every error qarrow raises.  It renders as
+    ``source:line:col: message``, or as just ``message`` with no position."""
+
+    def __init__(self, message: str, pos: Optional[Pos] = None):
+        super().__init__(message)
+        self.message = message
+        self.pos = pos
+
+    def __str__(self) -> str:
+        if self.pos is None:
+            return self.message
+        line, col, source = self.pos
+        return f"{source}:{line}:{col}: {self.message}"
 
 
 class Record:
@@ -415,12 +432,6 @@ class Def(Node):
 
 class Program(Node):
     defs: tuple[Def, ...]
-    source_name: str = "<input>"
-
-    def __repr__(self):
-        # the source name shows, though equality ignores it
-        return (f"Program(defs={self.defs!r}, "
-                f"source_name={self.source_name!r})")
 
     def lookup(self, name: str) -> Optional[Def]:
         for d in self.defs:

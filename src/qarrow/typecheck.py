@@ -57,31 +57,22 @@ from typing import Optional
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
                      Def, Eq, Fst, FunT, If, is_classical, Lam, Let,
                      Meas, MZero, Pair, Pattern, pattern_names, Pos, ProdT,
-                     Program, PVar, rebuild, Snd, SuperT, Term, TrL, TVar,
-                     type_str, TypeExpr, Var, VecAdd, VecLet, VecScale, VecSub,
-                     VecT, VecUnit)
+                     Program, PVar, QarrowError, rebuild, Snd, SuperT, Term,
+                     TrL, TVar, type_str, TypeExpr, Var, VecAdd, VecLet,
+                     VecScale, VecSub, VecT, VecUnit)
 
 
-class TypeCheckError(Exception):
+class TypeCheckError(QarrowError):
     def __init__(self, kind: str, pos: Optional[Pos], expected=None,
                  found=None, detail: str = ""):
-        self.kind = kind
-        self.pos = pos
-        self.expected = expected
-        self.found = found
-        self.detail = detail
-        super().__init__(self.render())
-
-    def render(self, filename: str = "<input>") -> str:
-        line, col = self.pos if self.pos is not None else (0, 0)
-        if self.expected is not None or self.found is not None:
-            core = (f"expected {type_str(self.expected)}, "
-                    f"found {type_str(self.found)}")
-            if self.detail:
-                core += f" ({self.detail})"
+        if expected is not None or found is not None:
+            core = f"expected {type_str(expected)}, found {type_str(found)}"
+            if detail:
+                core += f" ({detail})"
         else:
-            core = self.detail
-        return f"{filename}:{line}:{col}: {self.kind}: {core}"
+            core = detail
+        super().__init__(f"{kind}: {core}", pos)
+        self.kind = kind
 
 
 class Unifier:
@@ -596,4 +587,4 @@ def elaborate_program(program: Program,
         env[d.name] = ty
         types[d.name] = ty
         new_defs.append(d2)
-    return types, Program(tuple(new_defs), source_name=program.source_name)
+    return types, Program(tuple(new_defs))

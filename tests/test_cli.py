@@ -42,8 +42,13 @@ def demo(tmp_path):
 @pytest.fixture
 def runcli(capsys, monkeypatch):
     def run(*argv, stdin=None):
+        if isinstance(stdin, bytes):
+            # a console's stdin: text over the bytes it was given
+            stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+        elif stdin is not None:
+            stdin = io.StringIO(stdin)
         if stdin is not None:
-            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            monkeypatch.setattr(sys, "stdin", stdin)
         code = main(list(argv))
         cap = capsys.readouterr()
         return code, cap.out, cap.err
@@ -93,6 +98,23 @@ def test_parse_error_is_one_positioned_line(runcli, tmp_path):
     code, _, err = runcli("normalize", "-", "fli p(", stdin="")
     assert code == BADINPUT
     assert err == "<arg>:1:7: expected a term, found 'end of input'\n"
+
+
+@pytest.mark.parametrize("via_stdin", [False, True])
+def test_invalid_utf8_is_a_positioned_parse_error(runcli, tmp_path,
+                                                  via_stdin):
+    f = tmp_path / "bad.qarr"
+    f.write_bytes(b"-- \xe9t\xc3\xa9\r\nf : Bool\nf = \xff\xfe True\n")
+    if via_stdin:
+        code, _, err = runcli("check", "-", stdin=f.read_bytes())
+    else:
+        code, _, err = runcli("check", str(f))
+    source = "<stdin>" if via_stdin else f
+    assert (code, err) == (BADINPUT, f"{source}:1:4: invalid UTF-8 byte "
+                                     f"0xe9\n")
+    f.write_bytes(b"f : Bool\r\nf = \xff\xfe True\n")
+    code, _, err = runcli("check", str(f))
+    assert (code, err) == (BADINPUT, f"{f}:2:5: invalid UTF-8 byte 0xff\n")
 
 
 def test_check_missing_file_exits_2(runcli):
@@ -459,7 +481,7 @@ def test_emit_non_arrow_exits_2(runcli):
 def test_emit_translation_restriction_exits_1(runcli):
     code, _, err = runcli("emit", "-", "\\@x. (fst (QNot, QNot)) @ x",
                           stdin="")
-    assert code == FAIL and "translation failed" in err
+    assert (code, err) == (FAIL, f"<arg>:1:7: {FN_POSITION}")
 
 
 # a closure whose body holds an arrow abstraction that cannot be translated
@@ -480,7 +502,71 @@ def test_every_arrow_abstraction_is_translated(runcli, tmp_path, cmd,
     f = tmp_path / "closure.qarr"
     f.write_text(UNTRANSLATABLE
                  + ("g : Super Bool Bool\ng = f True\n" if applied else ""))
-    assert runcli(cmd[0], str(f), *cmd[1:]) == (FAIL, "", FN_POSITION)
+    assert runcli(cmd[0], str(f), *cmd[1:]) == (FAIL, "",
+                                                f"{f}:2:15: {FN_POSITION}")
+
+
+# a parse, a type and a translation error, with the exit code and the
+# line:col each is reported at
+BAD_PROGRAMS = {
+    "parse": ("b : Bool\nb = (True,\n", BADINPUT, "3:1"),
+    "type": ("b : Bool\nb = (True, True)\n", FAIL, "2:5"),
+    "translation": (UNTRANSLATABLE, FAIL, "2:15"),
+}
+TARGETS = {"check": [], "run": ["f"], "normalize": ["f"], "prove": ["f", "f"],
+           "emit": ["f"]}
+# inline targets, read against a well-typed file
+INLINE = [
+    ("parse", ["normalize", "FILE", "not ("], BADINPUT, "<arg>:1:6"),
+    ("type", ["normalize", "FILE", "not (y, True)"], FAIL, "<arg>:1:6"),
+    ("parse", ["emit", "FILE", "\\@x. [y"], BADINPUT, "<arg>:1:8"),
+    ("type", ["emit", "FILE", "\\@x. [y]"], FAIL, "<arg>:1:7"),
+    ("translation", ["emit", "FILE", "\\@x. (fst (QNot, QNot)) @ x"], FAIL,
+     "<arg>:1:7"),
+    ("parse", ["prove", "FILE", "not (", "True"], BADINPUT, "<arg>:1:6"),
+    ("type", ["prove", "FILE", "not (y, True)", "True"], UNDECIDED,
+     "<arg>:1:6"),
+]
+
+
+def _position_cases():
+    for error, (src, code, at) in BAD_PROGRAMS.items():
+        for cmd, targets in TARGETS.items():
+            for file, source in (("FILE", "FILE"), ("-", "<stdin>")):
+                yield pytest.param([cmd, file, *targets], src, code,
+                                   f"{source}:{at}",
+                                   id=f"{error}-{cmd}-{source}")
+    for error, argv, code, where in INLINE:
+        yield pytest.param(argv, FLIP_SRC, code, where,
+                           id=f"{error}-{argv[0]}-<arg>")
+
+
+@pytest.mark.parametrize("argv, program, code, where",
+                         list(_position_cases()))
+def test_errors_carry_their_source_position(runcli, tmp_path, argv, program,
+                                            code, where):
+    """Every error in a file, on stdin or in an inline target starts with
+    its ``source:line:col``; ``prove`` reports an ill-typed side in its
+    ``unknown`` verdict."""
+    f = tmp_path / "prog.qarr"
+    f.write_text(program)
+    got, out, err = runcli(*[str(f) if a == "FILE" else a for a in argv],
+                           stdin=program if argv[1] == "-" else None)
+    line = (out.removeprefix("unknown: typechecking failed: ")
+            if got == UNDECIDED else err)
+    assert got == code
+    assert line.startswith(where.replace("FILE", str(f)) + ": "), (out, err)
+
+
+def test_definition_targets_keep_their_annotation(runcli, tmp_path):
+    """A definition is used as the file elaborated it, at its annotation;
+    on its own, neither term has a type."""
+    f = tmp_path / "poly.qarr"
+    f.write_text("f : Bool -> Bool\nf = \\x. x\n"
+                 "g : Super Bool Bool\ng = \\@x. [x]\n")
+    assert runcli("normalize", str(f), "f") == (OK, "    \\x. x\n", "")
+    code, out, _ = runcli("emit", str(f), "g")
+    assert (code, out) == (OK, "(arr (\\x. x))\n")
 
 
 def test_check_does_not_evaluate(tmp_path):

@@ -90,7 +90,7 @@ def outcome(elaborate, gamma, term, expected):
     try:
         return elaborate(gamma, term, expected)
     except TypeCheckError as e:
-        return e.kind, e.render()
+        return e.kind, str(e)
 
 
 @pytest.fixture

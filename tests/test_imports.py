@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every top-level function or class has a caller in the package or is
-exported."""
+exported, and every exception class the package defines is a
+``QarrowError``."""
 import ast
 import collections
+import importlib
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,17 @@ def test_orphan_guard_sees_callers():
                "b": "from .a import g\n"
                     "def h() -> 'C':\n    return g()\n"}
     assert orphans(sources, {"h"}) == ["a.f"]
+
+
+def test_every_error_is_a_qarrow_error():
+    """``cli.main`` reports errors through one ``except QarrowError``, so an
+    exception class outside that hierarchy would end in a traceback."""
+    modules = [importlib.import_module(f"qarrow.{p.stem}") for p in SOURCES
+               if p.stem != "__init__"]
+    errors = [cls for m in modules for cls in vars(m).values()
+              if isinstance(cls, type) and issubclass(cls, BaseException)
+              and cls.__module__ == m.__name__]
+    assert "qarrow.cli.CliError" in {f"{c.__module__}.{c.__name__}"
+                                     for c in errors}
+    assert [c.__name__ for c in errors
+            if not issubclass(c, qarrow.QarrowError)] == []

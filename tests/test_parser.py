@@ -149,7 +149,7 @@ b = \\x. a
 """
     p = parse_program(src, "demo.qarr")
     assert [d.name for d in p.defs] == ["a", "b"]
-    assert p.source_name == "demo.qarr"
+    assert {d.pos.source for d in p.defs} == {"demo.qarr"}
 
 
 # ---- errors ---------------------------------------------------------------------

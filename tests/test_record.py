@@ -92,18 +92,18 @@ DEMO_REPR = (
     "Def(name='mix', annot=SuperT(arg=BoolT(), res=BoolT()), "
     "term=ArrowAbs(pat=PVar(name='q'), cmd=CLet(pat=PVar(name='h'), "
     "bound=CApp(fn=Var(name='Had'), arg=Var(name='q')), "
-    "body=CApp(fn=Var(name='QMeas'), arg=Var(name='h')))))), "
-    "source_name='demo.qarr')")
+    "body=CApp(fn=Var(name='QMeas'), arg=Var(name='h')))))))")
 
 TOKENS_REPR = (
-    "[Token(kind='NAME', text='f', pos=Pos(line=1, col=1)), "
-    "Token(kind='@', text='@', pos=Pos(line=1, col=3)), "
-    "Token(kind='(', text='(', pos=Pos(line=1, col=5)), "
-    "Token(kind='NAME', text='x', pos=Pos(line=1, col=6)), "
-    "Token(kind=',', text=',', pos=Pos(line=1, col=7)), "
-    "Token(kind='True', text='True', pos=Pos(line=1, col=9)), "
-    "Token(kind=')', text=')', pos=Pos(line=1, col=13)), "
-    "Token(kind='EOF', text='', pos=Pos(line=1, col=14))]")
+    "[Token(kind='NAME', text='f', pos=Pos(line=1, col=1, source='<input>')), "
+    "Token(kind='@', text='@', pos=Pos(line=1, col=3, source='<input>')), "
+    "Token(kind='(', text='(', pos=Pos(line=1, col=5, source='<input>')), "
+    "Token(kind='NAME', text='x', pos=Pos(line=1, col=6, source='<input>')), "
+    "Token(kind=',', text=',', pos=Pos(line=1, col=7, source='<input>')), "
+    "Token(kind='True', text='True', "
+    "pos=Pos(line=1, col=9, source='<input>')), "
+    "Token(kind=')', text=')', pos=Pos(line=1, col=13, source='<input>')), "
+    "Token(kind='EOF', text='', pos=Pos(line=1, col=14, source='<input>'))]")
 
 TRACE_REPR = (
     "ProofTrace(start=App(fn=Lam(pat=PVar(name='x'), body=Var(name='x')), "
