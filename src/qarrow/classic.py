@@ -143,12 +143,6 @@ def _arr_of(delta: tuple[DeltaEntry, ...], body: Term,
                out_type=out_type)
 
 
-def _identity_arr(delta: tuple[DeltaEntry, ...]) -> Arr:
-    dtt = delta_tuple_type(delta)
-    return Arr(PureFun(delta, delta_tuple_term(delta)),
-               in_type=dtt, out_type=dtt)
-
-
 def _lift_fn_position(fn: Term) -> "tuple[str, Optional[ClassicExpr]]":
     """The function position of an arrow application must be a variable or
     an arrow abstraction literal."""
@@ -221,10 +215,7 @@ def _translate(delta: tuple[DeltaEntry, ...], cmd: Command,
             return Compose(bound, body, in_type=dtt, out_type=body.out_type)
         delta2 = kept + ((cmd.pat, cmd.bound_type),)
         body = _translate(delta2, cmd.body, body_vars)
-        if kept == delta:
-            keep: Arr = _identity_arr(delta)
-        else:
-            keep = _arr_of(delta, delta_tuple_term(kept), delta_tuple_type(kept))
+        keep = _arr_of(delta, delta_tuple_term(kept), delta_tuple_type(kept))
         fan = FanoutC(keep, bound, in_type=dtt,
                       out_type=ProdT(keep.out_type, cmd.bound_type))
         return Compose(fan, body, in_type=dtt, out_type=body.out_type)

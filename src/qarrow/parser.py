@@ -2,18 +2,26 @@
 
 Surface forms::
 
-    name [: type] = term        -- one definition per clause
-    \\x. M                       -- function abstraction (patterns allowed)
-    \\@x. Q    or   \\•x. Q       -- arrow abstraction over a command
+    name [: type] = term         -- one definition per clause; the signature
+                                 -- may instead stand on a line of its own
+    \\x. M                        -- function abstraction (patterns allowed)
+    \\@x. Q    or   \\•x. Q        -- arrow abstraction over a command
+    (M, N, ...)                  -- tuple, nested to the right (so are
+                                 -- tuple patterns and tuple types)
     [M]                          -- unit (term level or command level)
     let p = M in N               -- let (term or command level by context)
     f @ x      or   f • x        -- arrow application (command level)
-    meas M, trL M                -- measurement / left partial trace commands
+    meas M, trL M                -- measurement / left partial trace commands;
+                                 -- an optional @ may follow the keyword
     M + N, M - N, c * M          -- vector arithmetic; c is a complex literal
-    mzero, invsqrt2, True, False, fst, snd, ==, if/then/else
+                                 -- or invsqrt2
+    mzero, True, False, fst, snd, ==, if/then/else
+    Bool, Vec A, Lin A B, Super A B, A -> B    -- types
     -- comment to end of line
 
 Complex literals are written without spaces: ``0.5``, ``2.0i``, ``0.5-0.5i``.
+A leading minus makes a literal negative where no operand precedes it; it
+negates only the real part of a two-part literal.
 """
 
 from __future__ import annotations
@@ -45,6 +53,11 @@ KEYWORDS = {
 # Tokens that can end an operand; a `-` right after one of these is the
 # subtraction operator, anywhere else it starts a negative scalar literal.
 _OPERAND_END = {"NAME", "NUM", ")", "]", "True", "False", "mzero", "invsqrt2"}
+
+# Symbol text -> token kind.  Two characters are tried before one; the
+# bullet is another spelling of `@`.
+_SYMBOLS = {"\\@": "\\@", "\\•": "\\@", "==": "==", "->": "->", "•": "@",
+            **{c: c for c in "()[].,=:+-*@\\"}}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _NUM_RE = re.compile(r"\d+(?:\.\d+)?(?:[+-]\d+(?:\.\d+)?i|i)?", re.ASCII)
@@ -90,26 +103,6 @@ def tokenize(src: str, source: str = "<input>") -> list[Token]:
             col += m.end() - i
             i = m.end()
             continue
-        if c == "\\":
-            if i + 1 < n and src[i + 1] in "@•":
-                toks.append(Token("\\@", src[i:i + 2], pos))
-                i += 2
-                col += 2
-            else:
-                toks.append(Token("\\", c, pos))
-                i += 1
-                col += 1
-            continue
-        if src.startswith("==", i):
-            toks.append(Token("==", "==", pos))
-            i += 2
-            col += 2
-            continue
-        if src.startswith("->", i):
-            toks.append(Token("->", "->", pos))
-            i += 2
-            col += 2
-            continue
         if (c == "-" and (m := _NUM_RE.match(src, i + 1))
                 and (not toks or toks[-1].kind not in _OPERAND_END)):
             # A minus immediately before digits where no operand precedes is
@@ -118,45 +111,32 @@ def tokenize(src: str, source: str = "<input>") -> list[Token]:
             col += m.end() - i
             i = m.end()
             continue
-        if c in "()[].,=:+-*@":
-            toks.append(Token(c, c, pos))
-            i += 1
-            col += 1
-            continue
-        if c == "•":  # bullet, same role as @
-            toks.append(Token("@", c, pos))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", pos)
+        text = src[i:i + 2]
+        if text not in _SYMBOLS:
+            text = c
+            if c not in _SYMBOLS:
+                raise ParseError(f"unexpected character {c!r}", pos)
+        toks.append(Token(_SYMBOLS[text], text, pos))
+        i += len(text)
+        col += len(text)
     toks.append(Token("EOF", "", Pos(line, col, source)))
     return toks
 
 
 def _parse_scalar(text: str) -> complex:
-    if text.startswith("-"):
-        rest = text[1:]
-        # "-a+bi" / "-a-bi" negate the real component only; "-a" and "-bi"
-        # negate the single component they spell.
-        two_part = re.match(r"\d+(?:\.\d+)?[+-]\d+(?:\.\d+)?i$", rest)
-        inner = _parse_scalar(rest)
-        if two_part:
-            return complex(-inner.real, inner.imag)
-        return -inner
-    if text.endswith("i"):
-        body = text[:-1]
-        m = re.match(r"(\d+(?:\.\d+)?)([+-])(\d+(?:\.\d+)?)$", body)
-        if m:
-            re_part = float(m.group(1))
-            im_part = float(m.group(3))
-            if m.group(2) == "-":
-                im_part = -im_part
-            return complex(re_part, im_part)
-        return complex(0.0, float(body))
-    return complex(float(text), 0.0)
+    # A leading minus negates only the real part of "a+bi" / "a-bi", as
+    # complex() reads it, but the whole of a one-part literal: "-2" is
+    # -2-0j and "-0i" is -0-0j.
+    if text[0] == "-" and "+" not in text and "-" not in text[1:]:
+        return -_parse_scalar(text[1:])
+    return complex(text.replace("i", "j"))
 
 
 class Parser:
+    """Recursive descent over a token list.  Each rule calls the next one
+    directly: a helper between two levels would add a frame per level and
+    lower the nesting depth accepted (see ``_parse_all``)."""
+
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
@@ -201,15 +181,12 @@ class Parser:
         if tok.kind == "Vec":
             self.next()
             return VecT(self.parse_type_atom(), pos=tok.pos)
-        if tok.kind == "Lin":
+        if tok.kind in ("Lin", "Super"):
             self.next()
             a = self.parse_type_atom()
             b = self.parse_type_atom()
-            return lin_type(a, b)
-        if tok.kind == "Super":
-            self.next()
-            a = self.parse_type_atom()
-            b = self.parse_type_atom()
+            if tok.kind == "Lin":
+                return lin_type(a, b)
             return SuperT(a, b, pos=tok.pos)
         return self.parse_type_atom()
 
@@ -225,10 +202,7 @@ class Parser:
                 self.next()
                 parts.append(self.parse_type())
             self.expect(")")
-            t = parts[-1]
-            for p in reversed(parts[:-1]):
-                t = ProdT(p, t, pos=tok.pos)
-            return t
+            return _nest(parts, ProdT, tok.pos)
         raise ParseError(f"expected a type, found {tok.text!r}", tok.pos)
 
     # ---- patterns
@@ -245,31 +219,23 @@ class Parser:
                 self.next()
                 parts.append(self.parse_pattern())
             self.expect(")")
-            p = parts[-1]
-            for q in reversed(parts[:-1]):
-                p = PPair(q, p, pos=tok.pos)
-            self._check_distinct(p, tok.pos)
+            p = _nest(parts, PPair, tok.pos)
+            names = pattern_names(p)
+            if len(set(names)) != len(names):
+                raise ParseError("pattern variables must be distinct", tok.pos)
             return p
         raise ParseError(f"expected a pattern, found {tok.text!r}", tok.pos)
-
-    def _check_distinct(self, p: Pattern, pos: Pos) -> None:
-        names = pattern_names(p)
-        if len(set(names)) != len(names):
-            raise ParseError("pattern variables must be distinct", pos)
 
     # ---- terms
 
     def parse_term(self) -> Term:
         tok = self.peek()
-        if tok.kind == "\\":
+        if tok.kind in ("\\", "\\@"):
             self.next()
             pat = self.parse_pattern()
             self.expect(".")
-            return Lam(pat, self.parse_term(), pos=tok.pos)
-        if tok.kind == "\\@":
-            self.next()
-            pat = self.parse_pattern()
-            self.expect(".")
+            if tok.kind == "\\":
+                return Lam(pat, self.parse_term(), pos=tok.pos)
             return ArrowAbs(pat, self.parse_command(), pos=tok.pos)
         if tok.kind == "let":
             self.next()
@@ -300,14 +266,12 @@ class Parser:
 
     def parse_scaled(self) -> Term:
         tok = self.peek()
-        if tok.kind == "NUM" and self.peek(1).kind == "*":
+        if tok.kind in ("NUM", "invsqrt2") and self.peek(1).kind == "*":
             self.next()
             self.expect("*")
-            return VecScale(_parse_scalar(tok.text), self.parse_eqterm(), pos=tok.pos)
-        if tok.kind == "invsqrt2" and self.peek(1).kind == "*":
-            self.next()
-            self.expect("*")
-            return VecScale(complex(INV_SQRT2, 0.0), self.parse_eqterm(), pos=tok.pos)
+            c = (_parse_scalar(tok.text) if tok.kind == "NUM"
+                 else complex(INV_SQRT2, 0.0))
+            return VecScale(c, self.parse_eqterm(), pos=tok.pos)
         return self.parse_eqterm()
 
     def parse_eqterm(self) -> Term:
@@ -331,21 +295,16 @@ class Parser:
         if tok.kind == "NAME":
             self.next()
             return Var(tok.text, pos=tok.pos)
-        if tok.kind == "True":
+        if tok.kind in ("True", "False"):
             self.next()
-            return BoolLit(True, pos=tok.pos)
-        if tok.kind == "False":
-            self.next()
-            return BoolLit(False, pos=tok.pos)
+            return BoolLit(tok.kind == "True", pos=tok.pos)
         if tok.kind == "mzero":
             self.next()
             return MZero(pos=tok.pos)
-        if tok.kind == "fst":
+        if tok.kind in ("fst", "snd"):
             self.next()
-            return Fst(self.parse_atom(), pos=tok.pos)
-        if tok.kind == "snd":
-            self.next()
-            return Snd(self.parse_atom(), pos=tok.pos)
+            cls = Fst if tok.kind == "fst" else Snd
+            return cls(self.parse_atom(), pos=tok.pos)
         if tok.kind == "[":
             self.next()
             content = self.parse_term()
@@ -358,10 +317,7 @@ class Parser:
                 self.next()
                 parts.append(self.parse_term())
             self.expect(")")
-            t = parts[-1]
-            for p in reversed(parts[:-1]):
-                t = Pair(p, t, pos=tok.pos)
-            return t
+            return _nest(parts, Pair, tok.pos)
         raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}",
                          tok.pos)
 
@@ -382,16 +338,12 @@ class Parser:
             content = self.parse_term()
             self.expect("]")
             return CUnit(content, pos=tok.pos)
-        if tok.kind == "meas":
+        if tok.kind in ("meas", "trL"):
             self.next()
             if self.at("@"):
                 self.next()
-            return Meas(self.parse_app(), pos=tok.pos)
-        if tok.kind == "trL":
-            self.next()
-            if self.at("@"):
-                self.next()
-            return TrL(self.parse_app(), pos=tok.pos)
+            cls = Meas if tok.kind == "meas" else TrL
+            return cls(self.parse_app(), pos=tok.pos)
         fn = self.parse_term()
         if not self.at("@"):
             t = self.peek()
@@ -431,13 +383,21 @@ class Parser:
         return Program(tuple(defs))
 
 
+def _nest(parts: list, cls, pos: Pos):
+    """``(a, b, c)`` as ``cls(a, cls(b, c))``: tuples nest to the right."""
+    node = parts[-1]
+    for part in reversed(parts[:-1]):
+        node = cls(part, node, pos=pos)
+    return node
+
+
 def _parse_all(src: str, source_name: str, rule):
     """Parse the whole of `src` with `rule`, a `Parser` method.
 
-    The parser descends one Python frame per nesting level (six for each
-    parenthesis), so nesting is bounded by the interpreter's stack: a program
-    nested deeper than that is refused at the token where the stack ran out,
-    instead of crashing."""
+    The parser descends a fixed number of Python frames per nesting level
+    (one per let, three per tuple type, six per parenthesis), so nesting is
+    bounded by the interpreter's stack: a program nested deeper than that is
+    refused at the token where the stack ran out, instead of crashing."""
     p = Parser(tokenize(src, source_name))
     try:
         node = rule(p)

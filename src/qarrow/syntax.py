@@ -433,12 +433,6 @@ class Def(Node):
 class Program(Node):
     defs: tuple[Def, ...]
 
-    def lookup(self, name: str) -> Optional[Def]:
-        for d in self.defs:
-            if d.name == name:
-                return d
-        return None
-
 
 def rebuild(node: Node, changes: dict) -> Node:
     """A copy of `node` with the fields in `changes` replaced and every other
@@ -617,6 +611,10 @@ def _scalar_str(c: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
+# The words printed before a projection's or a command's argument.
+_PREFIX = {Fst: "fst", Snd: "snd", Meas: "meas", TrL: "trL"}
+
+
 def _wrap(s: str, level: int, need: int) -> str:
     return f"({s})" if level < need else s
 
@@ -637,23 +635,21 @@ def pretty(node, prec: int = _TERM) -> str:
             q = q.right
         parts.append(q)
         return "(" + ", ".join(pretty(x, _TERM) for x in parts) + ")"
-    if isinstance(node, Fst):
-        return _wrap(f"fst {pretty(node.arg, _ATOM)}", _APP, prec)
-    if isinstance(node, Snd):
-        return _wrap(f"snd {pretty(node.arg, _ATOM)}", _APP, prec)
+    word = _PREFIX.get(type(node))
+    if word is not None:
+        return _wrap(f"{word} {pretty(node.arg, _ATOM)}", _APP, prec)
     if isinstance(node, Eq):
         s = f"{pretty(node.left, _APP)} == {pretty(node.right, _APP)}"
         return _wrap(s, _EQ, prec)
-    if isinstance(node, Lam):
-        s = f"\\{pretty_pattern(node.pat)}. {pretty(node.body, _TERM)}"
-        return _wrap(s, _TERM, prec)
-    if isinstance(node, ArrowAbs):
-        s = f"\\@{pretty_pattern(node.pat)}. {pretty(node.cmd, _TERM)}"
+    if isinstance(node, (Lam, ArrowAbs)):
+        lam = type(node) is Lam
+        s = (f"\\{'' if lam else '@'}{pretty_pattern(node.pat)}. "
+             f"{pretty(node.body if lam else node.cmd, _TERM)}")
         return _wrap(s, _TERM, prec)
     if isinstance(node, App):
         s = f"{pretty(node.fn, _APP)} {pretty(node.arg, _ATOM)}"
         return _wrap(s, _APP, prec)
-    if isinstance(node, (Let, VecLet)):
+    if isinstance(node, (Let, VecLet, CLet)):
         s = (f"let {pretty_pattern(node.pat)} = {pretty(node.bound, _TERM)} "
              f"in {pretty(node.body, _TERM)}")
         return _wrap(s, _TERM, prec)
@@ -663,11 +659,9 @@ def pretty(node, prec: int = _TERM) -> str:
         return _wrap(s, _TERM, prec)
     if isinstance(node, (VecUnit, CUnit)):
         return f"[{pretty(node.content, _TERM)}]"
-    if isinstance(node, VecAdd):
-        s = f"{pretty(node.left, _ADD)} + {pretty(node.right, _SCALE)}"
-        return _wrap(s, _ADD, prec)
-    if isinstance(node, VecSub):
-        s = f"{pretty(node.left, _ADD)} - {pretty(node.right, _SCALE)}"
+    if isinstance(node, (VecAdd, VecSub)):
+        op = "+" if type(node) is VecAdd else "-"
+        s = f"{pretty(node.left, _ADD)} {op} {pretty(node.right, _SCALE)}"
         return _wrap(s, _ADD, prec)
     if isinstance(node, VecScale):
         s = f"{_scalar_str(node.scalar)} * {pretty(node.arg, _EQ)}"
@@ -675,14 +669,6 @@ def pretty(node, prec: int = _TERM) -> str:
     if isinstance(node, CApp):
         s = f"{pretty(node.fn, _APP)} @ {pretty(node.arg, _ATOM)}"
         return _wrap(s, _ADD, prec)
-    if isinstance(node, CLet):
-        s = (f"let {pretty_pattern(node.pat)} = {pretty(node.bound, _TERM)} "
-             f"in {pretty(node.body, _TERM)}")
-        return _wrap(s, _TERM, prec)
-    if isinstance(node, Meas):
-        return _wrap(f"meas {pretty(node.arg, _ATOM)}", _APP, prec)
-    if isinstance(node, TrL):
-        return _wrap(f"trL {pretty(node.arg, _ATOM)}", _APP, prec)
     if isinstance(node, TypeExpr):
         return type_str(node)
     raise TypeError(f"pretty: unexpected node {node!r}")

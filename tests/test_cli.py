@@ -98,6 +98,11 @@ def test_parse_error_is_one_positioned_line(runcli, tmp_path):
     code, _, err = runcli("normalize", "-", "fli p(", stdin="")
     assert code == BADINPUT
     assert err == "<arg>:1:7: expected a term, found 'end of input'\n"
+    g = tmp_path / "g.qarr"
+    g.write_text("g = \\(x, x). x\n")
+    code, _, err = runcli("check", str(g))
+    assert code == BADINPUT
+    assert err == f"{g}:1:6: pattern variables must be distinct\n"
 
 
 @pytest.mark.parametrize("via_stdin", [False, True])
@@ -386,10 +391,17 @@ def test_prove_refutation_exits_1(runcli):
     assert "witness density:" in out
 
 
-def test_prove_unknown_exits_3(runcli):
+def test_prove_unknown_exits_3(runcli, tmp_path):
     code, out, _ = runcli("prove", "-", "nosuch", "True", stdin="")
     assert code == UNDECIDED
     assert out.startswith("unknown: typechecking failed")
+    # neither side types on its own
+    f = tmp_path / "f.qarr"
+    f.write_text("f : Bool -> Bool\nf = \\x. x\n")
+    code, out, _ = runcli("prove", str(f), "\\x. x", "\\y. y")
+    assert code == UNDECIDED
+    assert out == ("unknown: typechecking failed: <arg>:1:1: mismatch: "
+                   "ambiguous type; an annotation is required\n")
 
 
 def test_prove_json(runcli):

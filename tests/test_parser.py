@@ -172,6 +172,12 @@ def test_error_message_has_file_prefix():
     assert str(ei.value).startswith("bad.qarr:1:")
 
 
+def test_pattern_variables_must_be_distinct():
+    with pytest.raises(ParseError) as ei:
+        parse_term("\\(x, x). x")
+    assert str(ei.value) == "<input>:1:2: pattern variables must be distinct"
+
+
 def test_keyword_not_a_name():
     with pytest.raises(ParseError):
         parse_term("\\let. let")
@@ -204,3 +210,21 @@ def test_trailing_junk_rejected():
 def test_node_positions_recorded():
     t = parse_term("  (True, False)")
     assert t.pos.line == 1 and t.pos.col == 3
+
+
+def test_nesting_depth_within_the_recursion_limit():
+    # The descent takes six frames per parenthesis, three per tuple type
+    # and one per let.  Under pytest the default limit admits about 158,
+    # 317 and 948 levels; one more frame per level would refuse these.
+    n = 145
+    assert parse_term("(" * n + "True" + ")" * n) == BoolLit(True)
+    n = 300
+    t = parse_type("(Bool, " * n + "Bool" + ")" * n)
+    for _ in range(n):
+        t = t.right
+    assert t == BoolT()
+    n = 900
+    t = parse_term("".join(f"let x{i} = True in " for i in range(n)) + "x0")
+    for _ in range(n):
+        t = t.body
+    assert t == Var("x0")

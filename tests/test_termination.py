@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import randprog
 import structural
 from qarrow import apply_law_at, elaborate_term, parse_term, parse_type
-from qarrow.rewriter import AUTO_LAWS, Law, Rewriter
+from qarrow.rewriter import _GROWING, _size, AUTO_LAWS, Law, Rewriter
 from qarrow.syntax import (App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq, Fst,
                            If, Lam, Let, Meas, MZero, Pair, PVar, Snd, TrL,
                            Var, VecAdd, VecLet, VecScale, VecSub, VecUnit)
@@ -156,13 +156,17 @@ def measure(interp, t) -> tuple[int, int]:
 
 
 def assert_every_step_decreases(defs, term, fuel=200):
+    """Also checks that a law outside ``_GROWING`` never grows the term,
+    since the size bound counts growth through those laws only."""
     interp = Interpretation(defs)
     trace = Rewriter(defs, fuel).normalize(term)
-    before = measure(interp, term)
+    before, size = measure(interp, term), _size(term)
     for step in trace.steps:
-        after = measure(interp, step.result)
+        after, new_size = measure(interp, step.result), _size(step.result)
         assert after < before, (step.law, before, after)
-        before = after
+        assert step.law in _GROWING or new_size <= size, (step.law, size,
+                                                          new_size)
+        before, size = after, new_size
     return trace
 
 

@@ -57,6 +57,11 @@ def test_monadic_let_backtracking(prelude):
                              parse_term("let y = not True in [y]"))
     assert type_str(ty2) == "Vec Bool"
     assert isinstance(t2, Let)
+    # body not a vector: the monadic reading is dropped for a plain let
+    ty3, t3 = elaborate_term(prelude.types,
+                             parse_term("let x = hadamard True in True"))
+    assert type_str(ty3) == "Bool"
+    assert isinstance(t3, Let)
 
 
 def test_vec_operations(prelude):
@@ -80,6 +85,9 @@ def test_arrow_abs_types(prelude):
                      prelude.types, SuperT(B, B)) == "Super Bool Bool"
     assert infer_str("\\@(x,y). let h = Had @ x in Cnot @ (h, y)",
                      prelude.types) == "Super (Bool,Bool) (Bool,Bool)"
+    # arrow application of a function whose type is still unsolved
+    assert infer_str("(\\f. \\@x. f @ x) Had",
+                     prelude.types) == "Super Bool Bool"
 
 
 def test_meas_and_trl_types(prelude):
