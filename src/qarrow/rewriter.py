@@ -12,7 +12,7 @@ order fixed per node class by its ``child_fields`` (see ``syntax.py``).
 at the leftmost-outermost applicable position, recording one step per
 rewrite; the recorded trace replays exactly via ``apply_law_at``.
 
-The automatic laws (``AUTO_LAWS``) are the reductions (the betas, the
+The automatic laws (``auto`` in ``Law``) are the reductions (the betas, the
 units, ``let``, the boolean laws, ``delta``, the ``mzero`` laws) and the
 terminating orientations of the structural laws of Lindley, Wadler & Yallop
 ("The Arrow Calculus", JFP 2010): ``eta~>`` and ``eta`` as contractions
@@ -89,35 +89,6 @@ class RewriteError(QarrowError):
     pass
 
 
-class Law(Enum):
-    BETA_ARROW = "beta~>"
-    ETA_ARROW = "eta~>"
-    LEFT_UNIT = "left"
-    RIGHT_UNIT = "right"
-    ASSOC = "assoc"
-    BETA_FUN = "beta"
-    ETA_FUN = "eta"
-    BETA_PAIR1 = "beta.1"
-    BETA_PAIR2 = "beta.2"
-    ETA_PAIR = "eta.x"
-    LET_SUBST = "let"
-    IF_TRUE = "if.true"
-    IF_FALSE = "if.false"
-    EQ_LIT = "eq.lit"
-    EQ_TRUE = "eq.true"
-    IF_DISTRIB = "if.distrib"
-    IF_ETA = "if.eta"
-    BIND_LEFT = "bind.left"
-    BIND_RIGHT = "bind.right"
-    BIND_ASSOC = "bind.assoc"
-    ZERO_BIND = "zero.bind"
-    BIND_ZERO = "bind.zero"
-    ZERO_PLUS = "zero.plus"
-    PLUS_ZERO = "plus.zero"
-    PLUS_ASSOC = "plus.assoc"
-    BIND_PLUS = "bind.plus"
-    DELTA = "delta"
-
 # --------------------------------------------------------------------------
 # Paths
 
@@ -141,34 +112,54 @@ def replace_at(node: Node, path: tuple[int, ...], new: Node) -> Node:
 
 
 # --------------------------------------------------------------------------
-# Law matchers: node -> rewritten node, or None if not applicable
+# Law matchers: node -> rewritten node, or None if not applicable.  A
+# left-to-right matcher is only run on a node of its law's head class.
+
+# The command law and the term law of each twin (beta~> and beta, eta~> and
+# eta, left and bind.left, right and bind.right) share one matcher, which
+# looks up here the class it wants under its head: the abstraction an
+# application applies, the application an abstraction's body is, the unit a
+# let binds.  A binder's body is its last child.
+_PARTNER = {CApp: ArrowAbs, App: Lam, ArrowAbs: CApp, Lam: App,
+            CLet: CUnit, VecLet: VecUnit}
 
 
-def _beta_arrow(rw, n):
-    if isinstance(n, CApp) and isinstance(n.fn, ArrowAbs):
-        return subst_map(n.fn.cmd, pattern_subst(n.fn.pat, n.arg))
+def _beta(rw, n):
+    # (\@p. C) @ M  ==>  C[M/p], and (\p. N) M  ==>  N[M/p]
+    fn = n.fn
+    if isinstance(fn, _PARTNER[type(n)]):
+        return subst_map(getattr(fn, fn.child_fields[-1]),
+                         pattern_subst(fn.pat, n.arg))
     return None
 
 
-def _eta_arrow(rw, n):
-    if (isinstance(n, ArrowAbs) and isinstance(n.pat, PVar)
-            and isinstance(n.cmd, CApp) and isinstance(n.cmd.arg, Var)
-            and n.cmd.arg.name == n.pat.name
-            and n.pat.name not in free_vars(n.cmd.fn)):
-        return n.cmd.fn
+def _eta(rw, n):
+    # \@x. f @ x  ==>  f, and \x. f x  ==>  f, when x is not free in f
+    body = getattr(n, n.child_fields[-1])
+    if (isinstance(n.pat, PVar) and isinstance(body, _PARTNER[type(n)])
+            and isinstance(body.arg, Var) and body.arg.name == n.pat.name
+            and n.pat.name not in free_vars(body.fn)):
+        return body.fn
     return None
 
 
-def _left_unit(rw, n):
-    if (isinstance(n, CLet) and isinstance(n.bound, CUnit)
-            and n.bound.mode == "classical"):
+def _classical_unit(let, n) -> bool:
+    """Whether `n` is a unit of `let`'s kind that embeds a classical value:
+    a ``VecUnit`` always does, a ``CUnit`` when its mode says so."""
+    return (isinstance(n, _PARTNER[type(let)])
+            and getattr(n, "mode", "classical") == "classical")
+
+
+def _left(rw, n):
+    # let p = [M] in N  ==>  N[M/p], for a command let and for a bind
+    if _classical_unit(n, n.bound):
         return subst_map(n.body, pattern_subst(n.pat, n.bound.content))
     return None
 
 
-def _right_unit(rw, n):
-    if (isinstance(n, CLet) and isinstance(n.body, CUnit)
-            and n.body.mode == "classical"
+def _right(rw, n):
+    # let p = M in [p]  ==>  M
+    if (_classical_unit(n, n.body)
             and alpha_eq(n.body.content, pattern_term(n.pat))):
         return n.bound
     return None
@@ -200,9 +191,13 @@ def _unshadow(pat: Pattern, body: Node, outer: Pattern, rest: Node):
     return pat, subst_map(body, renaming)
 
 
+# assoc and bind.assoc keep a matcher each, as they rebuild different
+# annotations: a command let's bound_type is that of its bound command, a
+# bind's type_ that of the whole bind
+
 def _assoc(rw, n):
     # let y = (let x = P in Q) in R  ==>  let x = P in let y = Q in R
-    if isinstance(n, CLet) and isinstance(n.bound, CLet):
+    if isinstance(n.bound, CLet):
         pat, q = _unshadow(n.bound.pat, n.bound.body, n.pat, n.body)
         inner = CLet(n.pat, q, n.body, bound_type=n.bound_type)
         return CLet(pat, n.bound.bound, inner, bound_type=n.bound.bound_type)
@@ -220,114 +215,8 @@ def _assoc_r(rw, n):
     return None
 
 
-def _beta_fun(rw, n):
-    if isinstance(n, App) and isinstance(n.fn, Lam):
-        return subst_map(n.fn.body, pattern_subst(n.fn.pat, n.arg))
-    return None
-
-
-def _eta_fun(rw, n):
-    if (isinstance(n, Lam) and isinstance(n.pat, PVar)
-            and isinstance(n.body, App) and isinstance(n.body.arg, Var)
-            and n.body.arg.name == n.pat.name
-            and n.pat.name not in free_vars(n.body.fn)):
-        return n.body.fn
-    return None
-
-
-def _beta_pair1(rw, n):
-    if isinstance(n, Fst) and isinstance(n.arg, Pair):
-        return n.arg.left
-    return None
-
-
-def _beta_pair2(rw, n):
-    if isinstance(n, Snd) and isinstance(n.arg, Pair):
-        return n.arg.right
-    return None
-
-
-def _eta_pair(rw, n):
-    if (isinstance(n, Pair) and isinstance(n.left, Fst)
-            and isinstance(n.right, Snd)
-            and alpha_eq(n.left.arg, n.right.arg)):
-        return n.left.arg
-    return None
-
-
-def _let_subst(rw, n):
-    if isinstance(n, Let):
-        return subst_map(n.body, pattern_subst(n.pat, n.bound))
-    return None
-
-
-def _if_true(rw, n):
-    if isinstance(n, If) and isinstance(n.cond, BoolLit) and n.cond.value:
-        return n.then
-    return None
-
-
-def _if_false(rw, n):
-    if isinstance(n, If) and isinstance(n.cond, BoolLit) and not n.cond.value:
-        return n.orelse
-    return None
-
-
-def _eq_lit(rw, n):
-    if (isinstance(n, Eq) and isinstance(n.left, BoolLit)
-            and isinstance(n.right, BoolLit)):
-        return BoolLit(n.left.value == n.right.value)
-    return None
-
-
-def _eq_true(rw, n):
-    if isinstance(n, Eq) and isinstance(n.right, BoolLit) and n.right.value:
-        return n.left
-    if isinstance(n, Eq) and isinstance(n.left, BoolLit) and n.left.value:
-        return n.right
-    return None
-
-
-def _if_distrib(rw, n):
-    if isinstance(n, If) and isinstance(n.cond, If):
-        c = n.cond
-        return If(c.cond, If(c.then, n.then, n.orelse),
-                  If(c.orelse, n.then, n.orelse))
-    return None
-
-
-def _if_distrib_r(rw, n):
-    if (isinstance(n, If) and isinstance(n.then, If)
-            and isinstance(n.orelse, If)
-            and alpha_eq(n.then.then, n.orelse.then)
-            and alpha_eq(n.then.orelse, n.orelse.orelse)):
-        return If(If(n.cond, n.then.cond, n.orelse.cond),
-                  n.then.then, n.then.orelse)
-    return None
-
-
-def _if_eta(rw, n):
-    if (isinstance(n, If) and isinstance(n.then, BoolLit) and n.then.value
-            and isinstance(n.orelse, BoolLit) and not n.orelse.value):
-        return n.cond
-    return None
-
-
-def _bind_left(rw, n):
-    if isinstance(n, VecLet) and isinstance(n.bound, VecUnit):
-        return subst_map(n.body, pattern_subst(n.pat, n.bound.content))
-    return None
-
-
-def _bind_right(rw, n):
-    if (isinstance(n, VecLet) and isinstance(n.body, VecUnit)
-            and alpha_eq(n.body.content, pattern_term(n.pat))):
-        return n.bound
-    return None
-
-
 def _bind_assoc(rw, n):
-    if isinstance(n, VecLet) and isinstance(n.bound, VecLet):
+    if isinstance(n.bound, VecLet):
         pat, q = _unshadow(n.bound.pat, n.bound.body, n.pat, n.body)
         inner = VecLet(n.pat, q, n.body, type_=n.type_)
         return VecLet(pat, n.bound.bound, inner, type_=n.type_)
@@ -345,34 +234,101 @@ def _bind_assoc_r(rw, n):
     return None
 
 
+def _beta_pair(rw, n):
+    # fst (M, N)  ==>  M, and snd (M, N)  ==>  N
+    if isinstance(n.arg, Pair):
+        return n.arg.left if isinstance(n, Fst) else n.arg.right
+    return None
+
+
+def _eta_pair(rw, n):
+    if (isinstance(n.left, Fst) and isinstance(n.right, Snd)
+            and alpha_eq(n.left.arg, n.right.arg)):
+        return n.left.arg
+    return None
+
+
+def _let_subst(rw, n):
+    return subst_map(n.body, pattern_subst(n.pat, n.bound))
+
+
+def _if_true(rw, n):
+    if isinstance(n.cond, BoolLit) and n.cond.value:
+        return n.then
+    return None
+
+
+def _if_false(rw, n):
+    if isinstance(n.cond, BoolLit) and not n.cond.value:
+        return n.orelse
+    return None
+
+
+def _eq_lit(rw, n):
+    if isinstance(n.left, BoolLit) and isinstance(n.right, BoolLit):
+        return BoolLit(n.left.value == n.right.value)
+    return None
+
+
+def _eq_true(rw, n):
+    if isinstance(n.right, BoolLit) and n.right.value:
+        return n.left
+    if isinstance(n.left, BoolLit) and n.left.value:
+        return n.right
+    return None
+
+
+def _if_distrib(rw, n):
+    if isinstance(n.cond, If):
+        c = n.cond
+        return If(c.cond, If(c.then, n.then, n.orelse),
+                  If(c.orelse, n.then, n.orelse))
+    return None
+
+
+def _if_distrib_r(rw, n):
+    if (isinstance(n, If) and isinstance(n.then, If)
+            and isinstance(n.orelse, If)
+            and alpha_eq(n.then.then, n.orelse.then)
+            and alpha_eq(n.then.orelse, n.orelse.orelse)):
+        return If(If(n.cond, n.then.cond, n.orelse.cond),
+                  n.then.then, n.then.orelse)
+    return None
+
+
+def _if_eta(rw, n):
+    if (isinstance(n.then, BoolLit) and n.then.value
+            and isinstance(n.orelse, BoolLit) and not n.orelse.value):
+        return n.cond
+    return None
+
+
 def _zero_bind(rw, n):
-    if isinstance(n, VecLet) and isinstance(n.bound, MZero):
-        if n.type_ is None:
-            return None
+    if isinstance(n.bound, MZero) and n.type_ is not None:
         return MZero(type_=n.type_)
     return None
 
 
 def _bind_zero(rw, n):
-    if isinstance(n, VecLet) and isinstance(n.body, MZero):
+    if isinstance(n.body, MZero):
         return MZero(type_=n.body.type_ or n.type_)
     return None
 
 
 def _zero_plus(rw, n):
-    if isinstance(n, VecAdd) and isinstance(n.left, MZero):
+    if isinstance(n.left, MZero):
         return n.right
     return None
 
 
 def _plus_zero(rw, n):
-    if isinstance(n, VecAdd) and isinstance(n.right, MZero):
+    if isinstance(n.right, MZero):
         return n.left
     return None
 
 
 def _plus_assoc(rw, n):
-    if isinstance(n, VecAdd) and isinstance(n.left, VecAdd):
+    if isinstance(n.left, VecAdd):
         return VecAdd(n.left.left, VecAdd(n.left.right, n.right))
     return None
 
@@ -384,7 +340,7 @@ def _plus_assoc_r(rw, n):
 
 
 def _bind_plus(rw, n):
-    if isinstance(n, VecLet) and isinstance(n.bound, VecAdd):
+    if isinstance(n.bound, VecAdd):
         return VecAdd(VecLet(n.pat, n.bound.left, n.body, type_=n.type_),
                       VecLet(n.pat, n.bound.right, n.body, type_=n.type_))
     return None
@@ -401,52 +357,64 @@ def _bind_plus_r(rw, n):
 
 
 def _delta(rw, n):
-    if isinstance(n, Var) and n.name in rw.unfold:
-        return rw.unfold[n.name]
-    return None
+    return rw.unfold.get(n.name)
 
 
-_L2R: dict[Law, Callable] = {
-    Law.BETA_ARROW: _beta_arrow, Law.ETA_ARROW: _eta_arrow,
-    Law.LEFT_UNIT: _left_unit, Law.RIGHT_UNIT: _right_unit,
-    Law.ASSOC: _assoc, Law.BETA_FUN: _beta_fun, Law.ETA_FUN: _eta_fun,
-    Law.BETA_PAIR1: _beta_pair1, Law.BETA_PAIR2: _beta_pair2,
-    Law.ETA_PAIR: _eta_pair, Law.LET_SUBST: _let_subst,
-    Law.IF_TRUE: _if_true, Law.IF_FALSE: _if_false, Law.EQ_LIT: _eq_lit,
-    Law.EQ_TRUE: _eq_true, Law.IF_DISTRIB: _if_distrib, Law.IF_ETA: _if_eta,
-    Law.BIND_LEFT: _bind_left, Law.BIND_RIGHT: _bind_right,
-    Law.BIND_ASSOC: _bind_assoc, Law.ZERO_BIND: _zero_bind,
-    Law.BIND_ZERO: _bind_zero, Law.ZERO_PLUS: _zero_plus,
-    Law.PLUS_ZERO: _plus_zero, Law.PLUS_ASSOC: _plus_assoc,
-    Law.BIND_PLUS: _bind_plus, Law.DELTA: _delta,
-}
+# --------------------------------------------------------------------------
+# The laws
 
-_R2L: dict[Law, Callable] = {
-    Law.ASSOC: _assoc_r, Law.BIND_ASSOC: _bind_assoc_r,
-    Law.PLUS_ASSOC: _plus_assoc_r, Law.IF_DISTRIB: _if_distrib_r,
-    Law.BIND_PLUS: _bind_plus_r,
-}
 
-# automatic normalization: the laws that decrease the termination measure,
-# in priority order, each with the node class that heads its left-hand side
-AUTO_LAWS: dict[Law, type] = {
-    Law.BETA_ARROW: CApp, Law.ETA_ARROW: ArrowAbs,
-    Law.LEFT_UNIT: CLet, Law.RIGHT_UNIT: CLet, Law.ASSOC: CLet,
-    Law.BETA_FUN: App, Law.ETA_FUN: Lam,
-    Law.BETA_PAIR1: Fst, Law.BETA_PAIR2: Snd,
-    Law.LET_SUBST: Let,
-    Law.IF_TRUE: If, Law.IF_FALSE: If, Law.EQ_LIT: Eq, Law.EQ_TRUE: Eq,
-    Law.IF_DISTRIB: If, Law.IF_ETA: If,
-    Law.BIND_LEFT: VecLet, Law.BIND_RIGHT: VecLet, Law.ZERO_BIND: VecLet,
-    Law.BIND_ZERO: VecLet, Law.BIND_ASSOC: VecLet,
-    Law.ZERO_PLUS: VecAdd, Law.PLUS_ZERO: VecAdd, Law.PLUS_ASSOC: VecAdd,
-    Law.DELTA: Var,
-}
+class Law(Enum):
+    """The laws, each declared once.  A member's value is its name in
+    traces; it also has ``head``, the class at the head of its left-hand
+    side; ``auto``, whether normalization applies it; ``grows``, whether a
+    step may make the term larger (it substitutes, unfolds or distributes);
+    and its matchers ``l2r`` and ``r2l``, the second None where the law has
+    no right-to-left direction.  Declaration order is normalization's
+    priority order among the laws of one head."""
+
+    def __new__(cls, name, head, auto, grows, l2r, r2l=None):
+        law = object.__new__(cls)
+        law._value_ = name
+        law.head, law.auto, law.grows = head, auto, grows
+        law.l2r, law.r2l = l2r, r2l
+        return law
+
+    # name, head, auto, grows, l2r[, r2l]
+    BETA_ARROW = "beta~>", CApp, True, True, _beta
+    ETA_ARROW = "eta~>", ArrowAbs, True, False, _eta
+    LEFT_UNIT = "left", CLet, True, True, _left
+    RIGHT_UNIT = "right", CLet, True, False, _right
+    ASSOC = "assoc", CLet, True, False, _assoc, _assoc_r
+    BETA_FUN = "beta", App, True, True, _beta
+    ETA_FUN = "eta", Lam, True, False, _eta
+    BETA_PAIR1 = "beta.1", Fst, True, False, _beta_pair
+    BETA_PAIR2 = "beta.2", Snd, True, False, _beta_pair
+    ETA_PAIR = "eta.x", Pair, False, False, _eta_pair
+    LET_SUBST = "let", Let, True, True, _let_subst
+    IF_TRUE = "if.true", If, True, False, _if_true
+    IF_FALSE = "if.false", If, True, False, _if_false
+    EQ_LIT = "eq.lit", Eq, True, False, _eq_lit
+    EQ_TRUE = "eq.true", Eq, True, False, _eq_true
+    IF_DISTRIB = "if.distrib", If, True, True, _if_distrib, _if_distrib_r
+    IF_ETA = "if.eta", If, True, False, _if_eta
+    BIND_LEFT = "bind.left", VecLet, True, True, _left
+    BIND_RIGHT = "bind.right", VecLet, True, False, _right
+    ZERO_BIND = "zero.bind", VecLet, True, False, _zero_bind
+    BIND_ZERO = "bind.zero", VecLet, True, False, _bind_zero
+    BIND_ASSOC = "bind.assoc", VecLet, True, False, _bind_assoc, _bind_assoc_r
+    ZERO_PLUS = "zero.plus", VecAdd, True, False, _zero_plus
+    PLUS_ZERO = "plus.zero", VecAdd, True, False, _plus_zero
+    PLUS_ASSOC = "plus.assoc", VecAdd, True, False, _plus_assoc, _plus_assoc_r
+    BIND_PLUS = "bind.plus", VecLet, False, True, _bind_plus, _bind_plus_r
+    DELTA = "delta", Var, True, True, _delta
+
+
 # the (law, matcher) pairs to try at a node, by its exact class (node
 # classes are not subclassed), in priority order
 _AUTO_BY_CLASS: dict[type, tuple[tuple[Law, Callable], ...]] = {
-    head: tuple((law, _L2R[law]) for law, h in AUTO_LAWS.items() if h is head)
-    for head in AUTO_LAWS.values()
+    head: tuple((law, law.l2r) for law in Law if law.auto and law.head is head)
+    for head in dict.fromkeys(law.head for law in Law if law.auto)
 }
 
 
@@ -462,13 +430,6 @@ def _size(node: Node) -> int:
     for f in node.child_fields:
         n += _size(getattr(node, f))
     return n
-
-
-# the automatic laws whose result can be larger than their redex: those that
-# substitute, unfold or distribute
-_GROWING = frozenset({Law.BETA_ARROW, Law.LEFT_UNIT, Law.BETA_FUN,
-                      Law.LET_SUBST, Law.BIND_LEFT, Law.DELTA,
-                      Law.IF_DISTRIB})
 
 
 # --------------------------------------------------------------------------
@@ -538,14 +499,15 @@ class Rewriter:
 
     def try_law(self, node: Node, law: Law,
                 direction: str = "L2R") -> Optional[Node]:
-        if direction not in ("L2R", "R2L"):
+        if direction == "L2R":
+            return law.l2r(self, node) if isinstance(node, law.head) else None
+        if direction != "R2L":
             raise RewriteError(
                 f"direction must be L2R or R2L, not {direction!r}")
-        fn = (_L2R if direction == "L2R" else _R2L).get(law)
-        if fn is None:
+        if law.r2l is None:
             raise RewriteError(
-                f"direction {direction} is not supported for {law.value}")
-        return fn(self, node)
+                f"direction R2L is not supported for {law.value}")
+        return law.r2l(self, node)
 
     def apply_law_at(self, root: Node, path: tuple[int, ...], law: Law,
                      direction: str = "L2R") -> Node:
@@ -598,7 +560,7 @@ class Rewriter:
                 stopped = "fuel"
                 break
             path, law, redex, new = found
-            if law in _GROWING:
+            if law.grows:
                 growth = _size(new) - _size(redex)
                 size += growth
                 if size > limit:

@@ -10,7 +10,7 @@ import randprog
 import structural
 from qarrow import apply_law_at, elaborate_term, parse_term, parse_type, pretty
 from qarrow import rewriter
-from qarrow.rewriter import _L2R, AUTO_LAWS, Law, Rewriter, replace_at
+from qarrow.rewriter import Law, Rewriter, replace_at
 
 GOLDEN_START = "\\@x. let y = (\\@z. [not z]) @ x in (\\@w. [not w]) @ y"
 
@@ -20,8 +20,8 @@ def plain_steps(rw, node, fuel):
     order, every law tried at every node, from the root after each rewrite.
     Returns the steps as (law, path, pretty result) and the complete flag."""
     def find(n, path):
-        for law in AUTO_LAWS:
-            new = _L2R[law](rw, n)
+        for law in Law:
+            new = rw.try_law(n, law) if law.auto else None
             if new is not None:
                 return path, law, new
         for i, f in enumerate(n.child_fields):

@@ -62,6 +62,12 @@ def test_monadic_let_backtracking(prelude):
                              parse_term("let x = hadamard True in True"))
     assert type_str(ty3) == "Bool"
     assert isinstance(t3, Let)
+    # the monadic reading fails to check (v + v needs vectors, the bind
+    # gives v : Bool): the let falls back to a plain one, v : Vec Bool
+    ty4, t4 = elaborate_term(prelude.types,
+                             parse_term("let v = hadamard True in v + v"))
+    assert type_str(ty4) == "Vec Bool"
+    assert isinstance(t4, Let)
 
 
 def test_vec_operations(prelude):
