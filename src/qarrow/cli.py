@@ -39,7 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from typing import Optional, TYPE_CHECKING
 
 from .classic import inverse_translate, sexpr, translate_term
@@ -273,15 +273,23 @@ def elaborated_target(target: str, gamma: dict, defs: dict):
 # Subcommands
 
 
+def show(args, as_json: Callable[[], dict],
+         as_lines: Callable[[], list[str]]) -> None:
+    """Print the object ``as_json()`` under ``--json``, and otherwise each
+    line of ``as_lines()`` (an empty list prints nothing).  Only the form
+    asked for is built, as a density's JSON is much larger than its text."""
+    if args.json:
+        print(json.dumps(as_json(), sort_keys=True))
+    else:
+        for line in as_lines():
+            print(line)
+
+
 def cmd_check(args) -> int:
     types, _, _, _ = load_file(args.file, not args.no_prelude)
-    if args.json:
-        out = {"defs": [{"name": n, "type": type_str(t)}
-                        for n, t in types.items()]}
-        print(json.dumps(out, sort_keys=True))
-    else:
-        for n, t in types.items():
-            print(f"{n} : {type_str(t)}")
+    defs = [(n, type_str(t)) for n, t in types.items()]
+    show(args, lambda: {"defs": [{"name": n, "type": t} for n, t in defs]},
+         lambda: [f"{n} : {t}" for n, t in defs])
     return OK
 
 
@@ -290,7 +298,7 @@ def cmd_run(args) -> int:
     from .linalg import (dens_from_json, dens_to_json, dim, pure_density,
                          render_density, render_vector, vec_to_json)
 
-    types, gamma, env, _ = load_file(args.file, not args.no_prelude)
+    _, gamma, env, _ = load_file(args.file, not args.no_prelude)
     env = env.load()
     if args.name not in env:
         raise CliError(f"no definition named {args.name!r}", BADINPUT)
@@ -314,80 +322,62 @@ def cmd_run(args) -> int:
                 f"input has dimension {rho.shape[0]}, but {args.name} "
                 f"expects {d}", BADINPUT)
         out = run_super(value, rho)
-        if args.json:
-            print(json.dumps({"def": args.name,
-                              "type": type_str(types.get(args.name)
-                                               or gamma[args.name]),
-                              "output": dens_to_json(out, value.out_type)},
-                             sort_keys=True))
-        else:
-            print(render_density(out))
+        show(args, lambda: {"def": args.name,
+                            "type": type_str(gamma[args.name]),
+                            "output": dens_to_json(out, value.out_type)},
+             lambda: [render_density(out)])
         return OK
 
     if args.input is not None or args.density is not None:
         raise CliError(f"{args.name} is not a superoperator; it takes no "
                        f"input", BADINPUT)
     if isinstance(value, VecV):
-        if args.json:
-            print(json.dumps({"def": args.name,
-                              "value": vec_to_json(value.amp, value.elem_type)},
-                             sort_keys=True))
-        else:
-            print(render_vector(value.amp))
-        return OK
-    if isinstance(value, (bool, tuple)):
-        rendered = repr(value)
-        if args.json:
-            print(json.dumps({"def": args.name, "value": rendered},
-                             sort_keys=True))
-        else:
-            print(rendered)
-        return OK
-    raise CliError(f"{args.name} evaluates to a function; apply it to "
-                   f"arguments inside a program instead", BADINPUT)
+        show(args, lambda: {"def": args.name,
+                            "value": vec_to_json(value.amp, value.elem_type)},
+             lambda: [render_vector(value.amp)])
+    elif isinstance(value, (bool, tuple)):
+        show(args, lambda: {"def": args.name, "value": repr(value)},
+             lambda: [repr(value)])
+    else:
+        raise CliError(f"{args.name} evaluates to a function; apply it to "
+                       f"arguments inside a program instead", BADINPUT)
+    return OK
 
 
 def cmd_normalize(args) -> int:
     check_limits(args.fuel)
     _, gamma, _, defs = load_file(args.file, not args.no_prelude)
     term = elaborated_target(args.target, gamma, defs)
-    rw = Rewriter(defs, args.fuel)
-    trace = rw.normalize(term)
-    if args.json:
-        print(json.dumps(trace_to_json(trace), sort_keys=True))
-    else:
-        print(render_trace(trace))
+    trace = Rewriter(defs, args.fuel).normalize(term)
+    show(args, lambda: trace_to_json(trace), lambda: [render_trace(trace)])
     return OK if trace.complete else UNDECIDED
 
 
 def cmd_prove(args) -> int:
     check_limits(args.fuel, args.tolerance)
     _, gamma, env, defs = load_file(args.file, not args.no_prelude)
-    lhs = resolve_target(args.lhs, defs)
-    rhs = resolve_target(args.rhs, defs)
-    verdict = prove_equal(lhs, rhs, types=gamma, env=env, defs=defs,
-                          fuel=args.fuel, tol=args.tolerance)
+    verdict = prove_equal(resolve_target(args.lhs, defs),
+                          resolve_target(args.rhs, defs), types=gamma, env=env,
+                          defs=defs, fuel=args.fuel, tol=args.tolerance)
+    proved = isinstance(verdict, (ProvedByNormalization, ProvedSemantically))
     witness = verdict.witness if isinstance(verdict, NotEqual) else None
     if witness is not None:
         from .linalg import dens_to_json, render_density
-    if args.json:
+
+    def as_json() -> dict:
         out = {"kind": verdict.kind, "detail": verdict.describe()}
-        if isinstance(verdict, (ProvedByNormalization, ProvedSemantically)):
+        if proved:
             out["left_trace"] = trace_to_json(verdict.left_trace)
             out["right_trace"] = trace_to_json(verdict.right_trace)
         if witness is not None:
             out["witness"] = dens_to_json(witness)
-        print(json.dumps(out, sort_keys=True))
-    else:
-        print(verdict.describe())
-        if witness is not None:
-            print("witness density:")
-            print(render_density(witness))
-    if isinstance(verdict, (ProvedByNormalization, ProvedSemantically)):
+        return out
+
+    show(args, as_json, lambda: [verdict.describe()] if witness is None else
+         [verdict.describe(), "witness density:", render_density(witness)])
+    if proved:
         return OK
-    if isinstance(verdict, NotEqual):
-        return FAIL
-    return UNDECIDED
+    return FAIL if isinstance(verdict, NotEqual) else UNDECIDED
 
 
 def cmd_emit(args) -> int:
@@ -396,18 +386,12 @@ def cmd_emit(args) -> int:
     if not isinstance(term, ArrowAbs):
         raise CliError(f"{args.name} is not an arrow abstraction", BADINPUT)
     pipe = translate_term(term)
-    inv = inverse_translate(pipe) if args.invert else None
-    if args.json:
-        out = {"pipeline": sexpr(pipe),
-               "in_type": type_str(pipe.in_type),
-               "out_type": type_str(pipe.out_type)}
-        if inv is not None:
-            out["inverse"] = pretty(inv)
-        print(json.dumps(out, sort_keys=True))
-    else:
-        print(sexpr(pipe))
-        if inv is not None:
-            print(pretty(inv))
+    out = {"pipeline": sexpr(pipe), "in_type": type_str(pipe.in_type),
+           "out_type": type_str(pipe.out_type)}
+    if args.invert:
+        out["inverse"] = pretty(inverse_translate(pipe))
+    show(args, lambda: out,
+         lambda: [out[k] for k in ("pipeline", "inverse") if k in out])
     return OK
 
 

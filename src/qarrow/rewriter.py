@@ -61,6 +61,12 @@ and the unfoldable definitions, so such a subtree stays free of redexes.
 
 Definition unfolding (``delta``) is restricted to definitions that are not
 arrow abstractions; programs are non-recursive, so unfolding terminates.
+It is also restricted to places where the name is free: no binder above
+binds the name, or a free name of the definition's body, which it would
+capture.  That is the one condition that reads outside the node, so the
+search checks it, on the path from the root, only where it finds an
+unfold, and a subtree holding a refused unfold is not recorded as free of
+redexes, since a later step may remove the binder.
 
 ``prove_equal`` first normalizes both sides.  Only when that does not
 decide does it evaluate closed terms and compare their denotations, with
@@ -450,9 +456,6 @@ class ProofTrace(Record):
     complete: bool          # False when a bound stopped normalization
     stopped: Optional[str] = None   # that bound: "fuel" or "size"
 
-    def laws(self) -> list[Law]:
-        return [s.law for s in self.steps]
-
 
 _STOP_NOTES = {"fuel": "fuel exhausted", "size": "size bound reached"}
 
@@ -495,6 +498,8 @@ class Rewriter:
             name: term for name, term in defs.items()
             if not isinstance(term, ArrowAbs)
         }
+        # the free names of each definition's body, computed on first need
+        self.free: dict[str, frozenset[str]] = {}
         self.fuel = fuel
 
     def try_law(self, node: Node, law: Law,
@@ -513,32 +518,58 @@ class Rewriter:
                      direction: str = "L2R") -> Node:
         target = get_at(root, path)
         new = self.try_law(target, law, direction)
-        if new is None:
+        if new is None or (law is Law.DELTA
+                           and not self._unfolds(root, path, target.name)):
             raise RewriteError(
                 f"{law.value} ({direction}) is not applicable at {path}")
         return replace_at(root, path, new)
 
-    def _search(self, node: Node, path: list[int],
-                clean: dict[int, Node]) -> Optional[tuple]:
+    def _unfolds(self, root: Node, path, name: str) -> bool:
+        """Whether ``delta`` may unfold the definition `name` at `path` in
+        `root`: no binder above binds `name`, nor a free name of its body."""
+        bound = set()
+        for i in path:
+            if root.binder and i == len(root.child_fields) - 1:
+                bound.update(pattern_names(root.pat))
+            root = getattr(root, root.child_fields[i])
+        if not bound:
+            return True
+        if name not in self.free:
+            self.free[name] = free_vars(self.unfold[name])
+        return name not in bound and bound.isdisjoint(self.free[name])
+
+    def _search(self, root: Node, node: Node, path: list[int],
+                clean: dict[int, Node]):
         """The first redex of `node` in preorder, as (path, law, redex,
-        result), trying every law of each node's class.
+        result), trying every law of each node's class; `node` is at `path`
+        in `root`.  None when `node`'s subtree has no redex, and False when
+        it has none but an unfold that a binder above refuses.
 
         `clean` maps ``id(n)`` to ``n`` for subtrees already found free of
         redexes; they are skipped, and `node`'s subtree joins them when it
-        has none.  Holding the node keeps its id from being reused.
+        has none.  A refused unfold keeps its subtree out: the binder may go.
+        Holding the node keeps its id from being reused.
         """
         if id(node) in clean:
             return None
         for law, match in _AUTO_BY_CLASS.get(type(node), ()):
             new = match(self, node)
             if new is not None:
+                if law is Law.DELTA and not self._unfolds(root, path,
+                                                          node.name):
+                    return False
                 return tuple(path), law, node, new
+        refused = False
         for i, f in enumerate(node.child_fields):
             path.append(i)
-            found = self._search(getattr(node, f), path, clean)
+            found = self._search(root, getattr(node, f), path, clean)
             path.pop()
             if found is not None:
-                return found
+                if found:
+                    return found
+                refused = True
+        if refused:
+            return False
         clean[id(node)] = node
         return None
 
@@ -553,8 +584,8 @@ class Rewriter:
         size = _size(node)
         limit = size_limit(size)
         while True:
-            found = self._search(node, [], clean)
-            if found is None:
+            found = self._search(node, node, [], clean)
+            if not found:
                 break
             if fuel <= 0:
                 stopped = "fuel"
@@ -573,14 +604,6 @@ class Rewriter:
             fuel -= 1
         return ProofTrace(start, tuple(steps), node, stopped is None,
                           stopped=stopped)
-
-    def replay(self, trace: ProofTrace) -> bool:
-        node = trace.start
-        for step in trace.steps:
-            node = self.apply_law_at(node, step.path, step.law, step.direction)
-            if not alpha_eq(node, step.result):
-                return False
-        return alpha_eq(node, trace.end)
 
 
 def apply_law_at(root: Node, path: tuple[int, ...], law: Law,

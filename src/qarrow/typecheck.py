@@ -2,7 +2,8 @@
 
 Judgments use an environment pair: ``gamma`` holds ordinary (function-level)
 bindings, ``delta`` holds variables bound by arrow abstractions and command
-lets.  The two have disjoint domains.  Terms see the merged environment;
+lets.  The two have disjoint domains: ``EnvPair.bind`` binds a name in
+one and drops it from the other.  Terms see the merged environment;
 the *function position* of an arrow application is checked under ``gamma``
 alone, so a ``delta`` variable there is reported as ``delta-misuse``.
 
@@ -157,25 +158,15 @@ def _has_tvar(t: TypeExpr) -> bool:
 def validate_type(t: TypeExpr, pos: Optional[Pos] = None) -> None:
     """Reject types whose Vec/Super arguments are not classical."""
     where = t.pos or pos
-    if isinstance(t, VecT):
-        if not is_classical(t.elem):
+    for f in t.child_fields:
+        part = getattr(t, f)
+        if not isinstance(t, (VecT, SuperT)):
+            validate_type(part, where)
+        elif not is_classical(part):
+            need = ("classical index types" if isinstance(t, SuperT)
+                    else "a classical index type")
             raise TypeCheckError("non-classical-basis", where,
-                                 detail=f"{type_str(t)} needs a classical index type")
-        return
-    if isinstance(t, SuperT):
-        for part in (t.arg, t.res):
-            if not is_classical(part):
-                raise TypeCheckError("non-classical-basis", where,
-                                     detail=f"{type_str(t)} needs classical index types")
-        return
-    if isinstance(t, ProdT):
-        validate_type(t.left, where)
-        validate_type(t.right, where)
-        return
-    if isinstance(t, FunT):
-        validate_type(t.arg, where)
-        validate_type(t.res, where)
-        return
+                                 detail=f"{type_str(t)} needs {need}")
 
 
 class EnvPair:
@@ -192,25 +183,17 @@ class EnvPair:
             return self.delta[name]
         return self.gamma.get(name)
 
-    def bind_gamma(self, pairs) -> "EnvPair":
-        gamma = dict(self.gamma)
-        delta = dict(self.delta)
-        hidden = set(self.hidden)
+    def bind(self, pairs, delta: bool = False) -> "EnvPair":
+        """`pairs` of (name, type) bound in gamma, or in delta when `delta`
+        is true; each name leaves the other environment and `hidden`."""
+        env = EnvPair(self.gamma, self.delta,
+                      self.hidden.difference([name for name, _ in pairs]))
+        into, other = ((env.delta, env.gamma) if delta
+                       else (env.gamma, env.delta))
         for name, ty in pairs:
-            gamma[name] = ty
-            delta.pop(name, None)
-            hidden.discard(name)
-        return EnvPair(gamma, delta, frozenset(hidden))
-
-    def bind_delta(self, pairs) -> "EnvPair":
-        gamma = dict(self.gamma)
-        delta = dict(self.delta)
-        hidden = set(self.hidden)
-        for name, ty in pairs:
-            delta[name] = ty
-            gamma.pop(name, None)
-            hidden.discard(name)
-        return EnvPair(gamma, delta, frozenset(hidden))
+            into[name] = ty
+            other.pop(name, None)
+        return env
 
     def hide_delta(self) -> "EnvPair":
         return EnvPair(self.gamma, {}, self.hidden | set(self.delta))
@@ -235,12 +218,16 @@ class Checker:
     def _classical(self, t: TypeExpr, pos: Optional[Pos]) -> None:
         self.obligations.append((t, pos))
 
+    def _halves(self, t: TypeExpr, pos: Optional[Pos],
+                what: str) -> tuple[TypeExpr, TypeExpr]:
+        """The two component types of the pair type `t`."""
+        l, r = self.uni.fresh(), self.uni.fresh()
+        self.uni.unify(ProdT(l, r), t, pos, detail=f"{what} needs a pair")
+        return l, r
+
     def check_obligations(self) -> None:
         for t, pos in self.obligations:
-            r = self.uni.resolve(t)
-            if _has_tvar(r):
-                raise TypeCheckError("mismatch", pos,
-                                     detail="ambiguous type; an annotation is required")
+            r = self.uni.resolve_full(t, pos)
             if not is_classical(r):
                 raise TypeCheckError("non-classical-basis", pos,
                                      detail=f"expected a classical type, found {type_str(r)}")
@@ -310,17 +297,11 @@ class Checker:
             rt, r2 = self.elaborate_term(env, t.right, hint.right if hint else None)
             return ProdT(lt, rt), Pair(l2, r2, pos=t.pos)
 
-        if isinstance(t, Fst):
+        if isinstance(t, (Fst, Snd)):
             at, a2 = self.elaborate_term(env, t.arg)
-            l, r = self.uni.fresh(), self.uni.fresh()
-            self.uni.unify(ProdT(l, r), at, t.pos, detail="fst needs a pair")
-            return l, Fst(a2, pos=t.pos)
-
-        if isinstance(t, Snd):
-            at, a2 = self.elaborate_term(env, t.arg)
-            l, r = self.uni.fresh(), self.uni.fresh()
-            self.uni.unify(ProdT(l, r), at, t.pos, detail="snd needs a pair")
-            return r, Snd(a2, pos=t.pos)
+            first = isinstance(t, Fst)
+            l, r = self._halves(at, t.pos, "fst" if first else "snd")
+            return (l if first else r), type(t)(a2, pos=t.pos)
 
         if isinstance(t, Eq):
             lt, l2 = self.elaborate_term(env, t.left)
@@ -332,7 +313,7 @@ class Checker:
         if isinstance(t, Lam):
             hint = self._hint(expected, FunT)
             arg_t: TypeExpr = hint.arg if hint else self.uni.fresh()
-            env2 = env.bind_gamma(self.bind_pattern(t.pat, arg_t))
+            env2 = env.bind(self.bind_pattern(t.pat, arg_t))
             body_t, body2 = self.elaborate_term(env2, t.body,
                                                 hint.res if hint else None)
             return FunT(arg_t, body_t), Lam(t.pat, body2, pos=t.pos)
@@ -358,7 +339,7 @@ class Checker:
                 snap = self.uni.snapshot()
                 n_obl = len(self.obligations)
                 try:
-                    env2 = env.bind_gamma(self.bind_pattern(t.pat, bh.elem))
+                    env2 = env.bind(self.bind_pattern(t.pat, bh.elem))
                     nt, n2 = self.elaborate_term(env2, t.body, expected)
                     nh = self.uni.head(nt)
                     if isinstance(nh, VecT):
@@ -366,12 +347,11 @@ class Checker:
                         return nt, VecLet(t.pat, b2, n2, pos=t.pos, type_=nt)
                     if isinstance(nh, TVar):
                         self.guessed = True
-                    self.uni.restore(snap)
-                    del self.obligations[n_obl:]
                 except TypeCheckError:
-                    self.uni.restore(snap)
-                    del self.obligations[n_obl:]
-            env2 = env.bind_gamma(self.bind_pattern(t.pat, bt))
+                    pass
+                self.uni.restore(snap)
+                del self.obligations[n_obl:]
+            env2 = env.bind(self.bind_pattern(t.pat, bt))
             nt, n2 = self.elaborate_term(env2, t.body, expected)
             return nt, Let(t.pat, b2, n2, pos=t.pos)
 
@@ -380,7 +360,7 @@ class Checker:
             bt, b2 = self.elaborate_term(env, t.bound)
             elem = self.uni.fresh()
             self.uni.unify(VecT(elem), bt, t.pos, detail="vector bind")
-            env2 = env.bind_gamma(self.bind_pattern(t.pat, elem))
+            env2 = env.bind(self.bind_pattern(t.pat, elem))
             nt, n2 = self.elaborate_term(env2, t.body, expected)
             res = self.uni.fresh()
             self.uni.unify(VecT(res), nt, t.pos, detail="vector bind body")
@@ -410,8 +390,7 @@ class Checker:
             elem = self.uni.fresh()
             self.uni.unify(VecT(elem), lt, t.pos,
                            detail="+/- applies to vector-typed terms")
-            cls = VecAdd if isinstance(t, VecAdd) else VecSub
-            return lt, cls(l2, r2, pos=t.pos)
+            return lt, type(t)(l2, r2, pos=t.pos)
 
         if isinstance(t, VecScale):
             at, a2 = self.elaborate_term(env, t.arg, expected)
@@ -423,10 +402,7 @@ class Checker:
         if isinstance(t, MZero):
             if t.type_ is not None:
                 validate_type(t.type_, t.pos)
-                self.uni.unify(t.type_, t.type_, t.pos)
-                ty: TypeExpr = t.type_
-            else:
-                ty = VecT(self.uni.fresh())
+            ty = t.type_ if t.type_ is not None else VecT(self.uni.fresh())
             elem = self.uni.fresh()
             self.uni.unify(VecT(elem), ty, t.pos, detail="mzero is vector-typed")
             self._classical(elem, t.pos)
@@ -437,8 +413,8 @@ class Checker:
             if hint is None and isinstance(t.type_, SuperT):
                 hint = t.type_  # keep annotations from a previous elaboration
             arg_t: TypeExpr = hint.arg if hint else self.uni.fresh()
-            inner = env.enter_command()
-            inner = inner.bind_delta(self.bind_pattern(t.pat, arg_t))
+            inner = env.enter_command().bind(
+                self.bind_pattern(t.pat, arg_t), delta=True)
             res_t, cmd2 = self.elaborate_command(inner, t.cmd)
             self._classical(arg_t, t.pos)
             self._classical(res_t, t.pos)
@@ -494,25 +470,22 @@ class Checker:
             bt, b2 = self.elaborate_command(env, c.bound)
             if c.bound_type is not None:
                 self.uni.unify(c.bound_type, bt, c.pos)
-            env2 = env.bind_delta(self.bind_pattern(c.pat, bt))
+            env2 = env.bind(self.bind_pattern(c.pat, bt), delta=True)
             nt, n2 = self.elaborate_command(env2, c.body)
             return nt, CLet(c.pat, b2, n2, pos=c.pos, bound_type=bt)
 
-        if isinstance(c, Meas):
+        if isinstance(c, (Meas, TrL)):
+            # meas copies its classical argument; trL keeps a pair's second
             at, a2 = self.elaborate_term(env, c.arg)
             if c.arg_type is not None:
                 self.uni.unify(c.arg_type, at, c.pos)
+            if isinstance(c, Meas):
+                res = ProdT(at, at)
+            else:
+                at = ProdT(*self._halves(at, c.pos, "trL"))
+                res = at.right
             self._classical(at, c.pos)
-            return ProdT(at, at), Meas(a2, pos=c.pos, arg_type=at)
-
-        if isinstance(c, TrL):
-            at, a2 = self.elaborate_term(env, c.arg)
-            if c.arg_type is not None:
-                self.uni.unify(c.arg_type, at, c.pos)
-            l, r = self.uni.fresh(), self.uni.fresh()
-            self.uni.unify(ProdT(l, r), at, c.pos, detail="trL needs a pair")
-            self._classical(at, c.pos)
-            return r, TrL(a2, pos=c.pos, arg_type=ProdT(l, r))
+            return res, type(c)(a2, pos=c.pos, arg_type=at)
 
         raise TypeCheckError("mismatch", c.pos, detail=f"unexpected command {c!r}")
 
@@ -569,13 +542,6 @@ def elaborate_term(env, term: Term,
     return ty, t2
 
 
-def elaborate_def(gamma: dict[str, TypeExpr], d: Def) -> tuple[TypeExpr, Def]:
-    if d.annot is not None:
-        validate_type(d.annot, d.pos)
-    ty, t2 = elaborate_term(gamma, d.term, d.annot)
-    return ty, Def(d.name, d.annot, t2, pos=d.pos)
-
-
 def elaborate_program(program: Program,
                       gamma: Optional[dict[str, TypeExpr]] = None
                       ) -> tuple[dict[str, TypeExpr], Program]:
@@ -583,8 +549,10 @@ def elaborate_program(program: Program,
     types: dict[str, TypeExpr] = {}
     new_defs = []
     for d in program.defs:
-        ty, d2 = elaborate_def(env, d)
+        if d.annot is not None:
+            validate_type(d.annot, d.pos)
+        ty, t2 = elaborate_term(env, d.term, d.annot)
         env[d.name] = ty
         types[d.name] = ty
-        new_defs.append(d2)
+        new_defs.append(Def(d.name, d.annot, t2, pos=d.pos))
     return types, Program(tuple(new_defs))

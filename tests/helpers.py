@@ -1,5 +1,6 @@
 """Helpers that several test modules share: random densities, comparing
-densities, and the matrix of a vector-valued function."""
+densities, the matrix of a vector-valued function, and the laws and the
+replay of a rewriting trace."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import numpy as np
 
 from qarrow.evaluator import apply_closure, EvalError, VecV
 from qarrow.linalg import basis, dim
-from qarrow.syntax import TypeExpr
+from qarrow.rewriter import Law, ProofTrace, Rewriter
+from qarrow.syntax import alpha_eq, TypeExpr
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -30,3 +32,19 @@ def materialize_lin(f, in_t: TypeExpr, out_t: TypeExpr) -> np.ndarray:
             raise EvalError("expected a vector-valued function")
         mat[:, i] = v.amp
     return mat
+
+
+def laws(trace: ProofTrace) -> list[Law]:
+    """The law of each step of `trace`, in order."""
+    return [s.law for s in trace.steps]
+
+
+def replay(rw: Rewriter, trace: ProofTrace) -> bool:
+    """Whether `trace` replays through ``rw.apply_law_at``: each step's
+    result, and the end, alpha-equivalent to the recorded ones."""
+    node = trace.start
+    for step in trace.steps:
+        node = rw.apply_law_at(node, step.path, step.law, step.direction)
+        if not alpha_eq(node, step.result):
+            return False
+    return alpha_eq(node, trace.end)

@@ -38,7 +38,7 @@ from qarrow.linalg import (
 
 import randprog
 from dense_arrow import super_arr, super_compose, super_first
-from helpers import dens_close, random_density
+from helpers import dens_close, laws, random_density
 from ill_typed import ILL_TYPED
 
 B = BoolT()
@@ -67,7 +67,7 @@ def test_criterion_1_golden_derivation(prelude, defs_map):
             Law.BETA_FUN, Law.DELTA, Law.BETA_FUN, Law.IF_DISTRIB,
             Law.IF_FALSE, Law.IF_TRUE, Law.IF_ETA]
     ok = (trace.complete
-          and trace.laws() == want
+          and laws(trace) == want
           and alpha_eq(trace.end, parse_term("\\@x. [x]"))
           and elapsed < 1.0)
     _report(ok, "criterion 1: double-negation derivation reaches \\@x. [x] "

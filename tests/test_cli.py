@@ -73,6 +73,13 @@ def test_check_json(runcli, demo):
         "defs": [{"name": "flip", "type": "Super Bool Bool"}]}
 
 
+def test_check_of_no_definitions_prints_nothing(runcli, tmp_path):
+    f = tmp_path / "empty.qarr"
+    f.write_text("")
+    assert runcli("check", str(f)) == (OK, "", "")
+    assert runcli("check", str(f), "--json") == (OK, '{"defs": []}\n', "")
+
+
 def test_check_type_error_exits_1(runcli, tmp_path):
     f = tmp_path / "bad.qarr"
     f.write_text("b : Bool\nb = (True, True)\n")
@@ -402,6 +409,34 @@ def test_prove_unknown_exits_3(runcli, tmp_path):
     assert code == UNDECIDED
     assert out == ("unknown: typechecking failed: <arg>:1:1: mismatch: "
                    "ambiguous type; an annotation is required\n")
+
+
+SHADOWING_SRC = """\
+x : Bool
+x = True
+ident : Super Bool Bool
+ident = \\@x. [x]
+konst : Super Bool Bool
+konst = \\@y. [True]
+"""
+
+
+def test_delta_leaves_a_bound_name_alone(runcli, tmp_path):
+    """``ident``'s binder shadows the definition ``x``: its body reads the
+    binder, so it normalizes to itself and is not equal to ``konst``."""
+    f = tmp_path / "shadow.qarr"
+    f.write_text(SHADOWING_SRC)
+    assert runcli("normalize", str(f), "ident") == (OK, "    \\@x. [x]\n", "")
+    code, out, _ = runcli("prove", str(f), "ident", "konst")
+    assert code == FAIL
+    assert out.startswith("not equal: denotations differ")
+
+
+def test_delta_does_not_unfold_under_a_capturing_binder(runcli):
+    # cnot's body reads the prelude's not, which the binder would capture
+    code, out, _ = runcli("normalize", "-", "\\not. cnot (not, True)",
+                          stdin="")
+    assert (code, out) == (OK, "    \\not. cnot (not, True)\n")
 
 
 def test_prove_json(runcli):

@@ -19,6 +19,7 @@ from qarrow.cli import load_file, main, resolve_target
 from qarrow.rewriter import ProofTrace, Rewriter, Step
 
 import structural
+from helpers import replay
 from randprog import DEMO_SRC
 
 # fragments a mutation may insert into a program or an inline term
@@ -142,7 +143,7 @@ def _replays(data: dict, type_, gamma: dict, defs: dict) -> bool:
                        term(s["result"])) for s in data["steps"])
     trace = ProofTrace(term(data["start"]), steps, term(data["end"]),
                        data["complete"])
-    return Rewriter(defs).replay(trace)
+    return replay(Rewriter(defs), trace)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every top-level function or class has a caller in the package or is
-exported, and every exception class the package defines is a
-``QarrowError``."""
+exported, so does every method, and every exception class the package
+defines is a ``QarrowError``."""
 import ast
 import collections
 import importlib
@@ -80,9 +80,10 @@ def _referenced(tree: ast.AST) -> collections.Counter:
 
 
 def orphans(sources: dict[str, str], exported: set[str]) -> list[str]:
-    """``module.name`` of each top-level function or class in `sources`
-    (module -> source) that no module reads outside its own definition and
-    that is not in `exported`."""
+    """``module.name`` of each top-level function or class, and
+    ``module.Class.name`` of each method, in `sources` (module -> source)
+    that no module reads outside its own definition and that is not in
+    `exported`.  A method is read wherever any attribute of its name is."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     refs = sum((_referenced(t) for t in trees.values()), collections.Counter())
     found = []
@@ -90,12 +91,17 @@ def orphans(sources: dict[str, str], exported: set[str]) -> list[str]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            name = node.name
-            # Python itself calls a dunder such as a module's __getattr__
-            if name.startswith("__") or name in exported:
-                continue
-            if refs[name] <= _referenced(node)[name]:
-                found.append(f"{mod}.{name}")
+            named = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                named += [(f"{node.name}.{m.name}", m) for m in node.body
+                          if isinstance(m, ast.FunctionDef)]
+            for qualname, d in named:
+                # Python itself calls a dunder such as a module's
+                # __getattr__ or a class's __init__
+                if d.name.startswith("__") or qualname in exported:
+                    continue
+                if refs[d.name] <= _referenced(d)[d.name]:
+                    found.append(f"{mod}.{qualname}")
     return sorted(found)
 
 
@@ -107,10 +113,13 @@ def test_no_orphans():
 def test_orphan_guard_sees_callers():
     sources = {"a": "def f():\n    return f()\n"
                     "def g():\n    pass\n"
-                    "class C:\n    pass\n",
+                    "class C:\n"
+                    "    def __init__(self):\n        self.m()\n"
+                    "    def m(self):\n        pass\n"
+                    "    def n(self):\n        return self.n()\n",
                "b": "from .a import g\n"
                     "def h() -> 'C':\n    return g()\n"}
-    assert orphans(sources, {"h"}) == ["a.f"]
+    assert orphans(sources, {"h"}) == ["a.C.n", "a.f"]
 
 
 def test_every_error_is_a_qarrow_error():

@@ -30,9 +30,11 @@ from qarrow import (
 )
 from qarrow.evaluator import compare_values
 from qarrow.rewriter import ProofTrace, Rewriter, get_at, replace_at
-from qarrow.syntax import BoolT, CLet, CUnit, MZero, ProdT, PVar, Var, VecAdd, VecLet, VecT
+from qarrow.syntax import (BoolT, CLet, CUnit, MZero, ProdT, PVar, rebuild,
+                           subst_map, Var, VecAdd, VecLet, VecT)
 
 import randprog
+from helpers import laws, replay
 
 B = BoolT()
 T = parse_term
@@ -162,6 +164,33 @@ def test_delta_skips_arrow_definitions(defs_map):
         apply_law_at(Var("mystery"), (), Law.DELTA, defs=defs_map)
 
 
+@pytest.mark.parametrize("src", [
+    "\\@not. [not]",             # the binder's not, not the prelude's
+    "\\not. cnot (not, True)",   # cnot's body would read the binder
+])
+def test_delta_refuses_a_bound_or_capturing_name(defs_map, src):
+    with pytest.raises(RewriteError, match="not applicable"):
+        apply_law_at(T(src), (0, 0), Law.DELTA, defs=defs_map)
+
+
+def test_delta_unfolds_once_the_capturing_binder_is_gone(defs_map):
+    """The search refuses both ``cnot``s under the binder ``not`` first;
+    beta.1 then makes that abstraction an eta redex, which removes the
+    binder, and the ``cnot``s unfold after all: a subtree that held a
+    refused unfold was not recorded as free of redexes."""
+    trace = normalize(T("\\y. \\not. (if y then cnot else cnot) "
+                        "(fst (not, True))"), defs=defs_map)
+    assert [law.value for law in laws(trace)][:3] == ["beta.1", "eta",
+                                                     "delta"]
+    assert trace.complete and "cnot" not in free_vars(trace.end)
+
+
+def test_delta_unfolds_under_a_binder_that_captures_nothing(defs_map):
+    got = apply_law_at(T("\\y. cnot (y, True)"), (0, 0), Law.DELTA,
+                       defs=defs_map)
+    assert alpha_eq(got.body.fn, defs_map["cnot"])
+
+
 # --------------------------------------------------------------------------
 # Single-step application: side conditions and near misses
 
@@ -285,7 +314,7 @@ def golden_term(prelude):
 
 def test_golden_normalization(prelude, defs_map):
     trace = normalize(golden_term(prelude), defs=defs_map)
-    assert trace.laws() == GOLDEN_LAWS
+    assert laws(trace) == GOLDEN_LAWS
     assert pretty(trace.end) == "\\@x. [x]"
     assert trace.complete
 
@@ -329,14 +358,14 @@ def test_fuel_exhaustion(prelude, defs_map):
 def test_replay(prelude, defs_map):
     rw = Rewriter(defs_map)
     trace = rw.normalize(golden_term(prelude))
-    assert rw.replay(trace)
+    assert replay(rw, trace)
     # a tampered step no longer replays
     bad_step = type(trace.steps[1])(trace.steps[1].law, trace.steps[1].path,
                                     trace.steps[1].direction, T("True"))
     tampered = ProofTrace(trace.start,
                           trace.steps[:1] + (bad_step,) + trace.steps[2:],
                           trace.end, trace.complete)
-    assert not rw.replay(tampered)
+    assert not replay(rw, tampered)
 
 
 def test_leftmost_outermost_order():
@@ -382,7 +411,7 @@ def test_prove_eta_arrow_by_normalization(prelude, defs_map):
     v = prove_equal(T("\\@x. QNot @ x"), T("QNot"),
                     types=prelude.types, env=prelude.env, defs=defs_map)
     assert isinstance(v, ProvedByNormalization)
-    assert v.left_trace.laws() == [Law.ETA_ARROW]
+    assert laws(v.left_trace) == [Law.ETA_ARROW]
 
 
 def test_prove_hadamard_involution(prelude, defs_map):
@@ -529,7 +558,7 @@ def test_assoc_renames_a_capturing_binder(prelude, defs_map, src, law, want,
     assert pretty(got) == want
     assert _agree(prelude, term, got, type_)
     trace = normalize(term, defs=defs_map)
-    assert trace.laws()[0] == law
+    assert laws(trace)[0] == law
     assert _agree(prelude, term, trace.end, type_)
 
 
@@ -570,10 +599,56 @@ def test_normalization_proofs_agree_semantically(prelude, defs_map):
                             env=prelude.env, defs=defs_map)
             if not isinstance(v, ProvedByNormalization):
                 continue
-            laws = set(v.left_trace.laws()) | set(v.right_trace.laws())
-            with_new += bool(laws & NEW_LAWS)
+            fired = set(laws(v.left_trace)) | set(laws(v.right_trace))
+            with_new += bool(fired & NEW_LAWS)
             assert _agree(prelude, before, after, inst.type_), (family, seed)
     assert with_new >= 50
+
+
+DEFINITION_NAMES = ("not", "cnot", "hadamard")
+
+
+def _rebind(node, names):
+    """`node` with the variable of each binder renamed, innermost first, to
+    the next of `names` that its scope does not read, and the number of
+    binders renamed; the new term is alpha-equivalent to `node`."""
+    changes, renamed = {}, 0
+    for f in node.child_fields:
+        changes[f], k = _rebind(getattr(node, f), names)
+        renamed += k
+    node = rebuild(node, changes)
+    if node.binder and isinstance(node.pat, PVar):
+        scope = node.child_fields[-1]
+        body, new = getattr(node, scope), next(names)
+        if new not in free_vars(body):
+            node = rebuild(node, {
+                "pat": PVar(new),
+                scope: subst_map(body, {node.pat.name: Var(new)})})
+            renamed += 1
+    return node, renamed
+
+
+def test_normalizing_under_binders_named_like_definitions(prelude,
+                                                          defs_map):
+    """Generated programs whose binders are renamed to definition names
+    (``not``, ``cnot``, ``hadamard``) keep their meaning when normalized:
+    ``delta`` unfolds none of the renamed variables, and no definition
+    under a binder that would capture a name its body reads."""
+    names = itertools.cycle(DEFINITION_NAMES)
+    cases = [randprog.random_super(seed) for seed in range(24)]
+    for family in sorted(randprog.FAMILIES):
+        for seed in range(4):
+            inst = randprog.law_instance(seed, family)
+            if inst.type_ is not None:
+                cases.append((inst.term, inst.type_))
+    renamed = 0
+    for term, type_ in cases:
+        term, k = _rebind(term, names)
+        renamed += k
+        _, term = elaborate_term(prelude.types, term, type_)
+        trace = normalize(term, defs=defs_map)
+        assert _agree(prelude, term, trace.end, type_), pretty(term)
+    assert renamed >= 80
 
 
 def _if_chain(depth):
@@ -589,7 +664,7 @@ def test_size_bound_stops_a_distributing_normalization(prelude, defs_map):
     _, deep = elaborate_term(types, T(_if_chain(10)))
     trace = normalize(deep, defs=defs_map)
     assert not trace.complete and trace.stopped == "size"
-    assert trace.laws() == [Law.IF_DISTRIB] * 8
+    assert laws(trace) == [Law.IF_DISTRIB] * 8
     assert render_trace(trace).endswith(
         "\n-- size bound reached; not a normal form")
     assert trace_to_json(trace)["stopped"] == "size"

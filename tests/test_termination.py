@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import randprog
 import structural
+from helpers import laws
 from qarrow import apply_law_at, elaborate_term, parse_term, parse_type
 from qarrow.rewriter import _size, Law, Rewriter
 from qarrow.syntax import (App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq, Fst,
@@ -209,7 +210,7 @@ def test_every_automatic_law_was_checked(prelude, defs_map):
         for seed in range(12):
             inst = randprog.law_instance(seed, family)
             _, term = elaborate_term(prelude.types, inst.term, inst.type_)
-            seen |= set(assert_every_step_decreases(defs_map, term).laws())
+            seen |= set(laws(assert_every_step_decreases(defs_map, term)))
     for src, type_src in [
             ("\\@x. let y = let z = QNot @ x in [z] in Had @ y",
              "Super Bool Bool"),
@@ -223,7 +224,7 @@ def test_every_automatic_law_was_checked(prelude, defs_map):
              "Bool")]:
         _, term = elaborate_term(prelude.types, parse_term(src),
                                  parse_type(type_src))
-        seen |= set(assert_every_step_decreases(defs_map, term).laws())
+        seen |= set(laws(assert_every_step_decreases(defs_map, term)))
     auto = {law for law in Law if law.auto}
     assert auto <= seen, auto - seen
 

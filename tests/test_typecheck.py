@@ -218,6 +218,37 @@ def test_error_rendering_format(prelude):
     assert "expected Bool" in msg and "found Vec Bool" in msg
 
 
+# One rule checks fst and snd, one meas and trL, one both Vec and Super
+# annotations, and one every ambiguity; each keeps its own text, byte for byte.
+@pytest.mark.parametrize("src, message", [
+    ("f = fst True",
+     "t.qarr:1:5: mismatch: expected (?,?), found Bool (fst needs a pair)"),
+    ("f = snd True",
+     "t.qarr:1:5: mismatch: expected (?,?), found Bool (snd needs a pair)"),
+    ("f : Super Bool Bool = \\@x. trL x",
+     "t.qarr:1:28: mismatch: expected (?,?), found Bool (trL needs a pair)"),
+    ("f : Vec (Bool -> Bool) = mzero",
+     "t.qarr:1:5: non-classical-basis: Vec (Bool -> Bool) needs a classical "
+     "index type"),
+    ("f : Super (Bool -> Bool) Bool = \\@x. [True]",
+     "t.qarr:1:5: non-classical-basis: Super (Bool -> Bool) Bool needs "
+     "classical index types"),
+    ("f : Bool -> Super Bool (Bool -> Bool) = \\x. \\@y. [x]",
+     "t.qarr:1:13: non-classical-basis: Super Bool (Bool -> Bool) needs "
+     "classical index types"),
+    # an obligation left unsolved: the unit's content type
+    ("f = snd (\\@x. [x], True)",
+     "t.qarr:1:15: mismatch: ambiguous type; an annotation is required"),
+    # the result type left unsolved
+    ("f = \\x. x",
+     "t.qarr:1:5: mismatch: ambiguous type; an annotation is required"),
+])
+def test_error_texts(prelude, src, message):
+    with pytest.raises(TypeCheckError) as ei:
+        elaborate_program(parse_program(src, "t.qarr"), dict(prelude.types))
+    assert str(ei.value) == message
+
+
 def test_error_positions(prelude):
     with pytest.raises(TypeCheckError) as ei:
         elaborate_program(
