@@ -15,7 +15,7 @@ import importlib
 _EXPORTS = {
     "classic": ("Arr", "ClassicExpr", "Compose", "FanoutC",
                 "inverse_translate", "LiftLin", "MeasC", "NamedSuper",
-                "PureFun", "sexpr", "translate_command", "translate_term",
+                "sexpr", "translate_command", "translate_term",
                 "TranslationError", "TrLC"),
     "evaluator": ("apply_closure", "ClosureV", "EvalError", "eval_program",
                   "eval_term", "run_super", "SuperV", "VecV"),

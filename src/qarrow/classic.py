@@ -19,10 +19,13 @@ command let extends it with ``(context, new)`` — exactly the shape
 translation of ``let y ⇐ P in Q`` as ``(arr keep &&& ⟦P⟧) >>> ⟦Q⟧`` in
 Lindley, Wadler & Yallop's arrow calculus, so the left leg of every
 ``&&&`` is an ``Arr``, and the pipeline language has no ``first`` or
-``second`` node of its own.  Context
-entries that the remainder of a command never mentions are dropped at
-each let (pure rewiring, so the denotation is unchanged); without this
-the context for a chain of n lets has dimension exponential in n.
+``second`` node of its own.  As there, an ``Arr`` or a ``LiftLin`` holds
+a lambda over the context tuple: its pattern pairs the context's patterns
+in the tuple's left-nested shape, so it binds the tuple as it stands.
+Context entries that the remainder of a command never mentions are
+dropped at each let (pure rewiring, so the denotation is unchanged);
+without this the context for a chain of n lets has dimension exponential
+in n.
 
 ``inverse_translate`` maps a pipeline back to an arrow abstraction; the
 round trip is the identity up to the equational laws (and is checked
@@ -34,12 +37,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Optional
 
 from .syntax import (App, ArrowAbs, CApp, CLet, Command, CUnit, free_vars,
                      Lam, Meas, Pair, Pattern, pattern_names, pattern_term,
                      PPair, ProdT, PVar, QarrowError, SuperT, Term, TrL,
-                     TypeExpr, Var, pretty, pretty_pattern)
+                     TypeExpr, Var, pretty)
 
 DeltaEntry = tuple[Pattern, TypeExpr]
 
@@ -48,28 +50,12 @@ class TranslationError(QarrowError):
     pass
 
 
-@dataclass(frozen=True)
-class PureFun:
-    """A function of the binding context: patterns plus a classical body."""
-    delta: tuple[DeltaEntry, ...]
-    body: Term
-
-    def tuple_pattern(self) -> Pattern:
-        pats = [p for p, _ in self.delta]
-        return reduce(PPair, pats)
-
-    def as_lambda(self) -> Lam:
-        return Lam(self.tuple_pattern(), self.body)
+def delta_pattern(delta: tuple[DeltaEntry, ...]) -> Pattern:
+    return reduce(PPair, [p for p, _ in delta])
 
 
 def delta_tuple_type(delta: tuple[DeltaEntry, ...]) -> TypeExpr:
-    types = [t for _, t in delta]
-    return reduce(ProdT, types)
-
-
-def delta_tuple_term(delta: tuple[DeltaEntry, ...]) -> Term:
-    terms = [pattern_term(p) for p, _ in delta]
-    return reduce(Pair, terms)
+    return reduce(ProdT, [t for _, t in delta])
 
 
 @dataclass(frozen=True)
@@ -80,12 +66,12 @@ class ClassicExpr:
 
 @dataclass(frozen=True)
 class Arr(ClassicExpr):
-    fn: PureFun
+    fn: Lam
 
 
 @dataclass(frozen=True)
 class LiftLin(ClassicExpr):
-    fn: PureFun
+    fn: Lam
 
 
 @dataclass(frozen=True)
@@ -137,22 +123,37 @@ def _let_body_vars(cmd: Command, out: dict) -> frozenset[str]:
     return _let_body_vars(cmd.bound, out) | (body - set(pattern_names(cmd.pat)))
 
 
-def _arr_of(delta: tuple[DeltaEntry, ...], body: Term,
-            out_type: TypeExpr) -> Arr:
-    return Arr(PureFun(delta, body), in_type=delta_tuple_type(delta),
-               out_type=out_type)
+def _arr_of(delta: tuple[DeltaEntry, ...], body: Term, out_type: TypeExpr,
+            node: type = Arr) -> ClassicExpr:
+    """``arr`` (or ``lift``, as `node`) of the lambda over the context."""
+    return node(Lam(delta_pattern(delta), body),
+                in_type=delta_tuple_type(delta), out_type=out_type)
 
 
-def _lift_fn_position(fn: Term) -> "tuple[str, Optional[ClassicExpr]]":
-    """The function position of an arrow application must be a variable or
-    an arrow abstraction literal."""
-    if isinstance(fn, Var):
-        return fn.name, None
-    if isinstance(fn, ArrowAbs):
-        return "", translate_term(fn)
+def _step(cmd: Command) -> ClassicExpr:
+    """What an arrow application, a measurement or a left trace applies to
+    its argument: the callee (a variable or an arrow abstraction literal),
+    ``meas`` or ``trL``."""
+    if isinstance(cmd, Meas):
+        if cmd.arg_type is None:
+            raise TranslationError("measurement lacks elaboration data", cmd.pos)
+        return MeasC(in_type=cmd.arg_type,
+                     out_type=ProdT(cmd.arg_type, cmd.arg_type))
+    if isinstance(cmd, TrL):
+        if cmd.arg_type is None or not isinstance(cmd.arg_type, ProdT):
+            raise TranslationError("left trace lacks elaboration data", cmd.pos)
+        return TrLC(in_type=cmd.arg_type, out_type=cmd.arg_type.right)
+    if cmd.fn_type is None or not isinstance(cmd.fn_type, SuperT):
+        raise TranslationError("arrow application lacks elaboration data",
+                               cmd.pos)
+    if isinstance(cmd.fn, Var):
+        return NamedSuper(cmd.fn.name, in_type=cmd.fn_type.arg,
+                          out_type=cmd.fn_type.res)
+    if isinstance(cmd.fn, ArrowAbs):
+        return translate_term(cmd.fn)
     raise TranslationError(
         "the function of an arrow application must be a variable or an "
-        "arrow abstraction", fn.pos)
+        "arrow abstraction", cmd.fn.pos)
 
 
 def translate_command(delta: tuple[DeltaEntry, ...], cmd: Command) -> ClassicExpr:
@@ -170,36 +171,13 @@ def _translate(delta: tuple[DeltaEntry, ...], cmd: Command,
     if isinstance(cmd, CUnit):
         if cmd.mode is None or cmd.content_type is None:
             raise TranslationError("command unit lacks elaboration data", cmd.pos)
-        fn = PureFun(delta, cmd.content)
-        if cmd.mode == "classical":
-            return Arr(fn, in_type=dtt, out_type=cmd.content_type)
-        return LiftLin(fn, in_type=dtt, out_type=cmd.content_type)
+        return _arr_of(delta, cmd.content, cmd.content_type,
+                       Arr if cmd.mode == "classical" else LiftLin)
 
-    if isinstance(cmd, Meas):
-        if cmd.arg_type is None:
-            raise TranslationError("measurement lacks elaboration data", cmd.pos)
-        prep = _arr_of(delta, cmd.arg, cmd.arg_type)
-        out_t = ProdT(cmd.arg_type, cmd.arg_type)
-        step = MeasC(in_type=cmd.arg_type, out_type=out_t)
-        return Compose(prep, step, in_type=dtt, out_type=out_t)
-
-    if isinstance(cmd, TrL):
-        if cmd.arg_type is None or not isinstance(cmd.arg_type, ProdT):
-            raise TranslationError("left trace lacks elaboration data", cmd.pos)
-        prep = _arr_of(delta, cmd.arg, cmd.arg_type)
-        out_t = cmd.arg_type.right
-        step = TrLC(in_type=cmd.arg_type, out_type=out_t)
-        return Compose(prep, step, in_type=dtt, out_type=out_t)
-
-    if isinstance(cmd, CApp):
-        if cmd.fn_type is None or not isinstance(cmd.fn_type, SuperT):
-            raise TranslationError("arrow application lacks elaboration data",
-                                   cmd.pos)
-        a, b = cmd.fn_type.arg, cmd.fn_type.res
-        prep = _arr_of(delta, cmd.arg, a)
-        name, lit = _lift_fn_position(cmd.fn)
-        step = lit if lit is not None else NamedSuper(name, in_type=a, out_type=b)
-        return Compose(prep, step, in_type=dtt, out_type=b)
+    if isinstance(cmd, (CApp, Meas, TrL)):
+        step = _step(cmd)
+        return Compose(_arr_of(delta, cmd.arg, step.in_type), step,
+                       in_type=dtt, out_type=step.out_type)
 
     if isinstance(cmd, CLet):
         if cmd.bound_type is None:
@@ -215,7 +193,8 @@ def _translate(delta: tuple[DeltaEntry, ...], cmd: Command,
             return Compose(bound, body, in_type=dtt, out_type=body.out_type)
         delta2 = kept + ((cmd.pat, cmd.bound_type),)
         body = _translate(delta2, cmd.body, body_vars)
-        keep = _arr_of(delta, delta_tuple_term(kept), delta_tuple_type(kept))
+        keep = _arr_of(delta, pattern_term(delta_pattern(kept)),
+                       delta_tuple_type(kept))
         fan = FanoutC(keep, bound, in_type=dtt,
                       out_type=ProdT(keep.out_type, cmd.bound_type))
         return Compose(fan, body, in_type=dtt, out_type=body.out_type)
@@ -239,7 +218,7 @@ def inverse_translate(e: ClassicExpr) -> ArrowAbs:
 
         if isinstance(e, (Arr, LiftLin)):
             x = fresh("x")
-            call = App(e.fn.as_lambda(), Var(x))
+            call = App(e.fn, Var(x))
             return ArrowAbs(PVar(x), CUnit(call), type_=ty)
 
         if isinstance(e, Compose):
@@ -256,20 +235,17 @@ def inverse_translate(e: ClassicExpr) -> ArrowAbs:
             # entry narrower
             z, y = fresh("z"), fresh("y")
             g = go(e.right_)
-            keep = App(e.left_.fn.as_lambda(), Var(z))
+            keep = App(e.left_.fn, Var(z))
             cmd = CLet(PVar(y), CApp(g, Var(z), fn_type=g.type_),
                        CUnit(Pair(keep, Var(y))),
                        bound_type=e.right_.out_type)
             return ArrowAbs(PVar(z), cmd, type_=ty)
 
-        if isinstance(e, MeasC):
+        if isinstance(e, (MeasC, TrLC)):
             z = fresh("z")
-            return ArrowAbs(PVar(z), Meas(Var(z), arg_type=e.in_type), type_=ty)
-
-        if isinstance(e, TrLC):
-            z = fresh("z")
-            assert isinstance(e.in_type, ProdT)
-            return ArrowAbs(PVar(z), TrL(Var(z), arg_type=e.in_type), type_=ty)
+            node = Meas if isinstance(e, MeasC) else TrL
+            return ArrowAbs(PVar(z), node(Var(z), arg_type=e.in_type),
+                            type_=ty)
 
         if isinstance(e, NamedSuper):
             x = fresh("x")
@@ -285,26 +261,20 @@ def inverse_translate(e: ClassicExpr) -> ArrowAbs:
 # Rendering
 
 
+# The word that begins each combinator's s-expression.
+_WORDS = {Arr: "arr", LiftLin: "lift", Compose: ">>>", FanoutC: "&&&",
+          MeasC: "meas", TrLC: "trL"}
+
+
 def sexpr(e: ClassicExpr) -> str:
-    if isinstance(e, Arr):
-        return f"(arr {_fn_str(e.fn)})"
-    if isinstance(e, LiftLin):
-        return f"(lift {_fn_str(e.fn)})"
-    if isinstance(e, Compose):
-        return f"(>>> {sexpr(e.first_)} {sexpr(e.then_)})"
-    if isinstance(e, FanoutC):
-        return f"(&&& {sexpr(e.left_)} {sexpr(e.right_)})"
-    if isinstance(e, MeasC):
-        return "meas"
-    if isinstance(e, TrLC):
-        return "trL"
     if isinstance(e, NamedSuper):
         return e.name
-    raise TranslationError(f"cannot render {e!r}")
-
-
-def _fn_str(fn: PureFun) -> str:
-    return f"(\\{pretty_pattern(fn.tuple_pattern())}. {pretty(fn.body)})"
+    word = _WORDS.get(type(e))
+    if word is None:
+        raise TranslationError(f"cannot render {e!r}")
+    args = ([f"({pretty(e.fn)})"] if isinstance(e, (Arr, LiftLin))
+            else [sexpr(k) for k in classic_children(e)])
+    return f"({word} {' '.join(args)})" if args else word
 
 
 def classic_children(e: ClassicExpr) -> tuple[ClassicExpr, ...]:

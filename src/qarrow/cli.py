@@ -294,7 +294,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .evaluator import run_super, SuperV, VecV
+    from .evaluator import (elem_type_of_value, EvalError, run_super, SuperV,
+                            VecV)
     from .linalg import (dens_from_json, dens_to_json, dim, pure_density,
                          render_density, render_vector, vec_to_json)
 
@@ -335,12 +336,15 @@ def cmd_run(args) -> int:
         show(args, lambda: {"def": args.name,
                             "value": vec_to_json(value.amp, value.elem_type)},
              lambda: [render_vector(value.amp)])
-    elif isinstance(value, (bool, tuple)):
-        show(args, lambda: {"def": args.name, "value": repr(value)},
-             lambda: [repr(value)])
-    else:
-        raise CliError(f"{args.name} evaluates to a function; apply it to "
-                       f"arguments inside a program instead", BADINPUT)
+        return OK
+    try:
+        elem_type_of_value(value)
+    except EvalError:
+        raise CliError(f"{args.name} evaluates to a function, or to a pair "
+                       f"that holds a function, a vector or a superoperator; "
+                       f"use it inside a program instead", BADINPUT) from None
+    show(args, lambda: {"def": args.name, "value": repr(value)},
+         lambda: [repr(value)])
     return OK
 
 

@@ -128,17 +128,19 @@ def elem_type_of_value(v: Value) -> TypeExpr:
     raise EvalError(f"not a basis value: {v!r}")
 
 
-def bind_pattern_value(pat: Pattern, v: Value, env: dict) -> None:
-    if isinstance(pat, PVar):
-        env[pat.name] = v
-        return
+def bind_pattern_value(pat: Pattern, v: Value, env: dict) -> dict:
+    """`env`, with the variables of `pat` bound to the parts of `v`: a value,
+    or the wires of a context tuple."""
     if isinstance(pat, PPair):
         if not isinstance(v, tuple):
             raise EvalError(f"pattern expects a pair, got {v!r}")
         bind_pattern_value(pat.left, v[0], env)
         bind_pattern_value(pat.right, v[1], env)
-        return
-    raise EvalError(f"unknown pattern {pat!r}")
+    elif isinstance(pat, PVar):
+        env[pat.name] = v
+    else:
+        raise EvalError(f"unknown pattern {pat!r}")
+    return env
 
 
 def apply_closure(f: Value, arg: Value) -> Value:
@@ -166,17 +168,12 @@ def eval_term(t: Term, env: dict) -> Value:
     if isinstance(t, Pair):
         return (eval_term(t.left, env), eval_term(t.right, env))
 
-    if isinstance(t, Fst):
+    if isinstance(t, (Fst, Snd)):
+        snd = type(t) is Snd
         v = eval_term(t.arg, env)
         if not isinstance(v, tuple):
-            raise EvalError("fst of a non-pair")
-        return v[0]
-
-    if isinstance(t, Snd):
-        v = eval_term(t.arg, env)
-        if not isinstance(v, tuple):
-            raise EvalError("snd of a non-pair")
-        return v[1]
+            raise EvalError(f"{'snd' if snd else 'fst'} of a non-pair")
+        return v[snd]
 
     if isinstance(t, Eq):
         a, b = eval_term(t.left, env), eval_term(t.right, env)
@@ -256,18 +253,6 @@ def eval_term(t: Term, env: dict) -> Value:
 
 # --------------------------------------------------------------------------
 # Pushing densities through pipelines (batched column evaluation)
-
-
-def _bind_context(delta, v, env: dict) -> dict:
-    """`env` with the patterns of `delta` bound, in order, to the entries of
-    the context tuple `v`: a value, or its wires."""
-    parts: list = [None] * len(delta)
-    for i in range(len(delta) - 1, 0, -1):
-        v, parts[i] = v[0], v[1]
-    parts[0] = v
-    for (pat, _), part in zip(delta, parts):
-        bind_pattern_value(pat, part, env)
-    return env
 
 
 # Index maps and lift matrices are computed over *wires*.  The wires of a
@@ -356,7 +341,7 @@ def _term_wires(t: Term, wires: dict, env: dict):
 
 def _arr_index_map(e: Arr, env: dict, ctx: Value) -> np.ndarray:
     """The basis map of `e`, given the wires `ctx` of its context tuple."""
-    w = _term_wires(e.fn.body, _bind_context(e.fn.delta, ctx, {}), env)
+    w = _term_wires(e.fn.body, bind_pattern_value(e.fn.pat, ctx, {}), env)
     if w is None:
         raise EvalError("an arr body must produce a basis value")
     m = np.zeros_like(_leaves(ctx)[0])
@@ -367,8 +352,8 @@ def _arr_index_map(e: Arr, env: dict, ctx: Value) -> np.ndarray:
 
 def _lift_matrix(e: LiftLin, env: dict, di: int, do: int) -> np.ndarray:
     ctx = _context_wires(e.in_type, di)
-    values, joint = _over_reads(e.fn.body, _bind_context(e.fn.delta, ctx, {}),
-                                env)
+    values, joint = _over_reads(e.fn.body,
+                                bind_pattern_value(e.fn.pat, ctx, {}), env)
     cols = np.empty((do, len(values)), dtype=complex)
     for j, v in enumerate(values):
         if not isinstance(v, VecV):
@@ -419,6 +404,13 @@ def _peel(right: ClassicExpr
     return None, right
 
 
+# Both forms stay, measured on a 2-vCPU Xeon host.  The benchmark's circuits
+# and prover workloads choose the grid at every fanout, but the pipelines of
+# inverse-translated terms need the gather form: forcing the grid everywhere
+# takes the translation round-trip test (acceptance criterion 7) from 0.35 s
+# to 2.3-2.8 s, and the round trip of toffoli from 0.13 s to 0.65 s.  The
+# gather form reads the bound leg's matrix G; for a named callee G is the
+# matrix it keeps.
 def _fanout_forms(e: FanoutC) -> tuple[int, int]:
     """Per-column cells of the two ways to apply ``arr m &&& (p >>> g)``:
     (i) scatter the batch into the grid over (m a, p a), then contract with
@@ -575,13 +567,12 @@ def compare_values(a, b, t: TypeExpr, tol: float):
     """The largest observable difference between two values of type `t`, and
     what separates them: for superoperators whose matrices differ by more
     than `tol`, the best separating pure state as (gap, density); NaN when
-    the values cannot be compared."""
+    the values cannot be compared.  A pair, or a function on a classical
+    type, is compared part by part: a part that differs by more than `tol`
+    decides, wherever it is; otherwise a part that cannot be compared makes
+    the whole NaN."""
     if isinstance(a, bool) and isinstance(b, bool):
         return (0.0, None) if a == b else (1.0, None)
-    if isinstance(a, tuple) and isinstance(b, tuple) and isinstance(t, ProdT):
-        d1, w1 = compare_values(a[0], b[0], t.left, tol)
-        d2, w2 = compare_values(a[1], b[1], t.right, tol)
-        return (max(d1, d2), w1 if d1 >= d2 else w2)
     if isinstance(a, VecV) and isinstance(b, VecV):
         return (float(np.max(np.abs(a.amp - b.amp))), None)
     if isinstance(a, SuperV) and isinstance(b, SuperV):
@@ -595,16 +586,18 @@ def compare_values(a, b, t: TypeExpr, tol: float):
             if gap > best:
                 best, best_rho = gap, rho
         return (diff, (best, best_rho))
-    if (isinstance(a, ClosureV) and isinstance(b, ClosureV)
+    if isinstance(a, tuple) and isinstance(b, tuple) and isinstance(t, ProdT):
+        parts = [(a[0], b[0], t.left), (a[1], b[1], t.right)]
+    elif (isinstance(a, ClosureV) and isinstance(b, ClosureV)
             and isinstance(t, FunT) and is_classical(t.arg)):
-        worst = 0.0
-        wit = None
-        for elem in basis(t.arg):
-            va = apply_closure(a, elem)
-            vb = apply_closure(b, elem)
-            d, w = compare_values(va, vb, t.res, tol)
-            if d > worst:
-                worst, wit = d, w
-        return (worst, wit)
-    return (float("nan"), None)
-
+        parts = ((apply_closure(a, e), apply_closure(b, e), t.res)
+                 for e in basis(t.arg))
+    else:
+        return (float("nan"), None)
+    worst, wit, nan = 0.0, None, False
+    for x, y, u in parts:
+        d, w = compare_values(x, y, u, tol)
+        nan |= d != d
+        if d > worst:
+            worst, wit = d, w
+    return (float("nan"), None) if nan and worst <= tol else (worst, wit)

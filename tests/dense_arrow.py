@@ -24,12 +24,12 @@ from typing import Callable
 
 import numpy as np
 
-from qarrow.classic import delta_tuple_type, PureFun
-from qarrow.evaluator import (_bind_context, elem_type_of_value, EvalError,
-                              eval_term, SuperV, VecV)
+from qarrow.classic import delta_pattern, delta_tuple_type
+from qarrow.evaluator import (bind_pattern_value, elem_type_of_value,
+                              EvalError, eval_term, SuperV, VecV)
 from qarrow.linalg import basis, dim, Elem, elem_index, SuperVal
-from qarrow.syntax import (ArrowAbs, CApp, CLet, Command, CUnit, Meas, ProdT,
-                           SuperT, Term, TrL, TypeExpr)
+from qarrow.syntax import (ArrowAbs, CApp, CLet, Command, CUnit, Lam, Meas,
+                           ProdT, SuperT, Term, TrL, TypeExpr)
 
 
 # --------------------------------------------------------------------------
@@ -140,8 +140,8 @@ def super_trL(prod_t: TypeExpr) -> SuperVal:
 # Reference semantics (dense, clause-by-clause)
 
 
-def _fn_env(fn: PureFun, elem, env: dict) -> dict:
-    return _bind_context(fn.delta, elem, dict(env))
+def _fn_env(fn: Lam, elem, env: dict) -> dict:
+    return bind_pattern_value(fn.pat, elem, dict(env))
 
 
 def reference_super(t: ArrowAbs, env: dict) -> SuperVal:
@@ -152,7 +152,7 @@ def reference_super(t: ArrowAbs, env: dict) -> SuperVal:
 
 def _ref_pure(delta, body: Term, in_t: TypeExpr, out_t: TypeExpr,
               env: dict) -> SuperVal:
-    fn = PureFun(delta, body)
+    fn = Lam(delta_pattern(delta), body)
 
     def f(elem):
         v = eval_term(body, _fn_env(fn, elem, env))
@@ -168,7 +168,7 @@ def _ref_command(delta, cmd: Command, env: dict) -> SuperVal:
     if isinstance(cmd, CUnit):
         if cmd.mode == "classical":
             return _ref_pure(delta, cmd.content, dtt, cmd.content_type, env)
-        fn = PureFun(delta, cmd.content)
+        fn = Lam(delta_pattern(delta), cmd.content)
 
         def f(elem):
             v = eval_term(cmd.content, _fn_env(fn, elem, env))

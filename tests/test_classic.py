@@ -4,6 +4,9 @@ Soundness oracle: `reference_super` (in `dense_arrow`) interprets commands claus
 dense context tuples and no liveness narrowing — an independent, exponential
 semantics that the production translation must agree with exactly.
 """
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -238,3 +241,28 @@ def test_classic_via_materialize_equals_direct(prelude):
         direct = eval_term(d.term, prelude.env).val
         via = materialize_super(translate_term(d.term), prelude.env)
         assert np.max(np.abs(direct.action - via.action)) < 1e-12
+
+
+# ---- the emitted text, pinned ----------------------------------------------
+
+EMIT_PIPELINES = 12 + 300
+EMIT_SHA256 = (
+    "b07a4d18de3cf82a11b73b6b2ad321890677efc537cd916ec0a7e8334b7ea989")
+
+
+def test_emitted_text_is_unchanged(prelude):
+    """``sexpr`` and the printed inverse of the prelude's arrows and of 300
+    random supers keep the text hashed below; the README's examples pin
+    only two pipelines."""
+    terms = [(d.name, d.term) for d in prelude.program.defs
+             if isinstance(d.term, ArrowAbs)]
+    for seed in range(300):
+        term, ty = randprog.random_super(seed, depth=3)
+        terms.append((f"super-{seed}",
+                      elaborate_term(prelude.types, term, ty)[1]))
+    digest = hashlib.sha256()
+    for name, t in terms:
+        e = translate_term(t)
+        digest.update(json.dumps(
+            [name, sexpr(e), pretty(inverse_translate(e))]).encode())
+    assert (len(terms), digest.hexdigest()) == (EMIT_PIPELINES, EMIT_SHA256)

@@ -282,14 +282,11 @@ p : (Bool, (Bool, Bool))
 p = (True, (False, True))
 b : Bool
 b = not True
-c : (Bool -> Bool, Bool)
-c = (not, True)
 """
 
 
 @pytest.mark.parametrize("name, shown", [("p", "(True, (False, True))"),
-                                         ("b", "False"),
-                                         ("c", "(<closure>, True)")])
+                                         ("b", "False")])
 def test_run_classical_values_print(runcli, tmp_path, name, shown):
     f = tmp_path / "values.qarr"
     f.write_text(VALUES_SRC)
@@ -319,6 +316,26 @@ def test_run_vector_json(runcli, tmp_path):
 def test_run_function_def_is_rejected(runcli):
     code, _, err = runcli("run", "-", "not", stdin="")
     assert code == BADINPUT and "evaluates to a function" in err
+
+
+HOLDS_NO_BASIS_VALUE = """\
+p : (Vec Bool, Bool)
+p = ([True], False)
+q : (Bool -> Bool, Bool)
+q = (\\x. x, True)
+s = (QNot, True)
+"""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("name", ["p", "q", "s"])
+def test_run_refuses_a_pair_that_holds_no_basis_value(runcli, tmp_path,
+                                                      name, json_flag):
+    f = tmp_path / "pairs.qarr"
+    f.write_text(HOLDS_NO_BASIS_VALUE)
+    code, out, err = runcli("run", str(f), name, *json_flag)
+    assert (code, out) == (BADINPUT, "")
+    assert err.count("\n") == 1 and err.startswith(f"{name} evaluates to")
 
 
 def test_run_classical_value_rejects_input_flag(runcli, tmp_path):
@@ -409,6 +426,30 @@ def test_prove_unknown_exits_3(runcli, tmp_path):
     assert code == UNDECIDED
     assert out == ("unknown: typechecking failed: <arg>:1:1: mismatch: "
                    "ambiguous type; an annotation is required\n")
+
+
+UNEQUAL_HIGHER_ORDER = [
+    # x = True, f = id tells them apart; the inner functions on Bool -> Bool
+    # cannot be compared, so the answer is unknown, not equal
+    ("\\x. \\f. if f x then True else False",
+     "\\x. \\f. if f (x == False) then True else False", UNDECIDED),
+    # a part that differs decides, on whichever side of the part that
+    # cannot be compared it stands
+    ("(\\f. if f True then True else False, True)",
+     "(\\f. if f True then True else False, False)", FAIL),
+    ("(True, \\f. if f True then True else False)",
+     "(False, \\f. if f True then True else False)", FAIL),
+]
+
+
+@pytest.mark.parametrize("left, right, code", UNEQUAL_HIGHER_ORDER,
+                         ids=["curried", "pair-left", "pair-right"])
+def test_an_incomparable_part_never_proves_equal(runcli, left, right, code):
+    got, out, _ = runcli("prove", "-", left, right, "--no-prelude", stdin="")
+    assert got == code
+    assert out.startswith("unknown: values of this type cannot be compared"
+                          if code == UNDECIDED
+                          else "not equal: denotations differ")
 
 
 SHADOWING_SRC = """\

@@ -57,10 +57,7 @@ def test_guard_sees_annotations_and_unused_names():
 
 
 # Top-level names kept without a caller in the package, with the reason.
-KEPT = {
-    "classic.classic_children": "ROADMAP item 1 hands it to perfbench's "
-                                "pipeline_nodes, to count pipeline nodes",
-}
+KEPT: dict[str, str] = {}
 
 
 def _referenced(tree: ast.AST) -> collections.Counter:
@@ -120,6 +117,23 @@ def test_orphan_guard_sees_callers():
                "b": "from .a import g\n"
                     "def h() -> 'C':\n    return g()\n"}
     assert orphans(sources, {"h"}) == ["a.C.n", "a.f"]
+
+
+def private_imports(source: str) -> list[str]:
+    """``module.name`` of each underscore name imported from ``qarrow``."""
+    return [f"{node.module}.{a.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "qarrow"
+            for a in node.names if a.name.startswith("_")]
+
+
+def test_the_reference_semantics_imports_no_private_name():
+    """``dense_arrow.reference_super`` is the oracle that the evaluator is
+    checked against, so it shares no private code with the engine."""
+    oracle = Path(__file__).parent / "dense_arrow.py"
+    assert private_imports(oracle.read_text(encoding="utf-8")) == []
+    assert private_imports("from qarrow.evaluator import _x, y\n"
+                           "from numpy import _z\n") == ["qarrow.evaluator._x"]
 
 
 def test_every_error_is_a_qarrow_error():

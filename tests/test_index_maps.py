@@ -14,11 +14,11 @@ import pytest
 from qarrow import (EvalError, SuperV, elaborate_program, elaborate_term,
                     eval_program, eval_term, parse_program, parse_term)
 from qarrow import evaluator as ev
-from qarrow.classic import Arr, classic_children, LiftLin, PureFun
+from qarrow.classic import Arr, classic_children, LiftLin
 from qarrow.linalg import basis, dim, elem_index
 from qarrow.rewriter import apply_law_at
-from qarrow.syntax import (ArrowAbs, BoolLit, BoolT, Fst, Pair, ProdT, PVar,
-                           Snd, Var)
+from qarrow.syntax import (ArrowAbs, BoolLit, BoolT, Fst, Lam, Pair, PPair,
+                           ProdT, PVar, Snd, Var)
 
 import randprog
 from dense_arrow import _fn_env, _ref_pure
@@ -218,10 +218,11 @@ def test_edge_cases(prelude, ty, src):
 
 def test_shadowed_context_name_reads_the_later_binding(prelude):
     s = eval_arrow(prelude, f"{BB} {BB}", SHADOW)
-    deltas = [n.fn.delta for n in maps_of(s)]
-    assert any(len(d) == 2 and d[1][0] == PVar("b") for d in deltas)
+    # the context ((a,b), b) after the let: the later b is the bound one
+    pats = [n.fn.pat for n in maps_of(s)]
+    assert PPair(PPair(PVar("a"), PVar("b")), PVar("b")) in pats
     bb = ProdT(B, B)
-    dup = Arr(PureFun(((PVar("x"), B), (PVar("x"), B)), Var("x")),
+    dup = Arr(Lam(PPair(PVar("x"), PVar("x")), Var("x")),
               in_type=bb, out_type=B)
     assert index_map(dup, {}).tolist() == [0, 1, 0, 1]
     assert_agrees(dup, {})
@@ -230,7 +231,7 @@ def test_shadowed_context_name_reads_the_later_binding(prelude):
 @pytest.mark.parametrize("body", ["\\y. y", "(x, \\y. y)", "[x]"])
 def test_a_map_to_values_that_are_not_basis_values_is_refused(body):
     delta = ((PVar("x"), B),)
-    e = Arr(PureFun(delta, parse_term(body)), in_type=B, out_type=B)
+    e = Arr(Lam(PVar("x"), parse_term(body)), in_type=B, out_type=B)
     for f in (index_map, oracle_index_map):
         with pytest.raises(EvalError):
             f(e, {})
