@@ -360,9 +360,12 @@ def cmd_normalize(args) -> int:
 def cmd_prove(args) -> int:
     check_limits(args.fuel, args.tolerance)
     _, gamma, env, defs = load_file(args.file, not args.no_prelude)
-    verdict = prove_equal(resolve_target(args.lhs, defs),
-                          resolve_target(args.rhs, defs), types=gamma, env=env,
-                          defs=defs, fuel=args.fuel, tol=args.tolerance)
+    sides = (args.lhs, args.rhs)
+    verdict = prove_equal(*(resolve_target(t, defs) for t in sides),
+                          types=gamma, env=env, defs=defs, fuel=args.fuel,
+                          tol=args.tolerance,
+                          expected=tuple(gamma[t] if t in defs else None
+                                         for t in sides))
     proved = isinstance(verdict, (ProvedByNormalization, ProvedSemantically))
     witness = verdict.witness if isinstance(verdict, NotEqual) else None
     if witness is not None:

@@ -9,19 +9,22 @@ pipeline at once (so translation errors show when the definition is
 evaluated), and the value holds that pipeline with the environment it was
 evaluated in.  Nothing is multiplied out then.
 
-``run_super`` pushes ``vec(ρ)`` through the pipeline as a batch of one
-column, with each combinator implemented by index arithmetic on the batch
-(a scatter by its basis map for ``arr``, einsum contractions for lifted
-linear maps, and for ``arr keep &&& bound`` a scatter into the pairs of
-kept context and bound result, contracted with the bound command's own
-matrix) rather than by building the large intermediate superoperator
-matrices.  This evaluator is the only arrow instance in the package, and it
-runs exactly the nodes that translation emits: a ``&&&`` always has a pure
-left leg, and there is no ``first`` or ``second`` node.  The full
-matrix is a derived operation: ``SuperV.val`` builds it on first use by
-pushing the identity columns through the same pipeline, block by block,
-and keeps it; from then on ``run_super`` multiplies by it.  The prover and
-the tests read ``val``.
+``run_super`` compiles the pipeline into a *plan* on first use and keeps
+it on the ``SuperV``: one walk of the pipeline works out every node's
+index map, lifted matrix, bound-leg matrix and dimensions, and returns a
+function that pushes a batch of vectorized densities through them.  Each
+combinator is index arithmetic on the batch (a scatter by its basis map
+for ``arr``, einsum contractions for lifted linear maps, and for
+``arr keep &&& bound`` a scatter into the pairs of kept context and bound
+result, contracted with the bound command's own matrix) rather than a
+product with a large intermediate superoperator matrix.  ``vec(ρ)`` goes
+through the plan as a batch of one column.  This evaluator is the only
+arrow instance in the package, and it runs exactly the nodes that
+translation emits: a ``&&&`` always has a pure left leg, and there is no
+``first`` or ``second`` node.  The full matrix is a derived operation:
+``SuperV.val`` builds it on first use by pushing the identity columns
+through the same plan, block by block, and keeps it; from then on
+``run_super`` multiplies by it.  The prover and the tests read ``val``.
 
 The basis map of an ``arr`` node and the matrix of a ``lift`` node are
 computed over *wires*: each context variable is a tree of 0/1 arrays over
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,6 +62,10 @@ from .syntax import (App, ArrowAbs, BoolLit, BoolT, Eq, free_vars, Fst, FunT,
 
 # memory budget (complex cells) for one column block during materialization
 _BUDGET = 4_000_000
+
+# a compiled pipeline: a batch of vectorized densities, shape (din², k), to
+# the batch of their images, shape (dout², k)
+Plan = Callable[[np.ndarray], np.ndarray]
 
 
 class EvalError(QarrowError):
@@ -91,8 +98,8 @@ class VecV:
 @dataclass(frozen=True, eq=False)
 class SuperV:
     """A superoperator: the pipeline of an arrow abstraction and the
-    environment it was evaluated in.  ``val``, its matrix, is built on
-    first use and kept."""
+    environment it was evaluated in.  ``plan``, the pipeline compiled, and
+    ``val``, its matrix, are each built on first use and kept."""
     pipe: ClassicExpr
     env: dict
 
@@ -105,8 +112,12 @@ class SuperV:
         return self.pipe.out_type
 
     @cached_property
+    def plan(self) -> Plan:
+        return _plan(self.pipe, self.env)
+
+    @cached_property
     def val(self) -> SuperVal:
-        return materialize_super(self.pipe, self.env)
+        return _materialize(self.pipe, self.plan)
 
     def built(self) -> bool:
         return "val" in self.__dict__      # where cached_property keeps it
@@ -364,25 +375,36 @@ def _lift_matrix(e: LiftLin, env: dict, di: int, do: int) -> np.ndarray:
     return cols[:, np.broadcast_to(joint, di)]
 
 
-def _scatter(r: np.ndarray, V: np.ndarray, n: int) -> np.ndarray:
-    """Relabel both indices of each vectorized density in the batch by the
+def _scatter_plan(r: np.ndarray, n: int) -> Plan:
+    """Relabel both indices of each vectorized density in a batch by the
     index map ``r``, summing entries that land together:
     ``out[(r a, r a')] += V[(a, a')]``, with ``n`` the new dimension.  An
     injective ``r`` is one assignment; otherwise rows are grouped by sorting
-    ``r`` and summed slab-wise, one axis at a time."""
-    d, k = len(r), V.shape[1]
-    out = np.zeros((n, n, k), dtype=complex)
-    X = V.reshape(d, d, k)
+    ``r`` and summed slab-wise, one axis at a time.  The grouping is worked
+    out here, once."""
+    d = len(r)
     order = np.argsort(r, kind="stable")
     rs = r[order]
-    starts = np.flatnonzero(np.r_[True, rs[1:] != rs[:-1]])
-    if len(starts) < d:
-        if np.any(order != np.arange(d)):
-            X = X[np.ix_(order, order)]
-        X = np.add.reduceat(np.add.reduceat(X, starts, axis=0), starts, axis=1)
-        r = rs[starts]
-    out[np.ix_(r, r)] = X
-    return out.reshape(n * n, k)
+    starts = np.concatenate(([True], rs[1:] != rs[:-1])).nonzero()[0]
+    merge = len(starts) < d
+    # np.ix_ index pairs, built directly: its argument checks cost more
+    perm = ((order[:, None], order[None, :])
+            if merge and (order != np.arange(d)).any() else None)
+    to = rs[starts] if merge else r
+    dest = to[:, None], to[None, :]
+
+    def run(V: np.ndarray) -> np.ndarray:
+        k = V.shape[1]
+        X = V.reshape(d, d, k)
+        if merge:
+            if perm is not None:
+                X = X[perm]
+            X = np.add.reduceat(np.add.reduceat(X, starts, axis=0), starts,
+                                axis=1)
+        out = np.zeros((n, n, k), dtype=complex)
+        out[dest] = X
+        return out.reshape(n * n, k)
+    return run
 
 
 def _callee(e: NamedSuper, env: dict) -> SuperV:
@@ -404,8 +426,9 @@ def _peel(right: ClassicExpr
     return None, right
 
 
-# Both forms stay, measured on a 2-vCPU Xeon host.  The benchmark's circuits
-# and prover workloads choose the grid at every fanout, but the pipelines of
+# Both forms stay, measured on a 2-vCPU Xeon host.  The form is chosen once
+# per plan, from the pipeline's types.  The benchmark's circuits and prover
+# workloads choose the grid at every fanout, but the pipelines of
 # inverse-translated terms need the gather form: forcing the grid everywhere
 # takes the translation round-trip test (acceptance criterion 7) from 0.35 s
 # to 2.3-2.8 s, and the round trip of toffoli from 0.13 s to 0.65 s.  The
@@ -423,77 +446,94 @@ def _fanout_forms(e: FanoutC) -> tuple[int, int]:
     return (dj * dr) ** 2, (di * dg) ** 2
 
 
-def _fanout_arr(e: FanoutC, V: np.ndarray, env: dict) -> np.ndarray:
+def _fanout_plan(e: FanoutC, env: dict) -> Plan:
     # out[(j,c),(j',c')] = Σ_{a,a': m a=j, m a'=j'} G[(c,c'),(p a,p a')] V[(a,a')]
     p_arr, rest = _peel(e.right_)
-    di, dj, k = dim(e.in_type), dim(e.left_.out_type), V.shape[1]
+    di, dj = dim(e.in_type), dim(e.left_.out_type)
     ctx = _context_wires(e.in_type, di)
     m = _arr_index_map(e.left_, env, ctx)
     p = np.arange(di) if p_arr is None else _arr_index_map(p_arr, env, ctx)
     if rest is None:                    # a pure bound leg: a ↦ (m a, p a)
         dr = dim(e.right_.out_type)
-        return _scatter(m * dr + p, V, dj * dr)
+        return _scatter_plan(m * dr + p, dj * dr)
     dr, dg = dim(rest.in_type), dim(rest.out_type)
     G = (_callee(rest, env).val if isinstance(rest, NamedSuper)
          else materialize_super(rest, env)).action
     grid, gather = _fanout_forms(e)
     if grid <= gather:
-        W = _scatter(m * dr + p, V, dj * dr)             # over (m a, p a)
-        W = (W.reshape(dj, dr, dj, dr, k).transpose(1, 3, 0, 2, 4)
-             .reshape(dr * dr, dj * dj * k))
-        return ((G @ W).reshape(dg, dg, dj, dj, k).transpose(2, 0, 3, 1, 4)
-                .reshape((dj * dg) ** 2, k))
-    G4 = G.reshape(dg, dg, dr, dr)[:, :, p[:, None], p[None, :]]
-    T = np.einsum("cdab,abk->acbdk", G4, V.reshape(di, di, k), optimize=True)
-    return _scatter((m[:, None] * dg + np.arange(dg)).reshape(-1),
-                    T.reshape((di * dg) ** 2, k), dj * dg)
+        scatter = _scatter_plan(m * dr + p, dj * dr)     # over (m a, p a)
+
+        def run(V: np.ndarray) -> np.ndarray:
+            k = V.shape[1]
+            W = (scatter(V).reshape(dj, dr, dj, dr, k).transpose(1, 3, 0, 2, 4)
+                 .reshape(dr * dr, dj * dj * k))
+            return ((G @ W).reshape(dg, dg, dj, dj, k).transpose(2, 0, 3, 1, 4)
+                    .reshape((dj * dg) ** 2, k))
+        return run
+    scatter = _scatter_plan((m[:, None] * dg + np.arange(dg)).reshape(-1),
+                            dj * dg)
+    G4 = G.reshape(dg, dg, dr, dr)
+
+    def run(V: np.ndarray) -> np.ndarray:
+        k = V.shape[1]
+        T = np.einsum("cdab,abk->acbdk", G4[:, :, p[:, None], p[None, :]],
+                      V.reshape(di, di, k), optimize=True)
+        return scatter(T.reshape((di * dg) ** 2, k))
+    return run
 
 
-def apply_batch(e: ClassicExpr, V: np.ndarray, env: dict) -> np.ndarray:
-    """Push a batch of vectorized densities (shape (din², k)) through a
-    pipeline, returning shape (dout², k)."""
+def _plan(e: ClassicExpr, env: dict) -> Plan:
+    """Compile a pipeline into a function that pushes a batch of vectorized
+    densities (shape (din², k)) through it, returning shape (dout², k).  Each
+    node's maps, matrices and dimensions are worked out here, once."""
+    if isinstance(e, Compose):
+        first, then = _plan(e.first_, env), _plan(e.then_, env)
+        return lambda V: then(first(V))
+
+    if isinstance(e, FanoutC):
+        return _fanout_plan(e, env)
+
+    if isinstance(e, NamedSuper):
+        s = _callee(e, env)
+        return lambda V: s.val.action @ V
+
     di, do = dim(e.in_type), dim(e.out_type)
-    k = V.shape[1]
 
     if isinstance(e, Arr):
-        return _scatter(_arr_index_map(e, env, _context_wires(e.in_type, di)),
-                        V, do)
+        ctx = _context_wires(e.in_type, di)
+        return _scatter_plan(_arr_index_map(e, env, ctx), do)
 
     if isinstance(e, LiftLin):
         F = _lift_matrix(e, env, di, do)
-        V3 = V.reshape(di, di, k)
-        return np.einsum("ai,ijk,bj->abk", F, V3, F.conj(),
-                         optimize=True).reshape(do * do, k)
-
-    if isinstance(e, NamedSuper):
-        return _callee(e, env).val.action @ V
+        Fc = F.conj()
+        return lambda V: np.einsum(
+            "ai,ijk,bj->abk", F, V.reshape(di, di, V.shape[1]), Fc,
+            optimize=True).reshape(do * do, V.shape[1])
 
     if isinstance(e, MeasC):
-        V3 = V.reshape(di, di, k)
-        diag = V3[np.arange(di), np.arange(di)]          # (di, k)
-        out = np.zeros(((di * di) ** 2, k), dtype=complex)
-        pair = np.arange(di) * di + np.arange(di)        # index of (a,a)
-        out[pair * (di * di) + pair] = diag
-        return out
+        diag = np.arange(di) * (di + 1)                  # index of (a,a)
+        rows = diag * (di * di) + diag
+
+        def run(V: np.ndarray) -> np.ndarray:
+            out = np.zeros((do * do, V.shape[1]), dtype=complex)
+            out[rows] = V[diag]
+            return out
+        return run
 
     if isinstance(e, TrLC):
         pt = e.in_type
         assert isinstance(pt, ProdT)
         da, db = dim(pt.left), dim(pt.right)
-        V5 = V.reshape(da, db, da, db, k)
-        return np.einsum("abadk->bdk", V5).reshape(db * db, k)
-
-    if isinstance(e, Compose):
-        return apply_batch(e.then_, apply_batch(e.first_, V, env), env)
-
-    if isinstance(e, FanoutC):
-        return _fanout_arr(e, V, env)
+        return lambda V: np.einsum(
+            "abadk->bdk", V.reshape(da, db, da, db, V.shape[1])
+        ).reshape(db * db, V.shape[1])
 
     raise EvalError(f"cannot apply pipeline node {e!r}")
 
 
 def est_cells(e: ClassicExpr) -> int:
-    """Rough per-column memory estimate (complex cells) for apply_batch."""
+    """Rough per-column memory estimate (complex cells) of a pipeline's
+    plan."""
     base = max(dim(e.in_type) ** 2, dim(e.out_type) ** 2)
     if isinstance(e, Compose):
         return max(base, est_cells(e.first_), est_cells(e.then_))
@@ -502,9 +542,10 @@ def est_cells(e: ClassicExpr) -> int:
     return base
 
 
-def materialize_super(e: ClassicExpr, env: dict) -> SuperVal:
-    """The matrix of a pipeline: its identity columns pushed through it, in
-    blocks sized to the budget; each block's columns are made as it goes."""
+def _materialize(e: ClassicExpr, plan: Plan) -> SuperVal:
+    """The matrix of a pipeline: its identity columns pushed through its
+    plan, in blocks sized to the budget; each block's columns are made as it
+    goes."""
     n = dim(e.in_type) ** 2
     block = max(1, min(n, _BUDGET // max(est_cells(e), 1)))
     parts = []
@@ -512,8 +553,13 @@ def materialize_super(e: ClassicExpr, env: dict) -> SuperVal:
         w = min(block, n - s)
         cols = np.zeros((n, w), dtype=complex)
         cols[np.arange(s, s + w), np.arange(w)] = 1.0
-        parts.append(apply_batch(e, cols, env))
+        parts.append(plan(cols))
     return SuperVal(e.in_type, e.out_type, np.concatenate(parts, axis=1))
+
+
+def materialize_super(e: ClassicExpr, env: dict) -> SuperVal:
+    """The matrix of a pipeline evaluated in `env`."""
+    return _materialize(e, _plan(e, env))
 
 
 def eval_arrow_abs(t: ArrowAbs, env: dict) -> SuperV:
@@ -526,12 +572,12 @@ def eval_arrow_abs(t: ArrowAbs, env: dict) -> SuperV:
 
 def run_super(s: SuperV, rho: np.ndarray) -> np.ndarray:
     """Apply a superoperator value to a density.  Until its matrix is built,
-    ``vec(ρ)`` is pushed through the pipeline as a batch of one column."""
+    ``vec(ρ)`` is pushed through its plan as a batch of one column."""
     if s.built():
         return apply_super(s.val, rho)
     check_density(rho, dim(s.in_type))
     d_out = dim(s.out_type)
-    return apply_batch(s.pipe, rho.reshape(-1, 1), s.env).reshape(d_out, d_out)
+    return s.plan(rho.reshape(-1, 1)).reshape(d_out, d_out)
 
 
 def eval_program(prog: Program, base_env: Optional[dict] = None) -> dict:

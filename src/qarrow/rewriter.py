@@ -84,7 +84,8 @@ from .syntax import (alpha_eq, App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq,
                      free_vars, fresh_name, Fst, If, Lam, Let, MZero, Node,
                      Pair, Pattern, pattern_names, pattern_subst, pattern_term,
                      PPair, pretty, PVar, QarrowError, rebuild, Record, Snd,
-                     subst_map, Term, type_str, Var, VecAdd, VecLet, VecUnit)
+                     subst_map, Term, type_str, TypeExpr, Var, VecAdd, VecLet,
+                     VecUnit)
 from .typecheck import elaborate_term, TypeCheckError
 
 if TYPE_CHECKING:
@@ -665,19 +666,23 @@ class Unknown(Record):
 
 def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
                 defs: Optional[dict[str, Term]] = None,
-                fuel: int = 10000, tol: float = 1e-9):
+                fuel: int = 10000, tol: float = 1e-9,
+                expected: tuple[Optional[TypeExpr],
+                                Optional[TypeExpr]] = (None, None)):
     """Decide whether two terms are equal: first by normalization, then by
     evaluating closed terms and comparing denotations.  `env` maps names to
     values; only the second stage reads a value, so `env` may evaluate them
-    on first lookup."""
+    on first lookup.  `expected` gives the type of each side where the
+    caller knows it, such as a definition's annotation; a side without one
+    is typed on its own, or at the other side's type if it is ambiguous."""
     lt = rt = None
     left_err = right_err = None
     try:
-        lt, left2 = elaborate_term(types, left)
+        lt, left2 = elaborate_term(types, left, expected[0])
     except TypeCheckError as e:
         left_err = e
     try:
-        rt, right2 = elaborate_term(types, right)
+        rt, right2 = elaborate_term(types, right, expected[1])
     except TypeCheckError as e:
         right_err = e
     try:

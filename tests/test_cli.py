@@ -428,6 +428,20 @@ def test_prove_unknown_exits_3(runcli, tmp_path):
                    "ambiguous type; an annotation is required\n")
 
 
+def test_prove_types_a_definition_at_its_annotation(runcli, tmp_path):
+    """``f`` alone is ambiguous; as a side of ``prove`` it has its declared
+    type, and a definition of another type still differs by type."""
+    f = tmp_path / "f.qarr"
+    f.write_text("f : Bool -> Bool\nf = \\x. x\n"
+                 "g : (Bool,Bool) -> (Bool,Bool)\ng = \\p. p\n")
+    for rhs in ("f", "\\x. x"):
+        assert runcli("prove", str(f), "f", rhs) == (
+            OK, "equal: both sides normalize to the same term (0 steps)\n", "")
+    assert runcli("prove", str(f), "f", "g") == (
+        FAIL, "not equal: types differ: Bool -> Bool vs "
+              "(Bool,Bool) -> (Bool,Bool)\n", "")
+
+
 UNEQUAL_HIGHER_ORDER = [
     # x = True, f = id tells them apart; the inner functions on Bool -> Bool
     # cannot be compared, so the answer is unknown, not equal
@@ -682,9 +696,10 @@ def test_static_commands_build_no_matrix(runcli, tmp_path, monkeypatch):
     want = [runcli(cmd[0], str(f), *cmd[1:]) for cmd in STATIC_COMMANDS]
 
     def refuse(*args):
-        raise AssertionError("materialize_super called")
+        raise AssertionError("matrix or plan built")
 
     monkeypatch.setattr("qarrow.evaluator.materialize_super", refuse)
+    monkeypatch.setattr("qarrow.evaluator._plan", refuse)
     got = [runcli(cmd[0], str(f), *cmd[1:]) for cmd in STATIC_COMMANDS]
     assert got == want
     assert all(code == OK for code, _, _ in got)

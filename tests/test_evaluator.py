@@ -25,21 +25,23 @@ from qarrow import (
     run_super,
     translate_term,
 )
-from qarrow.classic import classic_children, FanoutC
+from qarrow.classic import Arr, classic_children, FanoutC, NamedSuper
 from qarrow.evaluator import (
+    _arr_index_map,
     _fanout_forms,
-    apply_batch,
+    _plan,
     elem_type_of_value,
     est_cells,
     eval_arrow_abs,
     materialize_super,
 )
-from qarrow.linalg import basis, dim
+from qarrow.linalg import basis, dim, vec_return
 from qarrow.syntax import rebuild
 
 import randprog
-from dense_arrow import (reference_super, super_arr, super_first,
-                         super_from_lin, super_meas, super_second, super_trL)
+from dense_arrow import (fun2lin, reference_super, super_arr, super_compose,
+                         super_first, super_from_lin, super_meas, super_second,
+                         super_trL)
 from helpers import dens_close, materialize_lin, random_density
 
 B = BoolT()
@@ -268,10 +270,10 @@ def test_est_cells(prelude, defs_map):
     assert n ** 2 <= est_cells(tele) * n <= 4_000_000
 
 
-def test_apply_batch_on_columns(prelude):
+def test_plan_on_columns(prelude):
     pipe = translate_term(elab(prelude, "\\@x. Had @ x", SuperT(B, B)))
     eye = np.eye(4, dtype=complex)
-    cols = apply_batch(pipe, eye, dict(prelude.env))
+    cols = _plan(pipe, dict(prelude.env))(eye)
     assert np.allclose(cols, prelude.env["Had"].val.action, atol=1e-12)
 
 
@@ -377,7 +379,7 @@ def _densities(d):
 def _push_matches_matrix(s):
     d_in = dim(s.in_type)
     for rho in _densities(d_in):
-        pushed = apply_batch(s.pipe, rho.reshape(-1, 1), s.env)
+        pushed = s.plan(rho.reshape(-1, 1))
         built = s.val.action @ rho.reshape(-1)
         assert np.max(np.abs(pushed[:, 0] - built)) <= 1e-12
 
@@ -399,6 +401,103 @@ def test_push_matches_matrix_on_random_programs(prelude, seed):
     pushed = run_super(s, rho)              # before the matrix exists
     _push_matches_matrix(s)
     assert np.max(np.abs(pushed - run_super(s, rho))) <= 1e-12
+
+
+def _nodes(e, cls):
+    if isinstance(e, cls):
+        yield e
+    for c in classic_children(e):
+        yield from _nodes(c, cls)
+
+
+def test_each_map_is_computed_once_per_superoperator(prelude, monkeypatch):
+    tof = prelude.env["toffoli"]
+    s = SuperV(tof.pipe, tof.env)
+    for callee in _nodes(s.pipe, NamedSuper):   # built before counting
+        s.env[callee.name].val
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _arr_index_map(*args)
+
+    monkeypatch.setattr("qarrow.evaluator._arr_index_map", counted)
+    for rho in _densities(8)[:3]:
+        run_super(s, rho)
+    s.val
+    assert len(calls) == len(list(_nodes(s.pipe, Arr))) > 0
+
+
+# Dense references for the prelude channels whose `reference_super` would
+# need gigabytes: each is its gates' unitary, then measurement or a partial
+# trace.  Wire order is the type's, the leftmost qubit most significant.
+T3 = ProdT(B, BB)
+CNOT = np.eye(4)[:, [0, 1, 3, 2]]
+I2 = np.eye(2)
+
+
+def _then_trace(u, move):
+    """ρ ↦ u ρ u† on (Bool, (Bool, Bool)), then the partial trace over the
+    two wires that `move` puts on the left."""
+    moved = ProdT(BB, B)
+    return super_compose(super_compose(super_from_lin(u, T3, T3),
+                                       super_arr(move, T3, moved)),
+                         super_trL(moved))
+
+
+def _bob_lin(v):
+    b, (z, x) = v
+    b ^= x                                  # Cnot @ (x, b), then Cz @ (z, b)
+    return (-1) ** (z and b) * vec_return(T3, (b, (z, x)))
+
+
+DENSE_PRELUDE = {
+    "toffoli": lambda: super_arr(
+        lambda v: (v[0], (v[1][0], v[1][1] ^ (v[0] and v[1][0]))), T3, T3),
+    "Alice": lambda: super_compose(super_compose(
+        super_from_lin(np.kron(H, I2) @ CNOT, BB, BB), super_meas(BB)),
+        super_trL(ProdT(BB, BB))),
+    "Bob": lambda: _then_trace(fun2lin(_bob_lin, T3, T3),
+                               lambda v: (v[1], v[0])),
+    # bell on (a, b), Alice's gates on (m, a), Bob's corrections on b.  Her
+    # measurement is left out: it dephases only the wires that are traced
+    # out after acting as controls, which changes nothing.
+    "teleport": lambda: _then_trace(
+        np.diag([1, 1, 1, 1, 1, -1, 1, -1]) @ np.kron(I2, CNOT)
+        @ np.kron(H, np.eye(4)) @ np.kron(CNOT, I2) @ np.kron(I2, CNOT)
+        @ np.kron(np.kron(I2, H), I2),
+        lambda v: ((v[0], v[1][0]), v[1][1])),
+}
+
+
+def _plan_is_not_written_through(s, want):
+    rho1, rho2 = _densities(dim(s.in_type))[-2:]
+    kept = rho1.copy()
+    outs = [run_super(s, r) for r in (rho1, rho2, rho1)]
+    assert not s.built() and np.array_equal(rho1, kept)
+    assert np.array_equal(outs[0], outs[2])
+    for rho, out in zip((rho1, rho2), outs):
+        d = dim(s.out_type)
+        expect = (want.action @ rho.reshape(-1)).reshape(d, d)
+        assert np.max(np.abs(out - expect)) <= 1e-9
+
+
+def test_plan_is_not_written_through_on_prelude(prelude, defs_map):
+    names = [k for k, v in prelude.env.items() if isinstance(v, SuperV)]
+    assert len(names) == 12
+    for name in names:
+        s = prelude.env[name]
+        want = (DENSE_PRELUDE[name]() if name in DENSE_PRELUDE
+                else reference_super(defs_map[name], dict(prelude.env)))
+        _plan_is_not_written_through(SuperV(s.pipe, s.env), want)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_plan_is_not_written_through_on_random_programs(prelude, seed):
+    term, t = randprog.random_super(seed)
+    _, term = elaborate_term(prelude.types, term, t)
+    _plan_is_not_written_through(eval_term(term, dict(prelude.env)),
+                                 reference_super(term, dict(prelude.env)))
 
 
 # --------------------------------------------------------------------------
@@ -475,6 +574,7 @@ def test_evaluation_builds_no_matrix(prelude, monkeypatch):
         raise AssertionError("materialized")
 
     monkeypatch.setattr("qarrow.evaluator.materialize_super", refuse)
+    monkeypatch.setattr("qarrow.evaluator._plan", refuse)
     _, prog = elaborate_program(parse_program(
         "f : Super Bool Bool\nf = \\@x. let h = Had @ x in QMeas @ h\n"
         "g : Super Bool Bool\ng = \\@x. f @ x\n"), prelude.types)
@@ -517,18 +617,11 @@ def _fanout_pipe(prelude, make):
     return term, translate_term(term)
 
 
-def _fanouts(e):
-    if isinstance(e, FanoutC):
-        yield e
-    for c in classic_children(e):
-        yield from _fanouts(c)
-
-
 @pytest.mark.parametrize("case", sorted(FANOUT_CASES))
 @pytest.mark.parametrize("form", ["grid", "gather"])
 def test_fanout_forms_match_reference(prelude, monkeypatch, case, form):
     term, pipe = _fanout_pipe(prelude, FANOUT_CASES[case])
-    assert list(_fanouts(pipe))
+    assert list(_nodes(pipe, FanoutC))
     want = reference_super(term, dict(prelude.env)).action
     # make `form` the smaller one at every fanout
     sizes = (0, 1) if form == "grid" else (1, 0)
@@ -540,7 +633,7 @@ def test_fanout_forms_match_reference(prelude, monkeypatch, case, form):
 def test_fanout_form_is_chosen_by_size(prelude):
     # seed 29's lets share wires over a context of dimension 16, where the
     # gather form is the smaller one at some fanouts
-    fans = {case: list(_fanouts(_fanout_pipe(prelude, make)[1]))
+    fans = {case: list(_nodes(_fanout_pipe(prelude, make)[1], FanoutC))
             for case, make in (
                 ("shared", lambda: _shared_case(29)),
                 # the second let keeps only h and binds QNot on y alone
