@@ -19,9 +19,8 @@ _EXPORTS = {
                 "TranslationError", "TrLC"),
     "evaluator": ("apply_closure", "ClosureV", "EvalError", "eval_program",
                   "eval_term", "run_super", "SuperV", "VecV"),
-    "linalg": ("apply_super", "basis", "dens_from_json", "dens_to_json",
-               "dim", "elem_index", "pure_density", "render_density",
-               "SuperVal"),
+    "linalg": ("basis", "dens_from_json", "dens_to_json", "dim",
+               "elem_index", "pure_density", "render_density", "SuperVal"),
     "parser": ("parse_command", "parse_program", "parse_term", "parse_type",
                "ParseError"),
     "rewriter": ("apply_law_at", "Law", "normalize", "NotEqual",

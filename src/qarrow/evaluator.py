@@ -21,10 +21,12 @@ product with a large intermediate superoperator matrix.  ``vec(ρ)`` goes
 through the plan as a batch of one column.  This evaluator is the only
 arrow instance in the package, and it runs exactly the nodes that
 translation emits: a ``&&&`` always has a pure left leg, and there is no
-``first`` or ``second`` node.  The full matrix is a derived operation:
-``SuperV.val`` builds it on first use by pushing the identity columns
-through the same plan, block by block, and keeps it; from then on
-``run_super`` multiplies by it.  The prover and the tests read ``val``.
+``first`` or ``second`` node.  ``run_super`` always pushes through the
+plan.  The full matrix is a derived operation: ``SuperV.val`` builds it on
+first use by pushing the identity columns through the same plan, block by
+block, and keeps it.  It is built only where a caller needs the matrix:
+the prover's comparison, the bound leg of a ``&&&`` and a named callee,
+whose plans multiply by it.
 
 The basis map of an ``arr`` node and the matrix of a ``lift`` node are
 computed over *wires*: each context variable is a tree of 0/1 arrays over
@@ -53,8 +55,8 @@ import numpy as np
 
 from .classic import (Arr, ClassicExpr, Compose, FanoutC, LiftLin, MeasC,
                       NamedSuper, translate_term, TrLC)
-from .linalg import (apply_super, basis, check_density, dim, elem_index,
-                     pure_density, SuperVal, vec_return, vec_zero)
+from .linalg import (basis, dim, elem_index, pure_density, SuperVal,
+                     vec_return, vec_zero)
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, Eq, free_vars, Fst, FunT,
                      If, is_classical, Lam, Let, MZero, Pair, Pattern, PPair,
                      ProdT, Program, PVar, QarrowError, Snd, Term, TypeExpr,
@@ -117,10 +119,19 @@ class SuperV:
 
     @cached_property
     def val(self) -> SuperVal:
-        return _materialize(self.pipe, self.plan)
-
-    def built(self) -> bool:
-        return "val" in self.__dict__      # where cached_property keeps it
+        """The matrix: the identity columns pushed through ``plan``, in
+        blocks sized to the budget; each block's columns are made as it
+        goes."""
+        n = dim(self.in_type) ** 2
+        block = max(1, min(n, _BUDGET // max(est_cells(self.pipe), 1)))
+        parts = []
+        for s in range(0, n, block):
+            w = min(block, n - s)
+            cols = np.zeros((n, w), dtype=complex)
+            cols[np.arange(s, s + w), np.arange(w)] = 1.0
+            parts.append(self.plan(cols))
+        return SuperVal(self.in_type, self.out_type,
+                        np.concatenate(parts, axis=1))
 
     def __repr__(self):
         di, do = dim(self.in_type), dim(self.out_type)
@@ -457,8 +468,8 @@ def _fanout_plan(e: FanoutC, env: dict) -> Plan:
         dr = dim(e.right_.out_type)
         return _scatter_plan(m * dr + p, dj * dr)
     dr, dg = dim(rest.in_type), dim(rest.out_type)
-    G = (_callee(rest, env).val if isinstance(rest, NamedSuper)
-         else materialize_super(rest, env)).action
+    G = (_callee(rest, env) if isinstance(rest, NamedSuper)
+         else SuperV(rest, env)).val.action
     grid, gather = _fanout_forms(e)
     if grid <= gather:
         scatter = _scatter_plan(m * dr + p, dj * dr)     # over (m a, p a)
@@ -542,26 +553,6 @@ def est_cells(e: ClassicExpr) -> int:
     return base
 
 
-def _materialize(e: ClassicExpr, plan: Plan) -> SuperVal:
-    """The matrix of a pipeline: its identity columns pushed through its
-    plan, in blocks sized to the budget; each block's columns are made as it
-    goes."""
-    n = dim(e.in_type) ** 2
-    block = max(1, min(n, _BUDGET // max(est_cells(e), 1)))
-    parts = []
-    for s in range(0, n, block):
-        w = min(block, n - s)
-        cols = np.zeros((n, w), dtype=complex)
-        cols[np.arange(s, s + w), np.arange(w)] = 1.0
-        parts.append(plan(cols))
-    return SuperVal(e.in_type, e.out_type, np.concatenate(parts, axis=1))
-
-
-def materialize_super(e: ClassicExpr, env: dict) -> SuperVal:
-    """The matrix of a pipeline evaluated in `env`."""
-    return _materialize(e, _plan(e, env))
-
-
 def eval_arrow_abs(t: ArrowAbs, env: dict) -> SuperV:
     return SuperV(translate_term(t), env)
 
@@ -571,12 +562,12 @@ def eval_arrow_abs(t: ArrowAbs, env: dict) -> SuperV:
 
 
 def run_super(s: SuperV, rho: np.ndarray) -> np.ndarray:
-    """Apply a superoperator value to a density.  Until its matrix is built,
-    ``vec(ρ)`` is pushed through its plan as a batch of one column."""
-    if s.built():
-        return apply_super(s.val, rho)
-    check_density(rho, dim(s.in_type))
-    d_out = dim(s.out_type)
+    """Apply a superoperator value to a density: ``vec(ρ)`` is pushed
+    through its plan as a batch of one column."""
+    d_in, d_out = dim(s.in_type), dim(s.out_type)
+    if rho.shape != (d_in, d_in):
+        raise EvalError(f"density shape {rho.shape} does not match input "
+                        f"dimension {d_in}")
     return s.plan(rho.reshape(-1, 1)).reshape(d_out, d_out)
 
 
@@ -622,13 +613,15 @@ def compare_values(a, b, t: TypeExpr, tol: float):
     if isinstance(a, VecV) and isinstance(b, VecV):
         return (float(np.max(np.abs(a.amp - b.amp))), None)
     if isinstance(a, SuperV) and isinstance(b, SuperV):
-        diff = float(np.max(np.abs(a.val.action - b.val.action)))
+        A, B = a.val.action, b.val.action
+        diff = float(np.max(np.abs(A - B)))
         if diff <= tol:
             return (diff, None)
         best, best_rho = 0.0, None
-        for amp in _witness_states(dim(a.val.in_type)):
+        for amp in _witness_states(dim(a.in_type)):
             rho = pure_density(amp)
-            gap = float(np.max(np.abs(run_super(a, rho) - run_super(b, rho))))
+            v = rho.reshape(-1)
+            gap = float(np.max(np.abs(A @ v - B @ v)))
             if gap > best:
                 best, best_rho = gap, rho
         return (diff, (best, best_rho))

@@ -10,9 +10,10 @@ index (matching the Kronecker-product convention used throughout).
 * ``Super A B`` — linear map on densities, stored as its matrix acting on
   row-major vectorized densities:  ``vec(F ρ F†) = (F ⊗ conj(F)) vec(ρ)``.
 
-This module holds the data: ``SuperVal`` and its application to a density,
-and the JSON and text forms of densities and vectors.  Superoperators are
-built by the evaluator, which pushes densities through a pipeline.
+This module holds the data: ``SuperVal``, a superoperator's matrix, and
+the JSON and text forms of densities and vectors.  Superoperators are
+built and applied by the evaluator, which pushes densities through a
+pipeline.
 """
 
 from __future__ import annotations
@@ -92,18 +93,6 @@ class SuperVal:
         d_in, d_out = dim(self.in_type), dim(self.out_type)
         assert self.action.shape == (d_out * d_out, d_in * d_in), \
             (self.action.shape, d_out, d_in)
-
-
-def check_density(rho: np.ndarray, d_in: int) -> None:
-    if rho.shape != (d_in, d_in):
-        raise ValueError(f"density shape {rho.shape} does not match input "
-                         f"dimension {d_in}")
-
-
-def apply_super(s: SuperVal, rho: np.ndarray) -> np.ndarray:
-    d_in, d_out = dim(s.in_type), dim(s.out_type)
-    check_density(rho, d_in)
-    return (s.action @ rho.reshape(d_in * d_in)).reshape(d_out, d_out)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,8 @@ primitives: lifting a pure function, lifting a vector-valued (Kraus)
 function, identity, sequential composition, ``first`` (act on the left
 half of a pair), measurement in the computational basis, and partial trace
 of the left half.  ``second`` and ``fanout`` are *derived* from ``first``
-with pure rewiring, and are kept that way.
+with pure rewiring, and are kept that way.  ``apply_super`` applies any of
+them to a density.
 
 ``reference_super`` gives a second, deliberately naive semantics for arrow
 abstractions: structural recursion over the command, using these dense
@@ -134,6 +135,12 @@ def super_trL(prod_t: TypeExpr) -> SuperVal:
                 col = (a * db + b1) * din + (a * db + b2)
                 action[row, col] = 1.0
     return SuperVal(prod_t, prod_t.right, action)
+
+
+def apply_super(s: SuperVal, rho: np.ndarray) -> np.ndarray:
+    """The image of a density under `s`: its matrix times ``vec(ρ)``."""
+    d_in, d_out = dim(s.in_type), dim(s.out_type)
+    return (s.action @ rho.reshape(d_in * d_in)).reshape(d_out, d_out)
 
 
 # --------------------------------------------------------------------------

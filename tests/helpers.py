@@ -1,6 +1,7 @@
 """Helpers that several test modules share: random densities, comparing
-densities, the matrix of a vector-valued function, and the laws and the
-replay of a rewriting trace."""
+densities, the matrix of a vector-valued function, whether a
+superoperator's matrix is built, and the laws and the replay of a
+rewriting trace."""
 
 from __future__ import annotations
 
@@ -32,6 +33,11 @@ def materialize_lin(f, in_t: TypeExpr, out_t: TypeExpr) -> np.ndarray:
             raise EvalError("expected a vector-valued function")
         mat[:, i] = v.amp
     return mat
+
+
+def matrix_built(s) -> bool:
+    """Whether the matrix of a superoperator value has been built."""
+    return "val" in s.__dict__          # where cached_property keeps it
 
 
 def laws(trace: ProofTrace) -> list[Law]:

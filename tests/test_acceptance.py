@@ -11,6 +11,7 @@ from qarrow import (
     Law,
     ProdT,
     SuperT,
+    SuperV,
     TypeCheckError,
     alpha_eq,
     apply_law_at,
@@ -25,10 +26,9 @@ from qarrow import (
     type_str,
 )
 from qarrow.classic import inverse_translate
-from qarrow.evaluator import compare_values, eval_arrow_abs, materialize_super
+from qarrow.evaluator import compare_values, eval_arrow_abs
 from qarrow.linalg import (
     SuperVal,
-    apply_super,
     basis,
     dim,
     elem_index,
@@ -37,7 +37,7 @@ from qarrow.linalg import (
 )
 
 import randprog
-from dense_arrow import super_arr, super_compose, super_first
+from dense_arrow import apply_super, super_arr, super_compose, super_first
 from helpers import dens_close, laws, random_density
 from ill_typed import ILL_TYPED
 
@@ -287,7 +287,7 @@ def test_criterion_7_translation_round_trip(prelude, defs_map):
         term = defs_map[name]
         direct = prelude.env[name].val
         pipe = translate_term(term)
-        via_pipe = materialize_super(pipe, dict(prelude.env))
+        via_pipe = SuperV(pipe, dict(prelude.env)).val
         _, back = elaborate_term(prelude.types, inverse_translate(pipe),
                                  prelude.types[name])
         via_inverse = eval_term(back, dict(prelude.env)).val

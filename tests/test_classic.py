@@ -15,7 +15,7 @@ from qarrow.classic import (Arr, Compose, FanoutC, LiftLin, MeasC,
                             NamedSuper, TranslationError, TrLC,
                             classic_children, inverse_translate, sexpr,
                             translate_term)
-from qarrow.evaluator import eval_term, materialize_super
+from qarrow.evaluator import eval_term, SuperV
 from qarrow.linalg import dim
 from qarrow.parser import parse_program, parse_term
 from qarrow.syntax import ArrowAbs, BoolT, ProdT, SuperT, pretty, type_str
@@ -239,7 +239,7 @@ def test_classic_via_materialize_equals_direct(prelude):
     for name in ("bell", "Alice", "teleport"):
         d = next(d for d in prelude.program.defs if d.name == name)
         direct = eval_term(d.term, prelude.env).val
-        via = materialize_super(translate_term(d.term), prelude.env)
+        via = SuperV(translate_term(d.term), prelude.env).val
         assert np.max(np.abs(direct.action - via.action)) < 1e-12
 
 

@@ -250,6 +250,25 @@ def test_run_dimension_mismatch(runcli, demo):
     assert "expects 2" in err
 
 
+@pytest.mark.parametrize("flag, given, said", [
+    ("--density", dens_to_json(np.eye(4) / 4),
+     "input has dimension 4, but mix expects 2"),
+    # "dim" says 3, the rows are 2 by 2
+    ("--density", {**dens_to_json(np.eye(2) / 2), "dim": 3},
+     "cannot read density: density dimension mismatch"),
+    ("--input", "(|0>", "bad ket expression: missing ')'"),
+], ids=["density-dimension", "density-rows", "ket"])
+def test_run_refuses_an_unusable_input(runcli, tmp_path, flag, given, said):
+    f = tmp_path / "demo.qarr"
+    f.write_text(randprog.DEMO_SRC)
+    if flag == "--density":
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(given))
+        given = str(rho)
+    assert runcli("run", str(f), "mix", flag, given) == (BADINPUT, "",
+                                                         said + "\n")
+
+
 @pytest.mark.parametrize("qubits", [20, 5000])
 def test_run_oversized_ket_refused_before_allocation(runcli, demo, qubits):
     # a 20-qubit density matrix would need 16 TiB; the ket's bit count is
@@ -426,6 +445,22 @@ def test_prove_unknown_exits_3(runcli, tmp_path):
     assert code == UNDECIDED
     assert out == ("unknown: typechecking failed: <arg>:1:1: mismatch: "
                    "ambiguous type; an annotation is required\n")
+
+
+# differences above a zero tolerance but below the 1e-6 the prover trusts
+@pytest.mark.parametrize("lhs, rhs, said", [
+    ("\\@q. let h = Had @ q in Had @ h", "\\@q. [q]",
+     r"matrix actions differ by \d\.\d{3}e-\d\d but no probed state "
+     r"separates them beyond 1e-6"),
+    ("invsqrt2 * (invsqrt2 * [True])", "0.5 * [True]",
+     r"denotations differ by \d\.\d{3}e-\d\d, between the tolerance 0 and "
+     r"1e-6"),
+], ids=["super", "vector"])
+def test_prove_a_rounding_difference_is_unknown(runcli, lhs, rhs, said):
+    code, out, err = runcli("prove", "-", lhs, rhs, "--tolerance", "0",
+                            stdin="")
+    assert code == UNDECIDED and err == ""
+    assert re.fullmatch(f"unknown: {said}\n", out), out
 
 
 def test_prove_types_a_definition_at_its_annotation(runcli, tmp_path):
@@ -698,7 +733,6 @@ def test_static_commands_build_no_matrix(runcli, tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("matrix or plan built")
 
-    monkeypatch.setattr("qarrow.evaluator.materialize_super", refuse)
     monkeypatch.setattr("qarrow.evaluator._plan", refuse)
     got = [runcli(cmd[0], str(f), *cmd[1:]) for cmd in STATIC_COMMANDS]
     assert got == want

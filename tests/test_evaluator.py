@@ -33,7 +33,6 @@ from qarrow.evaluator import (
     elem_type_of_value,
     est_cells,
     eval_arrow_abs,
-    materialize_super,
 )
 from qarrow.linalg import basis, dim, vec_return
 from qarrow.syntax import rebuild
@@ -42,7 +41,7 @@ import randprog
 from dense_arrow import (fun2lin, reference_super, super_arr, super_compose,
                          super_first, super_from_lin, super_meas, super_second,
                          super_trL)
-from helpers import dens_close, materialize_lin, random_density
+from helpers import dens_close, materialize_lin, matrix_built, random_density
 
 B = BoolT()
 BB = ProdT(B, B)
@@ -249,15 +248,15 @@ def test_first_and_second_via_lets(prelude):
 def test_named_super_missing_from_env(prelude):
     pipe = translate_term(elab(prelude, "\\@x. QNot @ x", SuperT(B, B)))
     with pytest.raises(EvalError, match="not a superoperator"):
-        materialize_super(pipe, {})
+        SuperV(pipe, {}).val
 
 
 def test_materialize_blocking_matches_unblocked(prelude, defs_map,
                                                 monkeypatch):
     pipe = translate_term(defs_map["Alice"])
-    full = materialize_super(pipe, dict(prelude.env)).action
+    full = SuperV(pipe, dict(prelude.env)).val.action
     monkeypatch.setattr("qarrow.evaluator._BUDGET", 1)
-    blocked = materialize_super(pipe, dict(prelude.env)).action
+    blocked = SuperV(pipe, dict(prelude.env)).val.action
     assert np.array_equal(full, blocked)
 
 
@@ -285,7 +284,7 @@ def test_run_super_applies_and_checks_dimensions(prelude):
     rho = np.array([[0.25, 0.1j], [-0.1j, 0.75]])
     out = run_super(prelude.env["QNot"], rho)
     assert np.allclose(out, X @ rho @ X, atol=1e-12)
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(EvalError, match="does not match"):
         run_super(prelude.env["QNot"], np.eye(4, dtype=complex) / 4)
 
 
@@ -396,7 +395,7 @@ def test_push_matches_matrix_on_random_programs(prelude, seed):
     term, t = randprog.random_super(seed)
     _, term = elaborate_term(prelude.types, term, t)
     s = eval_term(term, dict(prelude.env))
-    assert not s.built()
+    assert not matrix_built(s)
     rho = _densities(dim(t.arg))[-1]
     pushed = run_super(s, rho)              # before the matrix exists
     _push_matches_matrix(s)
@@ -474,7 +473,7 @@ def _plan_is_not_written_through(s, want):
     rho1, rho2 = _densities(dim(s.in_type))[-2:]
     kept = rho1.copy()
     outs = [run_super(s, r) for r in (rho1, rho2, rho1)]
-    assert not s.built() and np.array_equal(rho1, kept)
+    assert not matrix_built(s) and np.array_equal(rho1, kept)
     assert np.array_equal(outs[0], outs[2])
     for rho, out in zip((rho1, rho2), outs):
         d = dim(s.out_type)
@@ -573,14 +572,13 @@ def test_evaluation_builds_no_matrix(prelude, monkeypatch):
     def refuse(*args):
         raise AssertionError("materialized")
 
-    monkeypatch.setattr("qarrow.evaluator.materialize_super", refuse)
     monkeypatch.setattr("qarrow.evaluator._plan", refuse)
     _, prog = elaborate_program(parse_program(
         "f : Super Bool Bool\nf = \\@x. let h = Had @ x in QMeas @ h\n"
         "g : Super Bool Bool\ng = \\@x. f @ x\n"), prelude.types)
     env = eval_program(prog, prelude.env)
     assert repr(env["g"]) == "<super 2x2 -> 2x2>"
-    assert not env["f"].built() and not env["g"].built()
+    assert not matrix_built(env["f"]) and not matrix_built(env["g"])
     with pytest.raises(AssertionError, match="materialized"):
         env["g"].val
 
@@ -626,7 +624,7 @@ def test_fanout_forms_match_reference(prelude, monkeypatch, case, form):
     # make `form` the smaller one at every fanout
     sizes = (0, 1) if form == "grid" else (1, 0)
     monkeypatch.setattr("qarrow.evaluator._fanout_forms", lambda e: sizes)
-    got = materialize_super(pipe, dict(prelude.env)).action
+    got = SuperV(pipe, dict(prelude.env)).val.action
     assert np.max(np.abs(got - want)) <= 1e-12
 
 

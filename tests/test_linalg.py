@@ -13,15 +13,16 @@ import json
 import numpy as np
 import pytest
 
-from qarrow.linalg import (apply_super, basis, dens_from_json, dens_to_json,
-                           dim, elem_index, elem_str, is_hermitian,
-                           pure_density, render_density, render_vector,
-                           vec_return, vec_to_json, vec_zero)
+from qarrow.linalg import (basis, dens_from_json, dens_to_json, dim,
+                           elem_index, elem_str, is_hermitian, pure_density,
+                           render_density, render_vector, vec_return,
+                           vec_to_json, vec_zero)
 from qarrow.syntax import BoolT, ProdT
 
-from dense_arrow import (lin2super_matrix, super_arr, super_compose,
-                         super_fanout, super_first, super_from_lin,
-                         super_identity, super_meas, super_second, super_trL)
+from dense_arrow import (apply_super, lin2super_matrix, super_arr,
+                         super_compose, super_fanout, super_first,
+                         super_from_lin, super_identity, super_meas,
+                         super_second, super_trL)
 from helpers import dens_close, random_density
 
 B = BoolT()

@@ -28,15 +28,18 @@ from qarrow import (
     trace_to_json,
     type_str,
 )
-from qarrow.evaluator import compare_values
+from qarrow.evaluator import _witness_states, compare_values
+from qarrow.linalg import dim, pure_density
 from qarrow.rewriter import ProofTrace, Rewriter, get_at, replace_at
 from qarrow.syntax import (BoolT, CLet, CUnit, MZero, ProdT, PVar, rebuild,
                            subst_map, Var, VecAdd, VecLet, VecT)
 
 import randprog
+from dense_arrow import apply_super
 from helpers import laws, replay
 
 B = BoolT()
+BB = ProdT(B, B)
 T = parse_term
 C = parse_command
 
@@ -508,6 +511,53 @@ def test_value_diff(prelude):
 def parse_term_type(src):
     from qarrow import parse_type
     return parse_type(src)
+
+
+def _witness_by_oracle(a, b):
+    """``compare_values``' (diff, gap, witness) for two superoperators,
+    worked out with the dense oracle's ``apply_super``: the first witness
+    state whose gap is strictly the largest."""
+    sa, sb = a.val, b.val
+    diff = float(np.max(np.abs(sa.action - sb.action)))
+    best, best_rho = 0.0, None
+    for amp in _witness_states(dim(a.in_type)):
+        rho = pure_density(amp)
+        gap = float(np.max(np.abs(apply_super(sa, rho)
+                                  - apply_super(sb, rho))))
+        if gap > best:
+            best, best_rho = gap, rho
+    return diff, best, best_rho
+
+
+def _random_pair(seed):
+    (lhs, t), (rhs, _) = (randprog.random_super(s, BB, BB)
+                          for s in (seed, seed + 1))
+    return lhs, rhs, t
+
+
+WITNESS_PAIRS = {
+    "Had-QNot": lambda: (T("Had"), T("QNot"), parse_type("Super Bool Bool")),
+    # equal up to rounding: only a zero tolerance reaches the witnesses
+    "teleport-trL": lambda: (T("teleport"), T("\\@(m,ab). trL (ab, m)"),
+                             parse_type("Super (Bool,(Bool,Bool)) Bool")),
+    **{f"random{seed}": (lambda seed=seed: _random_pair(seed))
+       for seed in (0, 2, 4)},
+}
+
+
+@pytest.mark.parametrize("pair", sorted(WITNESS_PAIRS))
+def test_witness_search_matches_the_dense_oracle(prelude, pair):
+    """The witness search multiplies the two matrices it compares; its
+    diff, gap and witness equal, bit for bit, those of applying each
+    matrix to each witness state with the oracle."""
+    lhs, rhs, t = WITNESS_PAIRS[pair]()
+    a, b = (eval_term(elaborate_term(prelude.types, term, t)[1],
+                      dict(prelude.env)) for term in (lhs, rhs))
+    diff, best, best_rho = _witness_by_oracle(a, b)
+    assert diff > 0.0
+    got_diff, (got_gap, got_rho) = compare_values(a, b, t, 0.0)
+    assert got_diff == diff and got_gap == best
+    assert np.array_equal(got_rho, best_rho)
 
 
 # --------------------------------------------------------------------------

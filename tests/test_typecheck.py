@@ -236,6 +236,9 @@ def test_error_rendering_format(prelude):
     ("f : Bool -> Super Bool (Bool -> Bool) = \\x. \\@y. [x]",
      "t.qarr:1:13: non-classical-basis: Super Bool (Bool -> Bool) needs "
      "classical index types"),
+    ("f : Super Bool Bool = \\@x. [\\y. y]",
+     "t.qarr:1:28: non-classical-basis: a command unit needs a classical or "
+     "vector-typed content, found ? -> ?"),
     # an obligation left unsolved: the unit's content type
     ("f = snd (\\@x. [x], True)",
      "t.qarr:1:15: mismatch: ambiguous type; an annotation is required"),
