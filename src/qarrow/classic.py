@@ -261,25 +261,20 @@ def inverse_translate(e: ClassicExpr) -> ArrowAbs:
 # Rendering
 
 
-# The word that begins each combinator's s-expression.
-_WORDS = {Arr: "arr", LiftLin: "lift", Compose: ">>>", FanoutC: "&&&",
-          MeasC: "meas", TrLC: "trL"}
+# class -> its s-expression printer
+_SEXPR = {
+    Arr: lambda e: f"(arr ({pretty(e.fn)}))",
+    LiftLin: lambda e: f"(lift ({pretty(e.fn)}))",
+    Compose: lambda e: f"(>>> {sexpr(e.first_)} {sexpr(e.then_)})",
+    FanoutC: lambda e: f"(&&& {sexpr(e.left_)} {sexpr(e.right_)})",
+    MeasC: lambda e: "meas",
+    TrLC: lambda e: "trL",
+    NamedSuper: lambda e: e.name,
+}
 
 
 def sexpr(e: ClassicExpr) -> str:
-    if isinstance(e, NamedSuper):
-        return e.name
-    word = _WORDS.get(type(e))
-    if word is None:
+    show = _SEXPR.get(type(e))
+    if show is None:
         raise TranslationError(f"cannot render {e!r}")
-    args = ([f"({pretty(e.fn)})"] if isinstance(e, (Arr, LiftLin))
-            else [sexpr(k) for k in classic_children(e)])
-    return f"({word} {' '.join(args)})" if args else word
-
-
-def classic_children(e: ClassicExpr) -> tuple[ClassicExpr, ...]:
-    if isinstance(e, Compose):
-        return (e.first_, e.then_)
-    if isinstance(e, FanoutC):
-        return (e.left_, e.right_)
-    return ()
+    return show(e)

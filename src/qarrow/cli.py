@@ -16,7 +16,8 @@ translate every arrow abstraction in the file's definitions, wherever it
 sits (inside a lambda body too), so a translation error is reported whether
 or not evaluation would reach it.  Only ``run`` and ``prove`` evaluate, and
 ``prove`` only when normalization does not decide; the other subcommands
-import neither the evaluator nor numpy.
+import neither the evaluator nor numpy.  ``json`` is imported only to
+print ``--json`` output or to read ``run --density``.
 
 Exit codes: 0 success; 1 the task failed (type error, unequal, translation
 restriction); 2 bad input (missing file, parse error, wrong dimension,
@@ -37,7 +38,6 @@ position, and exits 3.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable, Mapping
 from typing import Optional, TYPE_CHECKING
@@ -279,6 +279,7 @@ def show(args, as_json: Callable[[], dict],
     line of ``as_lines()`` (an empty list prints nothing).  Only the form
     asked for is built, as a density's JSON is much larger than its text."""
     if args.json:
+        import json
         print(json.dumps(as_json(), sort_keys=True))
     else:
         for line in as_lines():
@@ -310,6 +311,7 @@ def cmd_run(args) -> int:
         if args.input is not None:
             rho = pure_density(parse_ket(args.input, d, args.name))
         elif args.density is not None:
+            import json
             try:
                 with open(args.density, "r", encoding="utf-8") as fh:
                     rho = dens_from_json(json.load(fh))

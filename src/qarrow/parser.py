@@ -20,19 +20,32 @@ Surface forms::
     -- comment to end of line
 
 Complex literals are written without spaces: ``0.5``, ``2.0i``, ``0.5-0.5i``.
-A leading minus makes a literal negative where no operand precedes it; it
-negates only the real part of a two-part literal.
+There is no exponent notation.  A leading minus makes a literal negative
+where no operand precedes it; it negates only the real part of a two-part
+literal.
+
+The lexer is one compiled pattern, run over the source by ``finditer``: at
+each offset it skips blanks (spaces, tabs, carriage returns) and reads one
+token class, whose name ``lastgroup`` gives.  Keywords are names found in
+``KEYWORDS``; symbols map to their kind through ``_SYMBOLS``.  The one
+context-dependent rule, the negative literal, is settled in the loop from
+the kind of the token before it.  Names and digits are ASCII: any other
+character is an "unexpected character" error at its position.  Lines count
+``\\n`` only, and columns count characters from 1.  A token is a
+``NamedTuple`` of its kind, text and ``Pos``, and the list ends in an EOF
+token.  The parser reads that list with a second EOF appended, so it can
+look one token ahead anywhere without a bounds check.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
                      Def, Eq, Fst, FunT, If, Lam, Let, lin_type, Meas,
                      MZero, Pair, Pattern, pattern_names, PPair, Pos, ProdT,
-                     Program, PVar, QarrowError, Record, Snd, SuperT, Term,
+                     Program, PVar, QarrowError, Snd, SuperT, Term,
                      TrL, TypeExpr, Var, VecAdd, VecScale, VecSub, VecT,
                      VecUnit)
 
@@ -54,72 +67,79 @@ KEYWORDS = {
 # subtraction operator, anywhere else it starts a negative scalar literal.
 _OPERAND_END = {"NAME", "NUM", ")", "]", "True", "False", "mzero", "invsqrt2"}
 
-# Symbol text -> token kind.  Two characters are tried before one; the
-# bullet is another spelling of `@`.
+# Symbol text -> token kind.  The bullet is another spelling of `@`.
 _SYMBOLS = {"\\@": "\\@", "\\•": "\\@", "==": "==", "->": "->", "•": "@",
             **{c: c for c in "()[].,=:+-*@\\"}}
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_NUM_RE = re.compile(r"\d+(?:\.\d+)?(?:[+-]\d+(?:\.\d+)?i|i)?", re.ASCII)
+_NUM = r"[0-9]+(?:\.[0-9]+)?(?:[+-][0-9]+(?:\.[0-9]+)?i|i)?"
+
+# Blanks, then one alternative per token class, tried in this order: a `--`
+# comment before a negative literal before the symbol `-`, and two-character
+# symbols before one.  OTHER matches any other character but a blank, so the
+# matches tile the source up to its trailing blanks, and a character no
+# class reads is an error.
+_TOKEN_RE = re.compile(r"[ \t\r]*(?:" + "|".join(
+    f"(?P<{cls}>{pattern})" for cls, pattern in [
+        ("NEWLINE", r"\n"),
+        ("COMMENT", r"--[^\n]*"),
+        ("NUM", _NUM),
+        ("NAME", r"[A-Za-z_][A-Za-z0-9_']*"),
+        ("NEG", "-" + _NUM),
+        ("SYMBOL", "|".join(map(re.escape, sorted(_SYMBOLS, key=len,
+                                                   reverse=True)))),
+        ("OTHER", r"[^ \t\r]"),
+    ]) + ")")
 
 
-class Token(Record):
+class Token(NamedTuple):
     kind: str          # NAME, NUM, or the symbol/keyword itself
     text: str
     pos: Pos
 
 
+# Builds a Token or a Pos from the tuple of its fields, without the Python
+# frame of a NamedTuple's own constructor.
+_make = tuple.__new__
+
+
 def tokenize(src: str, source: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
+    line, start = 1, 0          # the current line's number and offset
+    m = None
+    for m in _TOKEN_RE.finditer(src):
+        cls = m.lastgroup
+        if cls == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
+            start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if cls == "COMMENT":
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        pos = Pos(line, col, source)
-        # str.isdigit and str.isalpha accept non-ASCII characters, which the
-        # patterns do not: those fall through to "unexpected character"
-        if c.isdigit() and (m := _NUM_RE.match(src, i)):
-            toks.append(Token("NUM", m.group(), pos))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if (c.isalpha() or c == "_") and (m := _NAME_RE.match(src, i)):
-            word = m.group()
-            kind = word if word in KEYWORDS else "NAME"
-            toks.append(Token(kind, word, pos))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if (c == "-" and (m := _NUM_RE.match(src, i + 1))
-                and (not toks or toks[-1].kind not in _OPERAND_END)):
+        text = m.group(cls)
+        col = m.start(cls) - start + 1
+        if cls == "NAME":
+            kind = text if text in KEYWORDS else "NAME"
+        elif cls == "SYMBOL":
+            kind = _SYMBOLS[text]
+        elif cls == "NUM":
+            kind = "NUM"
+        elif cls == "NEG":
             # A minus immediately before digits where no operand precedes is
             # a negative scalar literal, not the subtraction operator.
-            toks.append(Token("NUM", "-" + m.group(), pos))
-            col += m.end() - i
-            i = m.end()
-            continue
-        text = src[i:i + 2]
-        if text not in _SYMBOLS:
-            text = c
-            if c not in _SYMBOLS:
-                raise ParseError(f"unexpected character {c!r}", pos)
-        toks.append(Token(_SYMBOLS[text], text, pos))
-        i += len(text)
-        col += len(text)
-    toks.append(Token("EOF", "", Pos(line, col, source)))
+            kind = "NUM"
+            if toks and toks[-1].kind in _OPERAND_END:
+                toks.append(Token("-", "-", Pos(line, col, source)))
+                text = text[1:]
+                col += 1
+        else:
+            raise ParseError(f"unexpected character {text!r}",
+                             Pos(line, col, source))
+        toks.append(_make(Token, (kind, text,
+                                  _make(Pos, (line, col, source)))))
+    # The end is after the last line's blanks but before its comment.
+    end = len(src)
+    if m is not None and m.lastgroup == "COMMENT":
+        end = m.start("COMMENT")
+    toks.append(Token("EOF", "", Pos(line, end - start + 1, source)))
     return toks
 
 
@@ -138,13 +158,14 @@ class Parser:
     lower the nesting depth accepted (see ``_parse_all``)."""
 
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+        # A second EOF: looking one token past the end reads an EOF.
+        self.toks = [*tokens, tokens[-1]]
         self.i = 0
 
     # ---- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -153,15 +174,17 @@ class Parser:
         return t
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.toks[self.i].kind in kinds
 
     def expect(self, *kinds: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind not in kinds:
             expected = " or ".join(repr(k) for k in kinds)
             found = repr(t.text) if t.text else "end of input"
             raise ParseError(f"expected {expected}, found {found}", t.pos)
-        return self.next()
+        if t.kind != "EOF":
+            self.i += 1
+        return t
 
     def _at_definition_boundary(self) -> bool:
         # A NAME followed by '=' or ':' starts the next top-level clause.

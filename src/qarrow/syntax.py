@@ -201,29 +201,33 @@ def is_classical(t: TypeExpr) -> bool:
 
 def type_str(t: Optional[TypeExpr]) -> str:
     """Concrete syntax of a type; an unknown type (None or a TVar) is ``?``."""
-    if t is None or isinstance(t, TVar):
+    if t is None:
         return "?"
-    if isinstance(t, BoolT):
-        return "Bool"
-    if isinstance(t, ProdT):
-        return f"({type_str(t.left)},{type_str(t.right)})"
-    if isinstance(t, FunT):
-        arg = type_str(t.arg)
-        if isinstance(t.arg, (FunT, SuperT)):
-            arg = f"({arg})"
-        return f"{arg} -> {type_str(t.res)}"
-    if isinstance(t, VecT):
-        return f"Vec {_type_atom(t.elem)}"
-    if isinstance(t, SuperT):
-        return f"Super {_type_atom(t.arg)} {_type_atom(t.res)}"
-    raise TypeError(f"not a printable type: {t!r}")
+    show = _TYPE_STR.get(type(t))
+    if show is None:
+        raise TypeError(f"not a printable type: {t!r}")
+    return show(t)
 
 
 def _type_atom(t: TypeExpr) -> str:
     s = type_str(t)
-    if isinstance(t, (BoolT, ProdT, TVar)):
-        return s
-    return f"({s})"
+    return s if type(t) in (BoolT, ProdT, TVar) else f"({s})"
+
+
+def _fun_arg(t: TypeExpr) -> str:
+    s = type_str(t)
+    return f"({s})" if type(t) in (FunT, SuperT) else s
+
+
+# class -> its printer
+_TYPE_STR = {
+    TVar: lambda t: "?",
+    BoolT: lambda t: "Bool",
+    ProdT: lambda t: f"({type_str(t.left)},{type_str(t.right)})",
+    FunT: lambda t: f"{_fun_arg(t.arg)} -> {type_str(t.res)}",
+    VecT: lambda t: f"Vec {_type_atom(t.elem)}",
+    SuperT: lambda t: f"Super {_type_atom(t.arg)} {_type_atom(t.res)}",
+}
 
 
 # --------------------------------------------------------------------------
@@ -588,87 +592,148 @@ _TERM, _ADD, _SCALE, _EQ, _APP, _ATOM = range(6)
 
 
 def pretty_pattern(p: Pattern) -> str:
-    if isinstance(p, PVar):
+    if type(p) is PVar:
         return p.name
     parts = []
-    q = p
-    while isinstance(q, PPair):
-        parts.append(q.left)
-        q = q.right
-    parts.append(q)
-    return "(" + ",".join(pretty_pattern(x) for x in parts) + ")"
+    while type(p) is PPair:
+        parts.append(pretty_pattern(p.left))
+        p = p.right
+    parts.append(pretty_pattern(p))
+    return "(" + ",".join(parts) + ")"
+
+
+def _real_str(x: float) -> str:
+    """`x` in digits the lexer reads back to `x`: ``repr``'s shortest
+    round-trip digits, written out in full where ``repr`` would use an
+    exponent, which the lexer does not read."""
+    s = repr(x)
+    if "e" in s:
+        from decimal import Decimal
+        s = format(Decimal(s), "f")
+        if "." not in s:
+            s += ".0"
+    return s
 
 
 def _scalar_str(c: complex) -> str:
     re, im = c.real, c.imag
     if im == 0:
-        return repr(re)
+        return _real_str(re)
     if re == 0:
         if im >= 0:
-            return f"{im!r}i"
-        return f"0.0-{abs(im)!r}i"
+            return f"{_real_str(im)}i"
+        return f"0.0-{_real_str(abs(im))}i"
     sign = "+" if im >= 0 else "-"
-    return f"{re!r}{sign}{abs(im)!r}i"
+    return f"{_real_str(re)}{sign}{_real_str(abs(im))}i"
+
+
+# Each printer takes a node and the precedence its position needs, and puts
+# its text in parentheses when the form binds more loosely than that.  The
+# printers recurse through the table ``_PRETTY`` rather than through
+# ``pretty``, so that each level of a tree costs one stack frame.
+
+def _pair(node, prec):
+    parts = []
+    while type(node) is Pair:
+        x = node.left
+        parts.append(_PRETTY[type(x)](x, _TERM))
+        node = node.right
+    parts.append(_PRETTY[type(node)](node, _TERM))
+    return "(" + ", ".join(parts) + ")"
 
 
 # The words printed before a projection's or a command's argument.
 _PREFIX = {Fst: "fst", Snd: "snd", Meas: "meas", TrL: "trL"}
 
 
-def _wrap(s: str, level: int, need: int) -> str:
-    return f"({s})" if level < need else s
+def _prefixed(node, prec):
+    arg = node.arg
+    s = f"{_PREFIX[type(node)]} {_PRETTY[type(arg)](arg, _ATOM)}"
+    return f"({s})" if prec > _APP else s
+
+
+def _eq(node, prec):
+    a, b = node.left, node.right
+    s = f"{_PRETTY[type(a)](a, _APP)} == {_PRETTY[type(b)](b, _APP)}"
+    return f"({s})" if prec > _EQ else s
+
+
+def _abs(node, prec):
+    if type(node) is Lam:
+        word, body = "\\", node.body
+    else:
+        word, body = "\\@", node.cmd
+    s = f"{word}{pretty_pattern(node.pat)}. {_PRETTY[type(body)](body, _TERM)}"
+    return f"({s})" if prec > _TERM else s
+
+
+def _app(node, prec):
+    fn, arg = node.fn, node.arg
+    s = f"{_PRETTY[type(fn)](fn, _APP)} {_PRETTY[type(arg)](arg, _ATOM)}"
+    return f"({s})" if prec > _APP else s
+
+
+def _let(node, prec):
+    a, b = node.bound, node.body
+    s = (f"let {pretty_pattern(node.pat)} = {_PRETTY[type(a)](a, _TERM)} "
+         f"in {_PRETTY[type(b)](b, _TERM)}")
+    return f"({s})" if prec > _TERM else s
+
+
+def _if(node, prec):
+    c, a, b = node.cond, node.then, node.orelse
+    s = (f"if {_PRETTY[type(c)](c, _TERM)} then {_PRETTY[type(a)](a, _TERM)} "
+         f"else {_PRETTY[type(b)](b, _TERM)}")
+    return f"({s})" if prec > _TERM else s
+
+
+def _unit(node, prec):
+    x = node.content
+    return f"[{_PRETTY[type(x)](x, _TERM)}]"
+
+
+def _vec_op(node, prec):
+    a, b = node.left, node.right
+    op = "+" if type(node) is VecAdd else "-"
+    s = f"{_PRETTY[type(a)](a, _ADD)} {op} {_PRETTY[type(b)](b, _SCALE)}"
+    return f"({s})" if prec > _ADD else s
+
+
+def _scale(node, prec):
+    x = node.arg
+    s = f"{_scalar_str(node.scalar)} * {_PRETTY[type(x)](x, _EQ)}"
+    return f"({s})" if prec > _SCALE else s
+
+
+def _capp(node, prec):
+    fn, arg = node.fn, node.arg
+    s = f"{_PRETTY[type(fn)](fn, _APP)} @ {_PRETTY[type(arg)](arg, _ATOM)}"
+    return f"({s})" if prec > _ADD else s
+
+
+# class -> its printer
+_PRETTY = {
+    Var: lambda node, prec: node.name,
+    BoolLit: lambda node, prec: "True" if node.value else "False",
+    MZero: lambda node, prec: "mzero",
+    Pair: _pair,
+    Fst: _prefixed, Snd: _prefixed, Meas: _prefixed, TrL: _prefixed,
+    Eq: _eq,
+    Lam: _abs, ArrowAbs: _abs,
+    App: _app,
+    Let: _let, VecLet: _let, CLet: _let,
+    If: _if,
+    VecUnit: _unit, CUnit: _unit,
+    VecAdd: _vec_op, VecSub: _vec_op,
+    VecScale: _scale,
+    CApp: _capp,
+    **{cls: lambda node, prec: type_str(node) for cls in _TYPE_STR},
+}
 
 
 def pretty(node, prec: int = _TERM) -> str:
     """Render a term or command back to concrete syntax."""
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, BoolLit):
-        return "True" if node.value else "False"
-    if isinstance(node, MZero):
-        return "mzero"
-    if isinstance(node, Pair):
-        parts = []
-        q = node
-        while isinstance(q, Pair):
-            parts.append(q.left)
-            q = q.right
-        parts.append(q)
-        return "(" + ", ".join(pretty(x, _TERM) for x in parts) + ")"
-    word = _PREFIX.get(type(node))
-    if word is not None:
-        return _wrap(f"{word} {pretty(node.arg, _ATOM)}", _APP, prec)
-    if isinstance(node, Eq):
-        s = f"{pretty(node.left, _APP)} == {pretty(node.right, _APP)}"
-        return _wrap(s, _EQ, prec)
-    if isinstance(node, (Lam, ArrowAbs)):
-        lam = type(node) is Lam
-        s = (f"\\{'' if lam else '@'}{pretty_pattern(node.pat)}. "
-             f"{pretty(node.body if lam else node.cmd, _TERM)}")
-        return _wrap(s, _TERM, prec)
-    if isinstance(node, App):
-        s = f"{pretty(node.fn, _APP)} {pretty(node.arg, _ATOM)}"
-        return _wrap(s, _APP, prec)
-    if isinstance(node, (Let, VecLet, CLet)):
-        s = (f"let {pretty_pattern(node.pat)} = {pretty(node.bound, _TERM)} "
-             f"in {pretty(node.body, _TERM)}")
-        return _wrap(s, _TERM, prec)
-    if isinstance(node, If):
-        s = (f"if {pretty(node.cond, _TERM)} then {pretty(node.then, _TERM)} "
-             f"else {pretty(node.orelse, _TERM)}")
-        return _wrap(s, _TERM, prec)
-    if isinstance(node, (VecUnit, CUnit)):
-        return f"[{pretty(node.content, _TERM)}]"
-    if isinstance(node, (VecAdd, VecSub)):
-        op = "+" if type(node) is VecAdd else "-"
-        s = f"{pretty(node.left, _ADD)} {op} {pretty(node.right, _SCALE)}"
-        return _wrap(s, _ADD, prec)
-    if isinstance(node, VecScale):
-        s = f"{_scalar_str(node.scalar)} * {pretty(node.arg, _EQ)}"
-        return _wrap(s, _SCALE, prec)
-    if isinstance(node, CApp):
-        s = f"{pretty(node.fn, _APP)} @ {pretty(node.arg, _ATOM)}"
-        return _wrap(s, _ADD, prec)
-    if isinstance(node, TypeExpr):
-        return type_str(node)
-    raise TypeError(f"pretty: unexpected node {node!r}")
+    show = _PRETTY.get(type(node))
+    if show is None:
+        raise TypeError(f"pretty: unexpected node {node!r}")
+    return show(node, prec)

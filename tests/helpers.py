@@ -1,12 +1,13 @@
 """Helpers that several test modules share: random densities, comparing
 densities, the matrix of a vector-valued function, whether a
-superoperator's matrix is built, and the laws and the replay of a
-rewriting trace."""
+superoperator's matrix is built, the laws and the replay of a rewriting
+trace, and the sub-pipelines of a pipeline."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from qarrow.classic import ClassicExpr, Compose, FanoutC
 from qarrow.evaluator import apply_closure, EvalError, VecV
 from qarrow.linalg import basis, dim
 from qarrow.rewriter import Law, ProofTrace, Rewriter
@@ -54,3 +55,12 @@ def replay(rw: Rewriter, trace: ProofTrace) -> bool:
         if not alpha_eq(node, step.result):
             return False
     return alpha_eq(node, trace.end)
+
+
+def classic_children(e: ClassicExpr) -> tuple[ClassicExpr, ...]:
+    """The pipelines that a pipeline node composes."""
+    if isinstance(e, Compose):
+        return (e.first_, e.then_)
+    if isinstance(e, FanoutC):
+        return (e.left_, e.right_)
+    return ()

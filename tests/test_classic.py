@@ -13,7 +13,7 @@ import pytest
 from qarrow import elaborate_program, elaborate_term, load_prelude
 from qarrow.classic import (Arr, Compose, FanoutC, LiftLin, MeasC,
                             NamedSuper, TranslationError, TrLC,
-                            classic_children, inverse_translate, sexpr,
+                            inverse_translate, sexpr,
                             translate_term)
 from qarrow.evaluator import eval_term, SuperV
 from qarrow.linalg import dim
@@ -22,6 +22,7 @@ from qarrow.syntax import ArrowAbs, BoolT, ProdT, SuperT, pretty, type_str
 
 import randprog
 from dense_arrow import reference_super
+from helpers import classic_children
 
 B = BoolT()
 BB = ProdT(B, B)

@@ -387,6 +387,15 @@ def test_normalize_json(runcli):
     assert [s["law"] for s in obj["steps"]] == GOLDEN_LAW_NAMES
 
 
+def test_normalize_prints_scalars_it_reads_back(runcli, tmp_path):
+    f = tmp_path / "s.qarr"
+    f.write_text("v = 0.00001 * [True]\nw = 100000000000000000.0 * [True]\n")
+    for name, text in (("v", "0.00001 * [True]"),
+                       ("w", "100000000000000000.0 * [True]")):
+        assert runcli("normalize", str(f), name) == (OK, f"    {text}\n", "")
+        assert runcli("normalize", str(f), text) == (OK, f"    {text}\n", "")
+
+
 def test_normalize_out_of_fuel_exits_3(runcli):
     code, out, _ = runcli("normalize", "-", GOLDEN_START, "--fuel", "3",
                           stdin="")
@@ -764,6 +773,27 @@ def test_static_commands_load_no_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stderr.splitlines() == ["False"] + [
         f"{c} 0 {c.startswith('run')}" for c in cmds]
+
+
+def test_only_json_output_loads_json(tmp_path):
+    """``check`` and ``run`` leave ``json`` unloaded; ``--json`` loads it."""
+    (tmp_path / "demo.qarr").write_text(randprog.DEMO_SRC)
+    probe = "\n".join([
+        "import sys",
+        "from qarrow.cli import main",
+        "for argv in sys.argv[1:]:",
+        "    code = main(argv.split('\\t'))",
+        "    print(argv, code, 'json' in sys.modules, file=sys.stderr)",
+    ])
+    cmds = ["check\tdemo.qarr", "run\tdemo.qarr\tmix\t--input\t|0>",
+            "check\tdemo.qarr\t--json"]
+    src = Path(qarrow.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", probe, *cmds], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stderr.splitlines() == [
+        f"{c} 0 {c.endswith('--json')}" for c in cmds]
 
 
 def test_every_export_resolves():

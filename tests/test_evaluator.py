@@ -25,7 +25,7 @@ from qarrow import (
     run_super,
     translate_term,
 )
-from qarrow.classic import Arr, classic_children, FanoutC, NamedSuper
+from qarrow.classic import Arr, FanoutC, NamedSuper
 from qarrow.evaluator import (
     _arr_index_map,
     _fanout_forms,
@@ -41,7 +41,8 @@ import randprog
 from dense_arrow import (fun2lin, reference_super, super_arr, super_compose,
                          super_first, super_from_lin, super_meas, super_second,
                          super_trL)
-from helpers import dens_close, materialize_lin, matrix_built, random_density
+from helpers import (classic_children, dens_close, materialize_lin,
+                     matrix_built, random_density)
 
 B = BoolT()
 BB = ProdT(B, B)

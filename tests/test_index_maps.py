@@ -14,7 +14,7 @@ import pytest
 from qarrow import (EvalError, SuperV, elaborate_program, elaborate_term,
                     eval_program, eval_term, parse_program, parse_term)
 from qarrow import evaluator as ev
-from qarrow.classic import Arr, classic_children, LiftLin
+from qarrow.classic import Arr, LiftLin
 from qarrow.linalg import basis, dim, elem_index
 from qarrow.rewriter import apply_law_at
 from qarrow.syntax import (ArrowAbs, BoolLit, BoolT, Fst, Lam, Pair, PPair,
@@ -22,6 +22,7 @@ from qarrow.syntax import (ArrowAbs, BoolLit, BoolT, Fst, Lam, Pair, PPair,
 
 import randprog
 from dense_arrow import _fn_env, _ref_pure
+from helpers import classic_children
 
 B = BoolT()
 

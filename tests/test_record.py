@@ -1,5 +1,6 @@
-"""The record contract of syntax nodes, tokens, traces, verdicts and the
-prelude: what a frozen dataclass gave them, kept by ``syntax.Record``."""
+"""The record contract of syntax nodes, traces, verdicts and the prelude:
+what a frozen dataclass gave them, kept by ``syntax.Record``; and the repr
+texts of nodes, tokens (a ``NamedTuple``) and traces."""
 
 import os
 import subprocess

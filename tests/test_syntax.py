@@ -101,6 +101,29 @@ def test_negative_scalar_round_trip():
         assert alpha_eq(t, back), pretty(t)
 
 
+@pytest.mark.parametrize("c, text", [
+    # repr would print these with an exponent, which the lexer does not
+    # read: they print as the same digits written out
+    (complex(1e-05, 0), "0.00001"),
+    (complex(1e+17, 0), "100000000000000000.0"),
+    (complex(-1.5e-07, 0), "-0.00000015"),
+    (complex(0, 2e+16), "20000000000000000.0i"),
+    (complex(0, -3e-06), "0.0-0.000003i"),
+    (complex(1e-05, 2.5e+17), "0.00001+250000000000000000.0i"),
+    (complex(-1.25e+18, -1e-10), "-1250000000000000000.0-0.0000000001i"),
+    (complex(5e-324, 0), "0." + "0" * 323 + "5"),
+    # digits repr prints without an exponent are printed as before
+    (complex(0.1, 0), "0.1"),
+    (complex(1e+16 - 2, 0), "9999999999999998.0"),
+])
+def test_scalar_digits_round_trip(c, text):
+    from qarrow.syntax import VecScale, VecUnit
+    t = VecScale(c, VecUnit(BoolLit(True)))
+    assert pretty(t) == f"{text} * [True]"
+    back = parse_term(pretty(t))
+    assert back.scalar == c and alpha_eq(t, back)
+
+
 # ---- alpha equivalence ------------------------------------------------------
 
 def test_alpha_eq_binders():
