@@ -16,8 +16,9 @@ translate every arrow abstraction in the file's definitions, wherever it
 sits (inside a lambda body too), so a translation error is reported whether
 or not evaluation would reach it.  Only ``run`` and ``prove`` evaluate, and
 ``prove`` only when normalization does not decide; the other subcommands
-import neither the evaluator nor numpy.  ``json`` is imported only to
-print ``--json`` output or to read ``run --density``.
+import neither the evaluator nor numpy.  Only ``normalize`` and ``prove``
+import the rewriter.  ``json`` is imported only to print ``--json`` output
+or to read ``run --density``.
 
 Exit codes: 0 success; 1 the task failed (type error, unequal, translation
 restriction); 2 bad input (missing file, parse error, wrong dimension,
@@ -44,8 +45,6 @@ from typing import Optional, TYPE_CHECKING
 
 from .classic import inverse_translate, sexpr, translate_term
 from .parser import parse_program, parse_term, ParseError
-from .rewriter import (NotEqual, ProvedByNormalization, ProvedSemantically,
-                       prove_equal, render_trace, Rewriter, trace_to_json)
 from .stdlib import load_prelude
 from .syntax import ArrowAbs, Pos, pretty, Program, QarrowError, type_str
 from .typecheck import elaborate_program, elaborate_term
@@ -351,6 +350,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .rewriter import render_trace, Rewriter, trace_to_json
+
     check_limits(args.fuel)
     _, gamma, _, defs = load_file(args.file, not args.no_prelude)
     term = elaborated_target(args.target, gamma, defs)
@@ -360,6 +361,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .rewriter import (NotEqual, ProvedByNormalization,
+                           ProvedSemantically, prove_equal, trace_to_json)
+
     check_limits(args.fuel, args.tolerance)
     _, gamma, env, defs = load_file(args.file, not args.no_prelude)
     sides = (args.lhs, args.rhs)

@@ -20,7 +20,8 @@ Surface forms::
     -- comment to end of line
 
 Complex literals are written without spaces: ``0.5``, ``2.0i``, ``0.5-0.5i``.
-There is no exponent notation.  A leading minus makes a literal negative
+There is no exponent notation, and a literal too large for a float is a
+parse error at its position.  A leading minus makes a literal negative
 where no operand precedes it; it negates only the real part of a two-part
 literal.
 
@@ -39,6 +40,7 @@ look one token ahead anywhere without a bounds check.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple, Optional
 
@@ -294,6 +296,9 @@ class Parser:
             self.expect("*")
             c = (_parse_scalar(tok.text) if tok.kind == "NUM"
                  else complex(INV_SQRT2, 0.0))
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ParseError("scalar literal is too large to be finite",
+                                 tok.pos)
             return VecScale(c, self.parse_eqterm(), pos=tok.pos)
         return self.parse_eqterm()
 

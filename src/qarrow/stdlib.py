@@ -1,11 +1,15 @@
 """Bundled prelude: parse and typecheck it once, then share.  Its values are
 evaluated on first use of ``env``, so commands that only check, rewrite or
-translate never load the evaluator."""
+translate never load the evaluator.
+
+``prelude.qarr`` sits next to this module and is read with a plain ``open``
+from the directory of ``__file__``, so start-up loads no
+``importlib.resources`` (which brings ``zipfile``, ``tempfile`` and more)."""
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
-from importlib.resources import files
 
 from .parser import parse_program
 from .syntax import Program, Record
@@ -13,7 +17,9 @@ from .typecheck import elaborate_program
 
 
 def prelude_source() -> str:
-    return files("qarrow").joinpath("prelude.qarr").read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "prelude.qarr")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 class Prelude(Record):

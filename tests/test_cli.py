@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, and exit codes,
 exercised in-process through ``main(argv)``."""
 
+import ast
 import io
 import json
 import os
@@ -127,6 +128,16 @@ def test_invalid_utf8_is_a_positioned_parse_error(runcli, tmp_path,
     f.write_bytes(b"f : Bool\r\nf = \xff\xfe True\n")
     code, _, err = runcli("check", str(f))
     assert (code, err) == (BADINPUT, f"{f}:2:5: invalid UTF-8 byte 0xff\n")
+
+
+@pytest.mark.parametrize("cmd", [("check",), ("normalize", "v"),
+                                 ("run", "v"), ("emit", "v")])
+def test_non_finite_scalar_exits_2(runcli, tmp_path, cmd):
+    f = tmp_path / "big.qarr"
+    f.write_text("v = 1" + "0" * 400 + " * [True]\n")
+    code, out, err = runcli(cmd[0], str(f), *cmd[1:])
+    assert (code, out, err) == (
+        BADINPUT, "", f"{f}:1:5: scalar literal is too large to be finite\n")
 
 
 def test_check_missing_file_exits_2(runcli):
@@ -748,52 +759,87 @@ def test_static_commands_build_no_matrix(runcli, tmp_path, monkeypatch):
     assert all(code == OK for code, _, _ in got)
 
 
+def _module_loaded(tmp_path, module, cmds, python_flags=()):
+    """Run a fresh interpreter on `tmp_path` holding ``demo.qarr``: it
+    imports ``qarrow``, then ``qarrow.cli``, then runs each command of
+    `cmds` (its arguments joined by tabs) in turn through ``main``.  Returns
+    one ``(step, exit code, loaded)`` per step, where `loaded` tells
+    whether `module` was in ``sys.modules`` after it."""
+    (tmp_path / "demo.qarr").write_text(randprog.DEMO_SRC)
+    probe = "\n".join([
+        "import sys",
+        "def report(step, code=None):",
+        "    print(repr((step, code, sys.argv[1] in sys.modules)),",
+        "          file=sys.stderr)",
+        "import qarrow",
+        "report('import qarrow')",
+        "from qarrow.cli import main",
+        "report('import qarrow.cli')",
+        "for argv in sys.argv[2:]:",
+        "    report(argv, main(argv.split('\\t')))",
+    ])
+    src = Path(qarrow.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, *python_flags, "-c", probe,
+                           module, *cmds], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    return [ast.literal_eval(line) for line in proc.stderr.splitlines()]
+
+
+IMPORTS = ["import qarrow", "import qarrow.cli"]
+
+
 def test_static_commands_load_no_numpy(tmp_path):
     """``import qarrow``, the static subcommands and a ``prove`` that
     normalization decides leave numpy (and so the evaluator) unloaded;
     ``run`` loads it."""
-    (tmp_path / "demo.qarr").write_text(randprog.DEMO_SRC)
-    probe = "\n".join([
-        "import sys",
-        "import qarrow",
-        "print('numpy' in sys.modules, file=sys.stderr)",
-        "from qarrow.cli import main",
-        "for argv in sys.argv[1:]:",
-        "    code = main(argv.split('\\t'))",
-        "    print(argv, code, 'numpy' in sys.modules, file=sys.stderr)",
-    ])
     cmds = ["check\tdemo.qarr", "normalize\tdemo.qarr\tdneg",
             "emit\tdemo.qarr\ttoffoli\t--invert",
             "prove\tdemo.qarr\tdneg\t\\@x. [x]",
             "run\tdemo.qarr\tmix\t--input\t|0>"]
-    src = Path(qarrow.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", probe, *cmds], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-300:]
-    assert proc.stderr.splitlines() == ["False"] + [
-        f"{c} 0 {c.startswith('run')}" for c in cmds]
+    assert _module_loaded(tmp_path, "numpy", cmds) == [
+        *((step, None, False) for step in IMPORTS),
+        *((c, 0, c.startswith("run")) for c in cmds)]
 
 
 def test_only_json_output_loads_json(tmp_path):
     """``check`` and ``run`` leave ``json`` unloaded; ``--json`` loads it."""
-    (tmp_path / "demo.qarr").write_text(randprog.DEMO_SRC)
-    probe = "\n".join([
-        "import sys",
-        "from qarrow.cli import main",
-        "for argv in sys.argv[1:]:",
-        "    code = main(argv.split('\\t'))",
-        "    print(argv, code, 'json' in sys.modules, file=sys.stderr)",
-    ])
     cmds = ["check\tdemo.qarr", "run\tdemo.qarr\tmix\t--input\t|0>",
             "check\tdemo.qarr\t--json"]
-    src = Path(qarrow.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", probe, *cmds], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-300:]
-    assert proc.stderr.splitlines() == [
-        f"{c} 0 {c.endswith('--json')}" for c in cmds]
+    assert _module_loaded(tmp_path, "json", cmds)[len(IMPORTS):] == [
+        (c, 0, c.endswith("--json")) for c in cmds]
+
+
+def test_only_normalize_and_prove_load_the_rewriter(tmp_path):
+    cmds = ["check\tdemo.qarr", "emit\tdemo.qarr\ttoffoli\t--invert",
+            "run\tdemo.qarr\tmix\t--input\t|0>",
+            "normalize\tdemo.qarr\tdneg"]
+    assert _module_loaded(tmp_path, "qarrow.rewriter", cmds) == [
+        *((step, None, False) for step in IMPORTS),
+        *((c, 0, c.startswith("normalize")) for c in cmds)]
+    prove = ["prove\tdemo.qarr\tdneg\t\\@x. [x]"]
+    assert _module_loaded(tmp_path, "qarrow.rewriter", prove)[-1] == (
+        prove[0], 0, True)
+
+
+def test_prelude_is_read_without_importlib_resources(tmp_path):
+    """Without ``site`` (whose ``.pth`` files may import it first), loading
+    the CLI and the prelude leaves ``importlib.resources`` unloaded."""
+    cmds = ["check\tdemo.qarr", "emit\tdemo.qarr\ttoffoli",
+            "normalize\tdemo.qarr\tdneg"]
+    assert _module_loaded(tmp_path, "importlib.resources", cmds,
+                          ["-S"]) == [
+        *((step, None, False) for step in IMPORTS),
+        *((c, 0, False) for c in cmds)]
+
+
+def test_prelude_source_is_the_packaged_file():
+    from importlib.resources import files
+
+    from qarrow.stdlib import prelude_source
+    packaged = files("qarrow").joinpath("prelude.qarr")
+    assert prelude_source() == packaged.read_text(encoding="utf-8")
 
 
 def test_every_export_resolves():

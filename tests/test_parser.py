@@ -67,6 +67,26 @@ def test_negative_scalars():
     assert isinstance(sub, VecSub)
 
 
+BIG = "1" + "0" * 400        # no float holds it: complex() reads inf
+
+
+@pytest.mark.parametrize("lit", [BIG, f"-{BIG}", f"{BIG}i", f"0.5+{BIG}i",
+                                 f"{BIG}.5-0.5i"],
+                         ids=["real", "negative", "imaginary", "second-part",
+                              "first-part"])
+def test_non_finite_scalar_is_refused_at_its_position(lit):
+    with pytest.raises(ParseError) as ei:
+        parse_program(f"v : Vec Bool\nv = mzero + {lit} * [True]\n",
+                      "big.qarr")
+    assert str(ei.value) == ("big.qarr:2:13: scalar literal is too large "
+                             "to be finite")
+
+
+def test_largest_finite_scalar_is_kept():
+    big = str(int(1.7e308))
+    assert parse_term(f"{big} * [True]").scalar == complex(float(big), 0)
+
+
 def test_mzero():
     assert isinstance(parse_term("mzero"), MZero)
 
