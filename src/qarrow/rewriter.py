@@ -61,12 +61,13 @@ and the unfoldable definitions, so such a subtree stays free of redexes.
 
 Definition unfolding (``delta``) is restricted to definitions that are not
 arrow abstractions; programs are non-recursive, so unfolding terminates.
-It is also restricted to places where the name is free: no binder above
-binds the name, or a free name of the definition's body, which it would
-capture.  That is the one condition that reads outside the node, so the
-search checks it, on the path from the root, only where it finds an
-unfold, and a subtree holding a refused unfold is not recorded as free of
-redexes, since a later step may remove the binder.
+No binder takes a *reserved* name, the name of a definition (Barendregt's
+variable convention): ``normalize`` and ``apply_law_at`` rename apart the
+binders of reserved names in the term they start from, each definition's
+body is renamed apart the first time it unfolds, and every fresh name a
+law picks avoids the reserved names.  A definition's body reads only
+earlier definitions, so a name that ``delta`` unfolds is free wherever it
+stands, and no binder above it captures a name its body reads.
 
 ``prove_equal`` first normalizes both sides.  Only when that does not
 decide does it evaluate closed terms and compare their denotations, with
@@ -81,11 +82,11 @@ from enum import Enum
 from typing import Callable, Optional, TYPE_CHECKING
 
 from .syntax import (alpha_eq, App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq,
-                     free_vars, fresh_name, Fst, If, Lam, Let, MZero, Node,
-                     Pair, Pattern, pattern_names, pattern_subst, pattern_term,
-                     PPair, pretty, PVar, QarrowError, rebuild, Record, Snd,
-                     subst_map, Term, type_str, TypeExpr, Var, VecAdd, VecLet,
-                     VecUnit)
+                     free_vars, freshen_pattern, Fst, If, Lam, Let, MZero,
+                     Node, Pair, Pattern, pattern_names, pattern_subst,
+                     pattern_term, pretty, PVar, QarrowError, rebuild, Record,
+                     Snd, subst_map, Term, type_str, TypeExpr, Var, VecAdd,
+                     VecLet, VecUnit)
 from .typecheck import elaborate_term, TypeCheckError
 
 if TYPE_CHECKING:
@@ -136,7 +137,7 @@ def _beta(rw, n):
     fn = n.fn
     if isinstance(fn, _PARTNER[type(n)]):
         return subst_map(getattr(fn, fn.child_fields[-1]),
-                         pattern_subst(fn.pat, n.arg))
+                         pattern_subst(fn.pat, n.arg), rw.reserved)
     return None
 
 
@@ -160,7 +161,8 @@ def _classical_unit(let, n) -> bool:
 def _left(rw, n):
     # let p = [M] in N  ==>  N[M/p], for a command let and for a bind
     if _classical_unit(n, n.bound):
-        return subst_map(n.body, pattern_subst(n.pat, n.bound.content))
+        return subst_map(n.body, pattern_subst(n.pat, n.bound.content),
+                         rw.reserved)
     return None
 
 
@@ -172,30 +174,18 @@ def _right(rw, n):
     return None
 
 
-def _unshadow(pat: Pattern, body: Node, outer: Pattern, rest: Node):
+def _unshadow(rw, pat: Pattern, body: Node, outer: Pattern, rest: Node):
     """The inner binder `pat` over `body`, renamed so that it can also scope
     over `rest`: each of its names that `rest` reads, other than through the
     outer binder `outer`, becomes fresh, in `pat` and in `body`."""
     outer_names = set(pattern_names(outer))
     rest_fv = free_vars(rest) - outer_names
-    clash = set(pattern_names(pat)) & rest_fv
+    clash = rest_fv.intersection(pattern_names(pat))
     if not clash:
         return pat, body
-    taken = {*rest_fv, *free_vars(body), *outer_names, *pattern_names(pat)}
-    renaming: dict[str, Term] = {}
-
-    def go(q: Pattern) -> Pattern:
-        if isinstance(q, PPair):
-            return PPair(go(q.left), go(q.right), pos=q.pos)
-        if q.name not in clash:
-            return q
-        new = fresh_name(q.name, taken)
-        taken.add(new)
-        renaming[q.name] = Var(new)
-        return PVar(new, pos=q.pos)
-
-    pat = go(pat)
-    return pat, subst_map(body, renaming)
+    pat, renaming = freshen_pattern(
+        pat, clash, {*rest_fv, *free_vars(body), *outer_names, *rw.reserved})
+    return pat, subst_map(body, renaming, rw.reserved)
 
 
 # assoc and bind.assoc keep a matcher each, as they rebuild different
@@ -205,7 +195,7 @@ def _unshadow(pat: Pattern, body: Node, outer: Pattern, rest: Node):
 def _assoc(rw, n):
     # let y = (let x = P in Q) in R  ==>  let x = P in let y = Q in R
     if isinstance(n.bound, CLet):
-        pat, q = _unshadow(n.bound.pat, n.bound.body, n.pat, n.body)
+        pat, q = _unshadow(rw, n.bound.pat, n.bound.body, n.pat, n.body)
         inner = CLet(n.pat, q, n.body, bound_type=n.bound_type)
         return CLet(pat, n.bound.bound, inner, bound_type=n.bound.bound_type)
     return None
@@ -224,7 +214,7 @@ def _assoc_r(rw, n):
 
 def _bind_assoc(rw, n):
     if isinstance(n.bound, VecLet):
-        pat, q = _unshadow(n.bound.pat, n.bound.body, n.pat, n.body)
+        pat, q = _unshadow(rw, n.bound.pat, n.bound.body, n.pat, n.body)
         inner = VecLet(n.pat, q, n.body, type_=n.type_)
         return VecLet(pat, n.bound.bound, inner, type_=n.type_)
     return None
@@ -256,7 +246,7 @@ def _eta_pair(rw, n):
 
 
 def _let_subst(rw, n):
-    return subst_map(n.body, pattern_subst(n.pat, n.bound))
+    return subst_map(n.body, pattern_subst(n.pat, n.bound), rw.reserved)
 
 
 def _if_true(rw, n):
@@ -364,7 +354,10 @@ def _bind_plus_r(rw, n):
 
 
 def _delta(rw, n):
-    return rw.unfold.get(n.name)
+    body = rw.apart.get(n.name)
+    if body is None and n.name in rw.unfold:
+        body = rw.apart[n.name] = rw.rename_apart(rw.unfold[n.name])
+    return body
 
 
 # --------------------------------------------------------------------------
@@ -492,16 +485,41 @@ def trace_to_json(trace: ProofTrace) -> dict:
 
 
 class Rewriter:
+    """Applies the laws, unfolding `defs`, where every free name of a
+    definition's body must be an earlier definition.  The names of `defs`
+    are reserved: no binder of a term the rewriter builds takes one."""
+
     def __init__(self, defs: Optional[dict[str, Term]] = None,
                  fuel: int = 10000):
         defs = defs or {}
+        self.reserved = frozenset(defs)
         self.unfold: dict[str, Term] = {
             name: term for name, term in defs.items()
             if not isinstance(term, ArrowAbs)
         }
-        # the free names of each definition's body, computed on first need
-        self.free: dict[str, frozenset[str]] = {}
+        # the bodies of `unfold` renamed apart, each on its first unfold
+        self.apart: dict[str, Term] = {}
         self.fuel = fuel
+
+    def rename_apart(self, node: Node) -> Node:
+        """`node` with every binder of a reserved name renamed to a fresh
+        name that is not reserved; `node` itself when no binder takes a
+        reserved name."""
+        changes = {}
+        for f in node.child_fields:
+            kid = getattr(node, f)
+            new = self.rename_apart(kid)
+            if new is not kid:
+                changes[f] = new
+        if node.binder:
+            clash = self.reserved.intersection(pattern_names(node.pat))
+            if clash:
+                scope = node.child_fields[-1]
+                body = changes.get(scope, getattr(node, scope))
+                changes["pat"], renaming = freshen_pattern(
+                    node.pat, clash, self.reserved | free_vars(body))
+                changes[scope] = subst_map(body, renaming, self.reserved)
+        return rebuild(node, changes)
 
     def try_law(self, node: Node, law: Law,
                 direction: str = "L2R") -> Optional[Node]:
@@ -517,66 +535,41 @@ class Rewriter:
 
     def apply_law_at(self, root: Node, path: tuple[int, ...], law: Law,
                      direction: str = "L2R") -> Node:
-        target = get_at(root, path)
-        new = self.try_law(target, law, direction)
-        if new is None or (law is Law.DELTA
-                           and not self._unfolds(root, path, target.name)):
+        root = self.rename_apart(root)
+        new = self.try_law(get_at(root, path), law, direction)
+        if new is None:
             raise RewriteError(
                 f"{law.value} ({direction}) is not applicable at {path}")
         return replace_at(root, path, new)
 
-    def _unfolds(self, root: Node, path, name: str) -> bool:
-        """Whether ``delta`` may unfold the definition `name` at `path` in
-        `root`: no binder above binds `name`, nor a free name of its body."""
-        bound = set()
-        for i in path:
-            if root.binder and i == len(root.child_fields) - 1:
-                bound.update(pattern_names(root.pat))
-            root = getattr(root, root.child_fields[i])
-        if not bound:
-            return True
-        if name not in self.free:
-            self.free[name] = free_vars(self.unfold[name])
-        return name not in bound and bound.isdisjoint(self.free[name])
-
-    def _search(self, root: Node, node: Node, path: list[int],
-                clean: dict[int, Node]):
+    def _search(self, node: Node, path: list[int], clean: dict[int, Node]):
         """The first redex of `node` in preorder, as (path, law, redex,
         result), trying every law of each node's class; `node` is at `path`
-        in `root`.  None when `node`'s subtree has no redex, and False when
-        it has none but an unfold that a binder above refuses.
+        in the term searched.  None when `node`'s subtree has no redex.
 
         `clean` maps ``id(n)`` to ``n`` for subtrees already found free of
         redexes; they are skipped, and `node`'s subtree joins them when it
-        has none.  A refused unfold keeps its subtree out: the binder may go.
-        Holding the node keeps its id from being reused.
+        has none.  Holding the node keeps its id from being reused.
         """
         if id(node) in clean:
             return None
         for law, match in _AUTO_BY_CLASS.get(type(node), ()):
             new = match(self, node)
             if new is not None:
-                if law is Law.DELTA and not self._unfolds(root, path,
-                                                          node.name):
-                    return False
                 return tuple(path), law, node, new
-        refused = False
         for i, f in enumerate(node.child_fields):
             path.append(i)
-            found = self._search(root, getattr(node, f), path, clean)
+            found = self._search(getattr(node, f), path, clean)
             path.pop()
             if found is not None:
-                if found:
-                    return found
-                refused = True
-        if refused:
-            return False
+                return found
         clean[id(node)] = node
         return None
 
     def normalize(self, node: Node, fuel: Optional[int] = None) -> ProofTrace:
         fuel = self.fuel if fuel is None else fuel
         start = node
+        node = self.rename_apart(node)
         steps: list[Step] = []
         stopped = None
         clean: dict[int, Node] = {}     # stays valid for the whole call
@@ -585,8 +578,8 @@ class Rewriter:
         size = _size(node)
         limit = size_limit(size)
         while True:
-            found = self._search(node, node, [], clean)
-            if not found:
+            found = self._search(node, [], clean)
+            if found is None:
                 break
             if fuel <= 0:
                 stopped = "fuel"

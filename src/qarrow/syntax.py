@@ -480,25 +480,27 @@ def fresh_name(base: str, avoid) -> str:
     return name
 
 
-def _freshen_pattern(p: Pattern, avoid) -> tuple[Pattern, dict[str, "Term"]]:
-    """Rename every variable of a pattern away from `avoid`; returns the new
-    pattern and the renaming as a substitution map."""
-    taken = set(avoid)
+def freshen_pattern(p: Pattern, names, avoid) -> tuple[Pattern, dict]:
+    """Rename the variables of a pattern that `names` holds away from
+    `avoid`, from the pattern's other names and from each other; returns the
+    new pattern and the renaming as a substitution map."""
+    taken = {*avoid, *pattern_names(p)}
     mapping: dict[str, Term] = {}
 
     def go(q: Pattern) -> Pattern:
-        if isinstance(q, PVar):
-            new = fresh_name(q.name, taken)
-            taken.add(new)
-            if new != q.name:
-                mapping[q.name] = Var(new)
-            return PVar(new, pos=q.pos)
-        return PPair(go(q.left), go(q.right), pos=q.pos)
+        if isinstance(q, PPair):
+            return PPair(go(q.left), go(q.right), pos=q.pos)
+        if q.name not in names:
+            return q
+        new = fresh_name(q.name, taken)
+        taken.add(new)
+        mapping[q.name] = Var(new)
+        return PVar(new, pos=q.pos)
 
     return go(p), mapping
 
 
-def _subst_binder(pat: Pattern, body, sub):
+def _subst_binder(pat: Pattern, body, sub, avoid):
     """Substitute into a binder's scope, freshening the pattern if it would
     capture; returns (new_pattern, new_body)."""
     bound = pattern_names(pat)
@@ -508,14 +510,15 @@ def _subst_binder(pat: Pattern, body, sub):
         return pat, body
     incoming = frozenset().union(*map(free_vars, live.values()))
     if not incoming.isdisjoint(bound):
-        pat, renaming = _freshen_pattern(
-            pat, incoming.union(bound, live, body_fv))
-        body = subst_map(body, renaming)
-    return pat, subst_map(body, live)
+        pat, renaming = freshen_pattern(
+            pat, bound, incoming.union(avoid, live, body_fv))
+        body = subst_map(body, renaming, avoid)
+    return pat, subst_map(body, live, avoid)
 
 
-def subst_map(node, sub: dict[str, Term]):
-    """Capture-avoiding simultaneous substitution on a term or command."""
+def subst_map(node, sub: dict[str, Term], avoid=frozenset()):
+    """Capture-avoiding simultaneous substitution on a term or command.  A
+    binder renamed to avoid capture takes no name in `avoid`."""
     if type(node) is Var:
         return sub.get(node.name, node)
     names = node.child_fields
@@ -523,10 +526,10 @@ def subst_map(node, sub: dict[str, Term]):
         return node
     changes = {}
     for f in names[:-1] if node.binder else names:
-        changes[f] = subst_map(getattr(node, f), sub)
+        changes[f] = subst_map(getattr(node, f), sub, avoid)
     if node.binder:
         changes["pat"], changes[names[-1]] = _subst_binder(
-            node.pat, getattr(node, names[-1]), sub)
+            node.pat, getattr(node, names[-1]), sub, avoid)
     return rebuild(node, changes)
 
 

@@ -1,7 +1,8 @@
 """Helpers that several test modules share: random densities, comparing
 densities, the matrix of a vector-valued function, whether a
 superoperator's matrix is built, the laws and the replay of a rewriting
-trace, and the sub-pipelines of a pipeline."""
+trace, a term's binders renamed to given names, and the sub-pipelines of a
+pipeline."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from qarrow.classic import ClassicExpr, Compose, FanoutC
 from qarrow.evaluator import apply_closure, EvalError, VecV
 from qarrow.linalg import basis, dim
 from qarrow.rewriter import Law, ProofTrace, Rewriter
-from qarrow.syntax import alpha_eq, TypeExpr
+from qarrow.syntax import (alpha_eq, free_vars, PVar, rebuild, subst_map,
+                           TypeExpr, Var)
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -55,6 +57,26 @@ def replay(rw: Rewriter, trace: ProofTrace) -> bool:
         if not alpha_eq(node, step.result):
             return False
     return alpha_eq(node, trace.end)
+
+
+def rebind(node, names):
+    """`node` with the variable of each binder renamed, innermost first, to
+    the next of `names` that its scope does not read, and the number of
+    binders renamed; the new term is alpha-equivalent to `node`."""
+    changes, renamed = {}, 0
+    for f in node.child_fields:
+        changes[f], k = rebind(getattr(node, f), names)
+        renamed += k
+    node = rebuild(node, changes)
+    if node.binder and isinstance(node.pat, PVar):
+        scope = node.child_fields[-1]
+        body, new = getattr(node, scope), next(names)
+        if new not in free_vars(body):
+            node = rebuild(node, {
+                "pat": PVar(new),
+                scope: subst_map(body, {node.pat.name: Var(new)})})
+            renamed += 1
+    return node, renamed
 
 
 def classic_children(e: ClassicExpr) -> tuple[ClassicExpr, ...]:

@@ -15,11 +15,14 @@ import numpy as np
 import pytest
 
 import qarrow
-from qarrow import dens_to_json, pure_density, render_density
-from qarrow.cli import BADINPUT, CliError, FAIL, main, OK, parse_ket, UNDECIDED
+from qarrow import (alpha_eq, dens_to_json, parse_term, pure_density,
+                    render_density, Rewriter)
+from qarrow.cli import (BADINPUT, CliError, elaborated_target, FAIL,
+                        load_file, main, OK, parse_ket, UNDECIDED)
 from qarrow.linalg import render_vector
 
 import randprog
+from helpers import replay
 
 INV = 1 / np.sqrt(2)
 
@@ -533,20 +536,69 @@ konst = \\@y. [True]
 
 def test_delta_leaves_a_bound_name_alone(runcli, tmp_path):
     """``ident``'s binder shadows the definition ``x``: its body reads the
-    binder, so it normalizes to itself and is not equal to ``konst``."""
+    binder, so it normalizes to itself, with the binder renamed apart from
+    the definition, and is not equal to ``konst``.  A trace starts from the
+    user's names; its steps and its end are over the renamed term, and it
+    replays."""
     f = tmp_path / "shadow.qarr"
     f.write_text(SHADOWING_SRC)
     assert runcli("normalize", str(f), "ident") == (OK, "    \\@x. [x]\n", "")
     code, out, _ = runcli("prove", str(f), "ident", "konst")
     assert code == FAIL
     assert out.startswith("not equal: denotations differ")
+    _, gamma, _, defs = load_file(str(f), True)
+    rw = Rewriter(defs)
+    # the prelude's not reads its own binder x, renamed apart as it unfolds
+    for target, start, steps in (("ident", "\\@x. [x]", 0),
+                                 ("\\@x. [not (not x)]", None, 8)):
+        code, out, _ = runcli("normalize", str(f), target, "--json")
+        obj = json.loads(out)
+        assert (code, obj["start"]) == (OK, start or target)
+        assert obj["end"] == "\\@x'. [x']"
+        assert len(obj["steps"]) == steps
+        assert all(s["result"].startswith("\\@x'. [") for s in obj["steps"])
+        assert not re.search(r"\bx\b(?!')",
+                             " ".join(s["result"] for s in obj["steps"]))
+        assert replay(rw, rw.normalize(elaborated_target(target, gamma,
+                                                         defs)))
 
 
 def test_delta_does_not_unfold_under_a_capturing_binder(runcli):
-    # cnot's body reads the prelude's not, which the binder would capture
+    """``cnot``'s body reads the prelude's ``not``, which the binder would
+    capture: the binder is renamed apart, and ``cnot`` unfolds under it."""
     code, out, _ = runcli("normalize", "-", "\\not. cnot (not, True)",
                           stdin="")
-    assert (code, out) == (OK, "    \\not. cnot (not, True)\n")
+    lines = out.splitlines()
+    assert code == OK
+    assert lines[:2] == ["    \\not. cnot (not, True)", "= { delta }"]
+    assert lines[-1] == ("    \\not'. if not' then [(not', False)] "
+                         "else [(not', True)]")
+    code, out, _ = runcli("prove", "-", "\\not. cnot (not, True)",
+                          "\\y. cnot (y, True)", stdin="")
+    assert code == OK
+    assert out.startswith("equal: both sides normalize to the same term")
+
+
+FRESH_SRC = """\
+y' : Bool
+y' = True
+g : Bool -> Bool
+g = \\z. y'
+t : Bool -> (Bool -> (Bool,(Bool,Bool)), Bool)
+t = \\y. ((\\x. \\y. (x, (g y, y))) y, y)
+"""
+
+
+def test_a_fresh_binder_avoids_the_definitions(runcli, tmp_path):
+    """``beta`` renames the inner binder ``y`` apart from the argument
+    ``y``.  The fresh name must not be the definition ``y'``: ``delta``
+    would then unfold the bound variable to ``True``."""
+    f = tmp_path / "fresh.qarr"
+    f.write_text(FRESH_SRC)
+    code, out, _ = runcli("normalize", str(f), "t", "--no-prelude", "--json")
+    assert code == OK
+    assert alpha_eq(parse_term(json.loads(out)["end"]),
+                    parse_term("\\y. (\\y''. (y, True, y''), y)"))
 
 
 def test_prove_json(runcli):

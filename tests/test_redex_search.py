@@ -3,6 +3,8 @@ found free of redexes, checked against the plain search with no memo:
 restart from the root after every rewrite and try every automatic law at
 every node.  The two must take the same steps."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +13,8 @@ import structural
 from qarrow import apply_law_at, elaborate_term, parse_term, parse_type, pretty
 from qarrow import rewriter
 from qarrow.rewriter import Law, Rewriter, replace_at
+
+from helpers import rebind
 
 GOLDEN_START = "\\@x. let y = (\\@z. [not z]) @ x in (\\@w. [not w]) @ y"
 
@@ -51,7 +55,8 @@ def normalize_steps(rw, node, fuel):
 
 def _terms(prelude, defs_map):
     """Every law family's instance before and after its law, over a few
-    seeds; every prelude definition; the README's ``dneg``."""
+    seeds; every prelude definition; the README's ``dneg``; and each of
+    these whose binders can take definition names, so renamed."""
     out = {}
     for family in sorted(randprog.FAMILIES):
         for seed in range(4):
@@ -65,6 +70,11 @@ def _terms(prelude, defs_map):
     for name, term in defs_map.items():
         out[f"prelude-{name}"] = term
     out["dneg"] = elaborate_term(prelude.types, parse_term(GOLDEN_START))[1]
+    names = itertools.cycle(("not", "cnot", "hadamard"))
+    for name, term in list(out.items()):
+        term, renamed = rebind(term, names)
+        if renamed:
+            out[f"{name}-rebound"] = term
     return out
 
 
@@ -73,7 +83,10 @@ def test_traces_match_the_plain_search(prelude, defs_map):
     terms = _terms(prelude, defs_map)
     assert len(terms) > 100
     stepped = 0
+    assert sum(name.endswith("-rebound") for name in terms) > 50
     for name, term in terms.items():
+        # normalize renames the binders of definition names apart first
+        term = rw.rename_apart(term)
         for fuel in (1, 2, 3, 10000):
             got = normalize_steps(rw, term, fuel)
             want = plain_steps(rw, term, fuel)

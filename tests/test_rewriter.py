@@ -31,12 +31,12 @@ from qarrow import (
 from qarrow.evaluator import _witness_states, compare_values
 from qarrow.linalg import dim, pure_density
 from qarrow.rewriter import ProofTrace, Rewriter, get_at, replace_at
-from qarrow.syntax import (BoolT, CLet, CUnit, MZero, ProdT, PVar, rebuild,
-                           subst_map, Var, VecAdd, VecLet, VecT)
+from qarrow.syntax import (BoolT, CLet, CUnit, MZero, ProdT, PVar, Var,
+                           VecAdd, VecLet, VecT)
 
 import randprog
 from dense_arrow import apply_super
-from helpers import laws, replay
+from helpers import laws, rebind, replay
 
 B = BoolT()
 BB = ProdT(B, B)
@@ -167,25 +167,34 @@ def test_delta_skips_arrow_definitions(defs_map):
         apply_law_at(Var("mystery"), (), Law.DELTA, defs=defs_map)
 
 
-@pytest.mark.parametrize("src", [
-    "\\@not. [not]",             # the binder's not, not the prelude's
-    "\\not. cnot (not, True)",   # cnot's body would read the binder
+@pytest.mark.parametrize("src,unfolds", [
+    # the binder's not, not the prelude's
+    pytest.param("\\@not. [not]", False, id="\\@not. [not]"),
+    # cnot's body reads the prelude's not, so the binder is renamed apart
+    pytest.param("\\not. cnot (not, True)", True,
+                 id="\\not. cnot (not, True)"),
 ])
-def test_delta_refuses_a_bound_or_capturing_name(defs_map, src):
-    with pytest.raises(RewriteError, match="not applicable"):
-        apply_law_at(T(src), (0, 0), Law.DELTA, defs=defs_map)
+def test_delta_refuses_a_bound_or_capturing_name(defs_map, src, unfolds):
+    if not unfolds:
+        with pytest.raises(RewriteError, match="not applicable"):
+            apply_law_at(T(src), (0, 0), Law.DELTA, defs=defs_map)
+        return
+    got = apply_law_at(T(src), (0, 0), Law.DELTA, defs=defs_map)
+    assert got.pat.name == "not'" and pretty(got.body.arg) == "(not', True)"
+    assert alpha_eq(got.body.fn, defs_map["cnot"])
 
 
 def test_delta_unfolds_once_the_capturing_binder_is_gone(defs_map):
-    """The search refuses both ``cnot``s under the binder ``not`` first;
-    beta.1 then makes that abstraction an eta redex, which removes the
-    binder, and the ``cnot``s unfold after all: a subtree that held a
-    refused unfold was not recorded as free of redexes."""
+    """The binder ``not`` would capture the name that ``cnot``'s body reads;
+    normalization renames it apart before its search starts, so that binder
+    is gone at once and the first step unfolds a ``cnot``."""
     trace = normalize(T("\\y. \\not. (if y then cnot else cnot) "
                         "(fst (not, True))"), defs=defs_map)
-    assert [law.value for law in laws(trace)][:3] == ["beta.1", "eta",
-                                                     "delta"]
+    first = trace.steps[0]
+    assert (first.law, first.path) == (Law.DELTA, (0, 0, 0, 1))
+    assert pretty(first.result).startswith("\\y. \\not'. (if y then \\(x,y).")
     assert trace.complete and "cnot" not in free_vars(trace.end)
+    assert replay(Rewriter(defs_map), trace)
 
 
 def test_delta_unfolds_under_a_binder_that_captures_nothing(defs_map):
@@ -658,26 +667,6 @@ def test_normalization_proofs_agree_semantically(prelude, defs_map):
 DEFINITION_NAMES = ("not", "cnot", "hadamard")
 
 
-def _rebind(node, names):
-    """`node` with the variable of each binder renamed, innermost first, to
-    the next of `names` that its scope does not read, and the number of
-    binders renamed; the new term is alpha-equivalent to `node`."""
-    changes, renamed = {}, 0
-    for f in node.child_fields:
-        changes[f], k = _rebind(getattr(node, f), names)
-        renamed += k
-    node = rebuild(node, changes)
-    if node.binder and isinstance(node.pat, PVar):
-        scope = node.child_fields[-1]
-        body, new = getattr(node, scope), next(names)
-        if new not in free_vars(body):
-            node = rebuild(node, {
-                "pat": PVar(new),
-                scope: subst_map(body, {node.pat.name: Var(new)})})
-            renamed += 1
-    return node, renamed
-
-
 def test_normalizing_under_binders_named_like_definitions(prelude,
                                                           defs_map):
     """Generated programs whose binders are renamed to definition names
@@ -693,7 +682,7 @@ def test_normalizing_under_binders_named_like_definitions(prelude,
                 cases.append((inst.term, inst.type_))
     renamed = 0
     for term, type_ in cases:
-        term, k = _rebind(term, names)
+        term, k = rebind(term, names)
         renamed += k
         _, term = elaborate_term(prelude.types, term, type_)
         trace = normalize(term, defs=defs_map)
