@@ -17,16 +17,17 @@ combinator is index arithmetic on the batch (a scatter by its basis map
 for ``arr``, einsum contractions for lifted linear maps, and for
 ``arr keep &&& bound`` a scatter into the pairs of kept context and bound
 result, contracted with the bound command's own matrix) rather than a
-product with a large intermediate superoperator matrix.  ``vec(ρ)`` goes
-through the plan as a batch of one column.  This evaluator is the only
-arrow instance in the package, and it runs exactly the nodes that
-translation emits: a ``&&&`` always has a pure left leg, and there is no
-``first`` or ``second`` node.  ``run_super`` always pushes through the
-plan.  The full matrix is a derived operation: ``SuperV.val`` builds it on
-first use by pushing the identity columns through the same plan, block by
-block, and keeps it.  It is built only where a caller needs the matrix:
-the prover's comparison, the bound leg of a ``&&&`` and a named callee,
-whose plans multiply by it.
+product with a large intermediate superoperator matrix.  Every scatter is
+one ``np.bincount`` sum of the cells that land together, injective map or
+not.  ``vec(ρ)`` goes through the plan as a batch of one column.  This
+evaluator is the only arrow instance in the package, and it runs exactly
+the nodes that translation emits: a ``&&&`` always has a pure left leg, and
+there is no ``first`` or ``second`` node.  ``run_super`` always pushes
+through the plan.  The full matrix is a derived operation: ``SuperV.val``
+builds it on first use by pushing the identity columns through the same
+plan, block by block, and keeps it.  It is built only where a caller needs
+the matrix: the prover's comparison, the bound leg of a ``&&&`` and a
+named callee, whose plans multiply by it.
 
 The basis map of an ``arr`` node and the matrix of a ``lift`` node are
 computed over *wires*: each context variable is a tree of 0/1 arrays over
@@ -388,32 +389,24 @@ def _lift_matrix(e: LiftLin, env: dict, di: int, do: int) -> np.ndarray:
 
 def _scatter_plan(r: np.ndarray, n: int) -> Plan:
     """Relabel both indices of each vectorized density in a batch by the
-    index map ``r``, summing entries that land together:
-    ``out[(r a, r a')] += V[(a, a')]``, with ``n`` the new dimension.  An
-    injective ``r`` is one assignment; otherwise rows are grouped by sorting
-    ``r`` and summed slab-wise, one axis at a time.  The grouping is worked
-    out here, once."""
-    d = len(r)
-    order = np.argsort(r, kind="stable")
-    rs = r[order]
-    starts = np.concatenate(([True], rs[1:] != rs[:-1])).nonzero()[0]
-    merge = len(starts) < d
-    # np.ix_ index pairs, built directly: its argument checks cost more
-    perm = ((order[:, None], order[None, :])
-            if merge and (order != np.arange(d)).any() else None)
-    to = rs[starts] if merge else r
-    dest = to[:, None], to[None, :]
+    index map ``r``, summing the cells that land together:
+    ``out[(r a, r a')] += V[(a, a')]``, with ``n`` the new dimension.  This
+    is ``arr``'s ρ ↦ FρF† for the 0/1 matrix F of ``r``, as one
+    ``np.bincount`` sum over every cell's flat destination, for the real
+    and the imaginary parts.  The plan keeps only ``r`` and ``r * n``; the
+    destinations, d² per column, are built on each call."""
+    rn = r * n
 
     def run(V: np.ndarray) -> np.ndarray:
         k = V.shape[1]
-        X = V.reshape(d, d, k)
-        if merge:
-            if perm is not None:
-                X = X[perm]
-            X = np.add.reduceat(np.add.reduceat(X, starts, axis=0), starts,
-                                axis=1)
-        out = np.zeros((n, n, k), dtype=complex)
-        out[dest] = X
+        to = (rn[:, None] + r[None, :]).reshape(-1)
+        if k > 1:
+            to = (to[:, None] * k + np.arange(k)).reshape(-1)
+        cells = n * n * k
+        V = V.reshape(-1)
+        out = np.empty(cells, dtype=complex)
+        out.real = np.bincount(to, V.real, cells)
+        out.imag = np.bincount(to, V.imag, cells)
         return out.reshape(n * n, k)
     return run
 

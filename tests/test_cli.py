@@ -946,6 +946,18 @@ def test_ghz_runs_within_one_gib(tmp_path, n):
     assert proc.stdout == render_density(pure_density(amp)) + "\n"
 
 
+def test_ghz_beyond_one_gib_is_a_clean_memory_error(tmp_path):
+    """GHZ-6's widest node needs a 4 GiB batch: a real failed allocation
+    exits 2 with one line, not a traceback."""
+    (tmp_path / "ghz.qarr").write_text(randprog.ghz_source(6))
+    proc = _cli_child(tmp_path, "run", "ghz.qarr", "ghz", "--input",
+                      "|000000>", address_space=1 << 30)
+    assert (proc.returncode, proc.stdout) == (BADINPUT, "")
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(r"ghz\.qarr: MemoryError: [^\n]+\n",
+                        proc.stderr), proc.stderr
+
+
 def _let_chain(n):
     lines = [f"let x{i + 1} = QNot @ x{i} in" for i in range(n)]
     return ("f : Super Bool Bool\nf = \\@x0.\n  " + "\n  ".join(lines)

@@ -1,6 +1,8 @@
 """Evaluator behaviour: value forms, vector arithmetic, and the batched
 pipeline semantics checked against independently-built dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from qarrow.evaluator import (
     _arr_index_map,
     _fanout_forms,
     _plan,
+    _scatter_plan,
     elem_type_of_value,
     est_cells,
     eval_arrow_abs,
@@ -275,6 +278,64 @@ def test_plan_on_columns(prelude):
     eye = np.eye(4, dtype=complex)
     cols = _plan(pipe, dict(prelude.env))(eye)
     assert np.allclose(cols, prelude.env["Had"].val.action, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# The scatter kernel of `arr` and of every `&&&`
+
+
+def _scatter_oracle(r, n, V):
+    """out[(r a, r a')] += V[(a, a')], one cell at a time."""
+    d = len(r)
+    a, a2 = np.divmod(np.arange(d * d), d)
+    out = np.zeros((n * n, V.shape[1]), dtype=complex)
+    np.add.at(out, r[a] * n + r[a2], V)
+    return out
+
+
+SCATTER_MAPS = {
+    "identity": lambda rng: (np.arange(8), 8),
+    "permutation": lambda rng: (rng.permutation(8), 8),
+    "constant": lambda rng: (np.full(8, 2), 4),
+    "onto fewer": lambda rng: (rng.integers(0, 3, 8), 3),
+    "into more": lambda rng: (rng.integers(0, 5, 8) * 2, 10),
+}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", sorted(SCATTER_MAPS))
+def test_scatter_plan_matches_per_cell_oracle(name, k):
+    rng = np.random.default_rng(k)
+    for _ in range(3):
+        r, n = SCATTER_MAPS[name](rng)
+        V = rng.normal(size=(64, k)) + 1j * rng.normal(size=(64, k))
+        before = V.copy()
+        out = _scatter_plan(r, n)(V)
+        assert out.shape == (n * n, k)
+        assert np.max(np.abs(out - _scatter_oracle(r, n, V))) <= 1e-12
+        assert np.array_equal(V, before)
+
+
+def test_plan_keeps_index_data_linear_in_dimension(prelude):
+    """GHZ-5's widest node has dimension 2**11: its d**2 cell destinations
+    would take 32 MiB, so the plan must not keep them, before or after a
+    push."""
+    _, el = elaborate_program(parse_program(randprog.ghz_source(5)),
+                              dict(prelude.types))
+    ghz = eval_program(el, dict(prelude.env))["ghz"]
+    rho = np.zeros((32, 32), dtype=complex)
+    rho[0, 0] = 1.0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = ghz.plan
+        built = tracemalloc.get_traced_memory()[0] - before
+        plan(rho.reshape(-1, 1))
+        pushed = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert built < 1 << 20
+    assert pushed < 1 << 20
 
 
 # --------------------------------------------------------------------------
