@@ -1,11 +1,16 @@
 """Surface syntax: tokens, grammar shapes, error positions."""
+import hashlib
+
 import pytest
 
 from qarrow.parser import ParseError, parse_command, parse_program, parse_term, parse_type
+from qarrow.stdlib import prelude_source
 from qarrow.syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit,
-                           Eq, FunT, If, Lam, Let, Meas, MZero, Pair, PPair,
-                           ProdT, PVar, SuperT, TrL, Var, VecAdd, VecScale,
-                           VecSub, VecT, VecUnit, pretty)
+                           Eq, FunT, If, Lam, Let, Meas, MZero, Node, Pair,
+                           PPair, ProdT, PVar, SuperT, TrL, Var, VecAdd,
+                           VecScale, VecSub, VecT, VecUnit, pretty)
+
+import randprog
 
 
 # ---- term grammar ------------------------------------------------------------
@@ -248,3 +253,40 @@ def test_nesting_depth_within_the_recursion_limit():
     for _ in range(n):
         t = t.body
     assert t == Var("x0")
+
+
+# ---- trees and positions, pinned ---------------------------------------------
+
+def _corpus():
+    """(source name, text) of the prelude, the README demo and a program of
+    200 random supers printed with ``pretty``."""
+    supers = "".join(f"s{seed} = {pretty(randprog.random_super(seed)[0])}\n"
+                     for seed in range(200))
+    return [("prelude.qarr", prelude_source()), ("demo.qarr", randprog.DEMO_SRC),
+            ("supers.qarr", supers)]
+
+
+def _nodes(node, out):
+    """Every node under `node` in preorder, patterns and annotations
+    included."""
+    out.append(node)
+    for f in type(node).fields:
+        v = getattr(node, f)
+        for kid in v if type(v) is tuple else (v,):
+            if isinstance(kid, Node):
+                _nodes(kid, out)
+    return out
+
+
+TREES_SHA256 = (
+    "bac690e7d8b95f6cbdbd15b055b5701465e54658cf973d2ad329dee7aed12f56")
+
+
+def test_parse_trees_and_positions_are_unchanged():
+    h = hashlib.sha256()
+    for name, src in _corpus():
+        tree = parse_program(src, name)
+        h.update(repr(tree).encode())
+        for node in _nodes(tree, []):
+            h.update(f"{type(node).__name__} {node.pos!r}\n".encode())
+    assert h.hexdigest() == TREES_SHA256

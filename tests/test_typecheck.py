@@ -278,6 +278,19 @@ def test_delta_misuse_is_not_unbound(prelude):
     assert ei.value.kind == "delta-misuse"
 
 
+@pytest.mark.parametrize("src, name", [
+    ("f = \\@q. let Had = QNot @ q in Had @ q", "Had"),   # a prelude name
+    ("g = \\f. \\@q. let f = f @ q in f @ q", "f"),     # a lambda's name
+], ids=["global", "lambda"])
+def test_delta_binding_hides_a_gamma_name(prelude, src, name):
+    """A command ``let`` takes its name out of gamma, so the name used as an
+    arrow's function is the command variable, which is a delta-misuse."""
+    with pytest.raises(TypeCheckError) as ei:
+        elaborate_program(parse_program(src, "d.qarr"), dict(prelude.types))
+    assert ei.value.kind == "delta-misuse"
+    assert (ei.value.pos.line, ei.value.pos.col) == (1, src.rindex(name) + 1)
+
+
 def test_program_duplicate_definition(prelude):
     # duplicates never reach the checker; the parser rejects them
     from qarrow.parser import ParseError
