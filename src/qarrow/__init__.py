@@ -22,7 +22,7 @@ _EXPORTS = {
     "linalg": ("basis", "dens_from_json", "dens_to_json", "dim",
                "elem_index", "pure_density", "render_density", "SuperVal"),
     "parser": ("parse_command", "parse_program", "parse_term", "parse_type",
-               "ParseError"),
+               "ParseError", "tokenize"),
     "rewriter": ("apply_law_at", "Law", "normalize", "NotEqual",
                  "ProofTrace", "ProvedByNormalization", "ProvedSemantically",
                  "prove_equal", "render_trace", "RewriteError", "Rewriter",

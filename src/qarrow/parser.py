@@ -32,10 +32,18 @@ token class, whose name ``lastgroup`` gives.  Keywords are names found in
 context-dependent rule, the negative literal, is settled in the loop from
 the kind of the token before it.  Names and digits are ASCII: any other
 character is an "unexpected character" error at its position.  Lines count
-``\\n`` only, and columns count characters from 1.  A token is a
-``NamedTuple`` of its kind, text and ``Pos``, and the list ends in an EOF
-token.  The parser reads that list with a second EOF appended, so it can
-look one token ahead anywhere without a bounds check.
+``\\n`` only, and columns count characters from 1.
+
+The scan makes each token a plain tuple ``(kind, text, line, col)`` and
+ends the list in an EOF token.  A tuple that holds only strings and ints is
+one CPython's cyclic collector stops tracking at its first collection, and
+a parse makes a token for every few bytes of source; a ``NamedTuple``
+(such as ``Token`` or ``Pos``) is tracked for as long as it lives.  So the
+parser keeps the source name once and makes a ``Pos`` only for a node it
+builds or an error it raises.  ``tokenize`` is the public view of the same
+scan: one ``Token`` (kind, text, ``Pos``) per token.  The parser reads the
+scan's list with a second EOF appended, so it can look one token ahead
+anywhere without a bounds check.
 """
 
 from __future__ import annotations
@@ -99,13 +107,16 @@ class Token(NamedTuple):
     pos: Pos
 
 
-# Builds a Token or a Pos from the tuple of its fields, without the Python
-# frame of a NamedTuple's own constructor.
+# Builds a Pos from the tuple of its fields, without the Python frame of a
+# NamedTuple's own constructor.
 _make = tuple.__new__
 
 
-def tokenize(src: str, source: str = "<input>") -> list[Token]:
-    toks: list[Token] = []
+def _scan(src: str, source: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of `src` as plain ``(kind, text, line, col)`` tuples,
+    ending in an EOF token; `source` names the file in an error."""
+    toks: list[tuple[str, str, int, int]] = []
+    append = toks.append
     line, start = 1, 0          # the current line's number and offset
     m = None
     for m in _TOKEN_RE.finditer(src):
@@ -128,21 +139,26 @@ def tokenize(src: str, source: str = "<input>") -> list[Token]:
             # A minus immediately before digits where no operand precedes is
             # a negative scalar literal, not the subtraction operator.
             kind = "NUM"
-            if toks and toks[-1].kind in _OPERAND_END:
-                toks.append(Token("-", "-", Pos(line, col, source)))
+            if toks and toks[-1][0] in _OPERAND_END:
+                append(("-", "-", line, col))
                 text = text[1:]
                 col += 1
         else:
             raise ParseError(f"unexpected character {text!r}",
                              Pos(line, col, source))
-        toks.append(_make(Token, (kind, text,
-                                  _make(Pos, (line, col, source)))))
+        append((kind, text, line, col))
     # The end is after the last line's blanks but before its comment.
     end = len(src)
     if m is not None and m.lastgroup == "COMMENT":
         end = m.start("COMMENT")
-    toks.append(Token("EOF", "", Pos(line, end - start + 1, source)))
+    append(("EOF", "", line, end - start + 1))
     return toks
+
+
+def tokenize(src: str, source: str = "<input>") -> list[Token]:
+    """The tokens of `src`, each with its position, ending in an EOF token."""
+    return [Token(kind, text, Pos(line, col, source))
+            for kind, text, line, col in _scan(src, source)]
 
 
 def _parse_scalar(text: str) -> complex:
@@ -155,42 +171,49 @@ def _parse_scalar(text: str) -> complex:
 
 
 class Parser:
-    """Recursive descent over a token list.  Each rule calls the next one
-    directly: a helper between two levels would add a frame per level and
-    lower the nesting depth accepted (see ``_parse_all``)."""
+    """Recursive descent over the tokens of one source.  Each rule calls the
+    next one directly: a helper between two levels would add a frame per
+    level and lower the nesting depth accepted (see ``_parse_all``)."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, src: str, source: str):
+        toks = _scan(src, source)
         # A second EOF: looking one token past the end reads an EOF.
-        self.toks = [*tokens, tokens[-1]]
+        toks.append(toks[-1])
+        self.toks = toks
+        self.source = source
         self.i = 0
 
     # ---- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
+    def pos(self, tok: tuple) -> Pos:
+        """The position of `tok`, made for the node or error that keeps it."""
+        return _make(Pos, (tok[2], tok[3], self.source))
+
+    def peek(self, ahead: int = 0) -> tuple:
         return self.toks[self.i + ahead]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.i]
-        if t.kind != "EOF":
+        if t[0] != "EOF":
             self.i += 1
         return t
 
     def at(self, *kinds: str) -> bool:
-        return self.toks[self.i].kind in kinds
+        return self.toks[self.i][0] in kinds
 
-    def expect(self, *kinds: str) -> Token:
+    def expect(self, *kinds: str) -> tuple:
         t = self.toks[self.i]
-        if t.kind not in kinds:
+        if t[0] not in kinds:
             expected = " or ".join(repr(k) for k in kinds)
-            found = repr(t.text) if t.text else "end of input"
-            raise ParseError(f"expected {expected}, found {found}", t.pos)
-        if t.kind != "EOF":
+            found = repr(t[1]) if t[1] else "end of input"
+            raise ParseError(f"expected {expected}, found {found}", self.pos(t))
+        if t[0] != "EOF":
             self.i += 1
         return t
 
     def _at_definition_boundary(self) -> bool:
         # A NAME followed by '=' or ':' starts the next top-level clause.
-        return self.at("NAME") and self.peek(1).kind in ("=", ":")
+        return self.at("NAME") and self.peek(1)[0] in ("=", ":")
 
     # ---- types
 
@@ -203,81 +226,82 @@ class Parser:
 
     def parse_type_app(self) -> TypeExpr:
         tok = self.peek()
-        if tok.kind == "Vec":
+        if tok[0] == "Vec":
             self.next()
-            return VecT(self.parse_type_atom(), pos=tok.pos)
-        if tok.kind in ("Lin", "Super"):
+            return VecT(self.parse_type_atom(), pos=self.pos(tok))
+        if tok[0] in ("Lin", "Super"):
             self.next()
             a = self.parse_type_atom()
             b = self.parse_type_atom()
-            if tok.kind == "Lin":
+            if tok[0] == "Lin":
                 return lin_type(a, b)
-            return SuperT(a, b, pos=tok.pos)
+            return SuperT(a, b, pos=self.pos(tok))
         return self.parse_type_atom()
 
     def parse_type_atom(self) -> TypeExpr:
         tok = self.peek()
-        if tok.kind == "Bool":
+        if tok[0] == "Bool":
             self.next()
-            return BoolT(pos=tok.pos)
-        if tok.kind == "(":
+            return BoolT(pos=self.pos(tok))
+        if tok[0] == "(":
             self.next()
             parts = [self.parse_type()]
             while self.at(","):
                 self.next()
                 parts.append(self.parse_type())
             self.expect(")")
-            return _nest(parts, ProdT, tok.pos)
-        raise ParseError(f"expected a type, found {tok.text!r}", tok.pos)
+            return _nest(parts, ProdT, self.pos(tok))
+        raise ParseError(f"expected a type, found {tok[1]!r}", self.pos(tok))
 
     # ---- patterns
 
     def parse_pattern(self) -> Pattern:
         tok = self.peek()
-        if tok.kind == "NAME":
+        if tok[0] == "NAME":
             self.next()
-            return PVar(tok.text, pos=tok.pos)
-        if tok.kind == "(":
+            return PVar(tok[1], pos=self.pos(tok))
+        if tok[0] == "(":
             self.next()
             parts = [self.parse_pattern()]
             while self.at(","):
                 self.next()
                 parts.append(self.parse_pattern())
             self.expect(")")
-            p = _nest(parts, PPair, tok.pos)
+            p = _nest(parts, PPair, self.pos(tok))
             names = pattern_names(p)
             if len(set(names)) != len(names):
-                raise ParseError("pattern variables must be distinct", tok.pos)
+                raise ParseError("pattern variables must be distinct",
+                                 self.pos(tok))
             return p
-        raise ParseError(f"expected a pattern, found {tok.text!r}", tok.pos)
+        raise ParseError(f"expected a pattern, found {tok[1]!r}", self.pos(tok))
 
     # ---- terms
 
     def parse_term(self) -> Term:
         tok = self.peek()
-        if tok.kind in ("\\", "\\@"):
+        if tok[0] in ("\\", "\\@"):
             self.next()
             pat = self.parse_pattern()
             self.expect(".")
-            if tok.kind == "\\":
-                return Lam(pat, self.parse_term(), pos=tok.pos)
-            return ArrowAbs(pat, self.parse_command(), pos=tok.pos)
-        if tok.kind == "let":
+            if tok[0] == "\\":
+                return Lam(pat, self.parse_term(), pos=self.pos(tok))
+            return ArrowAbs(pat, self.parse_command(), pos=self.pos(tok))
+        if tok[0] == "let":
             self.next()
             pat = self.parse_pattern()
             self.expect("=")
             bound = self.parse_term()
             self.expect("in")
             body = self.parse_term()
-            return Let(pat, bound, body, pos=tok.pos)
-        if tok.kind == "if":
+            return Let(pat, bound, body, pos=self.pos(tok))
+        if tok[0] == "if":
             self.next()
             cond = self.parse_term()
             self.expect("then")
             then = self.parse_term()
             self.expect("else")
             orelse = self.parse_term()
-            return If(cond, then, orelse, pos=tok.pos)
+            return If(cond, then, orelse, pos=self.pos(tok))
         return self.parse_addsub()
 
     def parse_addsub(self) -> Term:
@@ -285,28 +309,28 @@ class Parser:
         while self.at("+", "-"):
             op = self.next()
             rhs = self.parse_scaled()
-            cls = VecAdd if op.kind == "+" else VecSub
-            t = cls(t, rhs, pos=op.pos)
+            cls = VecAdd if op[0] == "+" else VecSub
+            t = cls(t, rhs, pos=self.pos(op))
         return t
 
     def parse_scaled(self) -> Term:
         tok = self.peek()
-        if tok.kind in ("NUM", "invsqrt2") and self.peek(1).kind == "*":
+        if tok[0] in ("NUM", "invsqrt2") and self.peek(1)[0] == "*":
             self.next()
             self.expect("*")
-            c = (_parse_scalar(tok.text) if tok.kind == "NUM"
+            c = (_parse_scalar(tok[1]) if tok[0] == "NUM"
                  else complex(INV_SQRT2, 0.0))
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise ParseError("scalar literal is too large to be finite",
-                                 tok.pos)
-            return VecScale(c, self.parse_eqterm(), pos=tok.pos)
+                                 self.pos(tok))
+            return VecScale(c, self.parse_eqterm(), pos=self.pos(tok))
         return self.parse_eqterm()
 
     def parse_eqterm(self) -> Term:
         t = self.parse_app()
         if self.at("=="):
             op = self.next()
-            return Eq(t, self.parse_app(), pos=op.pos)
+            return Eq(t, self.parse_app(), pos=self.pos(op))
         return t
 
     _ATOM_START = ("NAME", "True", "False", "mzero", "(", "[", "fst", "snd")
@@ -320,67 +344,67 @@ class Parser:
 
     def parse_atom(self) -> Term:
         tok = self.peek()
-        if tok.kind == "NAME":
+        if tok[0] == "NAME":
             self.next()
-            return Var(tok.text, pos=tok.pos)
-        if tok.kind in ("True", "False"):
+            return Var(tok[1], pos=self.pos(tok))
+        if tok[0] in ("True", "False"):
             self.next()
-            return BoolLit(tok.kind == "True", pos=tok.pos)
-        if tok.kind == "mzero":
+            return BoolLit(tok[0] == "True", pos=self.pos(tok))
+        if tok[0] == "mzero":
             self.next()
-            return MZero(pos=tok.pos)
-        if tok.kind in ("fst", "snd"):
+            return MZero(pos=self.pos(tok))
+        if tok[0] in ("fst", "snd"):
             self.next()
-            cls = Fst if tok.kind == "fst" else Snd
-            return cls(self.parse_atom(), pos=tok.pos)
-        if tok.kind == "[":
+            cls = Fst if tok[0] == "fst" else Snd
+            return cls(self.parse_atom(), pos=self.pos(tok))
+        if tok[0] == "[":
             self.next()
             content = self.parse_term()
             self.expect("]")
-            return VecUnit(content, pos=tok.pos)
-        if tok.kind == "(":
+            return VecUnit(content, pos=self.pos(tok))
+        if tok[0] == "(":
             self.next()
             parts = [self.parse_term()]
             while self.at(","):
                 self.next()
                 parts.append(self.parse_term())
             self.expect(")")
-            return _nest(parts, Pair, tok.pos)
-        raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}",
-                         tok.pos)
+            return _nest(parts, Pair, self.pos(tok))
+        raise ParseError(f"expected a term, found {tok[1] or 'end of input'!r}",
+                         self.pos(tok))
 
     # ---- commands
 
     def parse_command(self) -> Command:
         tok = self.peek()
-        if tok.kind == "let":
+        if tok[0] == "let":
             self.next()
             pat = self.parse_pattern()
             self.expect("=")
             bound = self.parse_command()
             self.expect("in")
             body = self.parse_command()
-            return CLet(pat, bound, body, pos=tok.pos)
-        if tok.kind == "[":
+            return CLet(pat, bound, body, pos=self.pos(tok))
+        if tok[0] == "[":
             self.next()
             content = self.parse_term()
             self.expect("]")
-            return CUnit(content, pos=tok.pos)
-        if tok.kind in ("meas", "trL"):
+            return CUnit(content, pos=self.pos(tok))
+        if tok[0] in ("meas", "trL"):
             self.next()
             if self.at("@"):
                 self.next()
-            cls = Meas if tok.kind == "meas" else TrL
-            return cls(self.parse_app(), pos=tok.pos)
+            cls = Meas if tok[0] == "meas" else TrL
+            return cls(self.parse_app(), pos=self.pos(tok))
         fn = self.parse_term()
         if not self.at("@"):
             t = self.peek()
             raise ParseError(
                 "expected '@' (arrow application) after the function term of a command",
-                t.pos if t.kind != "EOF" else tok.pos)
+                self.pos(t if t[0] != "EOF" else tok))
         self.next()
         arg = self.parse_term()
-        return CApp(fn, arg, pos=tok.pos)
+        return CApp(fn, arg, pos=self.pos(tok))
 
     # ---- programs
 
@@ -389,10 +413,10 @@ class Parser:
         seen: set[str] = set()
         while not self.at("EOF"):
             name_tok = self.expect("NAME")
-            if name_tok.text in seen:
-                raise ParseError(f"duplicate definition of {name_tok.text!r}",
-                                 name_tok.pos)
-            seen.add(name_tok.text)
+            if name_tok[1] in seen:
+                raise ParseError(f"duplicate definition of {name_tok[1]!r}",
+                                 self.pos(name_tok))
+            seen.add(name_tok[1])
             annot: Optional[TypeExpr] = None
             if self.at(":"):
                 self.next()
@@ -400,14 +424,14 @@ class Parser:
                 if not self.at("="):
                     # separate signature line: the definition follows
                     def_tok = self.expect("NAME")
-                    if def_tok.text != name_tok.text:
+                    if def_tok[1] != name_tok[1]:
                         raise ParseError(
-                            f"signature for {name_tok.text!r} must be followed "
-                            f"by its definition, found {def_tok.text!r}",
-                            def_tok.pos)
+                            f"signature for {name_tok[1]!r} must be followed "
+                            f"by its definition, found {def_tok[1]!r}",
+                            self.pos(def_tok))
             self.expect("=")
             term = self.parse_term()
-            defs.append(Def(name_tok.text, annot, term, pos=name_tok.pos))
+            defs.append(Def(name_tok[1], annot, term, pos=self.pos(name_tok)))
         return Program(tuple(defs))
 
 
@@ -426,11 +450,11 @@ def _parse_all(src: str, source_name: str, rule):
     (one per let, three per tuple type, six per parenthesis), so nesting is
     bounded by the interpreter's stack: a program nested deeper than that is
     refused at the token where the stack ran out, instead of crashing."""
-    p = Parser(tokenize(src, source_name))
+    p = Parser(src, source_name)
     try:
         node = rule(p)
     except RecursionError:
-        raise ParseError("nesting too deep", p.peek().pos) from None
+        raise ParseError("nesting too deep", p.pos(p.peek())) from None
     p.expect("EOF")
     return node
 

@@ -171,38 +171,60 @@ def validate_type(t: TypeExpr, pos: Optional[Pos] = None) -> None:
 
 class EnvPair:
     """gamma: function-level bindings; delta: command-level bindings;
-    hidden: delta names currently out of scope (for precise errors)."""
+    hidden: delta names currently out of scope (for precise errors).
+
+    Gamma is the caller's mapping, held by reference as a read-only
+    ``base`` and never copied, under a small ``local`` overlay of the names
+    the checker has bound since.  Binding a name in delta takes it out of
+    gamma: an overlay entry of ``None`` is a tombstone over a base entry of
+    that name, so once ``hide_delta`` puts the name in ``hidden`` a lookup
+    of it finds nothing and reports a delta-misuse, not the base's type.
+    ``bind``, ``hide_delta`` and ``enter_command`` return a new pair that
+    shares the base and copies at most the overlay and delta; no pair's
+    dictionaries change after it is made."""
 
     def __init__(self, gamma=None, delta=None, hidden=frozenset()):
-        self.gamma: dict[str, TypeExpr] = dict(gamma or {})
+        self.base: dict[str, TypeExpr] = gamma if gamma is not None else {}
+        self.local: dict[str, Optional[TypeExpr]] = {}
         self.delta: dict[str, TypeExpr] = dict(delta or {})
         self.hidden: frozenset[str] = frozenset(hidden)
+
+    def _derive(self, local, delta, hidden) -> "EnvPair":
+        env = object.__new__(EnvPair)
+        env.base, env.local, env.delta, env.hidden = (self.base, local,
+                                                      delta, hidden)
+        return env
 
     def lookup(self, name: str) -> Optional[TypeExpr]:
         if name in self.delta:
             return self.delta[name]
-        return self.gamma.get(name)
+        if name in self.local:
+            return self.local[name]
+        return self.base.get(name)
 
     def bind(self, pairs, delta: bool = False) -> "EnvPair":
         """`pairs` of (name, type) bound in gamma, or in delta when `delta`
         is true; each name leaves the other environment and `hidden`."""
-        env = EnvPair(self.gamma, self.delta,
-                      self.hidden.difference([name for name, _ in pairs]))
-        into, other = ((env.delta, env.gamma) if delta
-                       else (env.gamma, env.delta))
+        local, dlt = dict(self.local), dict(self.delta)
         for name, ty in pairs:
-            into[name] = ty
-            other.pop(name, None)
-        return env
+            if delta:
+                dlt[name] = ty
+                if name in self.base:
+                    local[name] = None
+                else:
+                    local.pop(name, None)
+            else:
+                local[name] = ty
+                dlt.pop(name, None)
+        return self._derive(local, dlt, self.hidden.difference(
+            [name for name, _ in pairs]))
 
     def hide_delta(self) -> "EnvPair":
-        return EnvPair(self.gamma, {}, self.hidden | set(self.delta))
+        return self._derive(self.local, {}, self.hidden | set(self.delta))
 
     def enter_command(self) -> "EnvPair":
         """All currently visible bindings become gamma for a nested arrow body."""
-        merged = dict(self.gamma)
-        merged.update(self.delta)
-        return EnvPair(merged, {}, self.hidden)
+        return self._derive({**self.local, **self.delta}, {}, self.hidden)
 
 
 class Checker:

@@ -1,13 +1,15 @@
 """Surface syntax: tokens, grammar shapes, error positions."""
+import gc
 import hashlib
 
 import pytest
 
-from qarrow.parser import ParseError, parse_command, parse_program, parse_term, parse_type
+from qarrow.parser import (ParseError, parse_command, parse_program,
+                           parse_term, parse_type, Parser, Token)
 from qarrow.stdlib import prelude_source
 from qarrow.syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit,
                            Eq, FunT, If, Lam, Let, Meas, MZero, Node, Pair,
-                           PPair, ProdT, PVar, SuperT, TrL, Var, VecAdd,
+                           Pos, PPair, ProdT, PVar, SuperT, TrL, Var, VecAdd,
                            VecScale, VecSub, VecT, VecUnit, pretty)
 
 import randprog
@@ -290,3 +292,27 @@ def test_parse_trees_and_positions_are_unchanged():
         for node in _nodes(tree, []):
             h.update(f"{type(node).__name__} {node.pos!r}\n".encode())
     assert h.hexdigest() == TREES_SHA256
+
+
+def _alive(*classes):
+    """How many objects of each of `classes` the collector tracks."""
+    objs = gc.get_objects()
+    return [sum(type(o) is cls for o in objs) for cls in classes]
+
+
+def test_a_parse_keeps_no_token_and_a_pos_only_on_nodes():
+    corpus = _corpus()
+    gc.collect()
+    tokens, positions = _alive(Token, Pos)
+    trees = [parse_program(src, name) for name, src in corpus]
+    gc.collect()
+    nodes = sum(len(_nodes(tree, [])) for tree in trees)
+    tokens_after, positions_after = _alive(Token, Pos)
+    assert tokens_after == tokens
+    assert positions_after - positions <= nodes
+    # the scan's tokens hold only strings and ints, so the collector
+    # stops tracking them at its first collection
+    name, src = corpus[-1]
+    toks = Parser(src, name).toks
+    gc.collect()
+    assert not any(map(gc.is_tracked, toks))
