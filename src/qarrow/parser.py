@@ -35,12 +35,13 @@ character is an "unexpected character" error at its position.  Lines count
 ``\\n`` only, and columns count characters from 1.
 
 The scan makes each token a plain tuple ``(kind, text, line, col)`` and
-ends the list in an EOF token.  A tuple that holds only strings and ints is
-one CPython's cyclic collector stops tracking at its first collection, and
-a parse makes a token for every few bytes of source; a ``NamedTuple``
-(such as ``Token`` or ``Pos``) is tracked for as long as it lives.  So the
-parser keeps the source name once and makes a ``Pos`` only for a node it
-builds or an error it raises.  ``tokenize`` is the public view of the same
+ends the list in an EOF token.  A parse makes a token for every few bytes
+of source.  CPython's cyclic collector stops tracking a plain tuple of
+strings and ints at the first collection it survives, but tracks a
+``NamedTuple`` (such as ``Token`` or ``Pos``) for as long as it lives, and
+every tracked object makes each later collection longer.  So the parser
+keeps the source name once and makes a ``Pos`` only for a node it builds
+or an error it raises.  ``tokenize`` is the public view of the same
 scan: one ``Token`` (kind, text, ``Pos``) per token.  The parser reads the
 scan's list with a second EOF appended, so it can look one token ahead
 anywhere without a bounds check.

@@ -74,7 +74,7 @@ def test_no_module_imports_the_collector():
     assert [p.name for p in SOURCES
             if "gc" in absolute_imports(p.read_text(encoding="utf-8"))] == []
     assert absolute_imports("import gc as g\nfrom os.path import join\n"
-                          "from .gc import x\n") == {"gc", "os"}
+                            "from .gc import x\n") == {"gc", "os"}
 
 
 # Top-level names kept without a caller in the package, with the reason.
