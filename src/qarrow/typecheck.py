@@ -63,6 +63,11 @@ from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
                      VecScale, VecSub, VecT, VecUnit)
 
 
+# Records are immutable and compared by value, so one Bool serves every
+# literal and condition.
+_BOOL = BoolT()
+
+
 class TypeCheckError(QarrowError):
     def __init__(self, kind: str, pos: Optional[Pos], expected=None,
                  found=None, detail: str = ""):
@@ -108,6 +113,8 @@ class Unifier:
     def unify(self, expected: TypeExpr, found: TypeExpr, pos: Optional[Pos],
               detail: str = "") -> None:
         a, b = self.head(expected), self.head(found)
+        if a is b:
+            return
         if isinstance(a, TVar):
             if isinstance(b, TVar) and b.uid == a.uid:
                 return
@@ -138,21 +145,19 @@ class Unifier:
         return rebuild(t, changes)
 
     def resolve_full(self, t: TypeExpr, pos: Optional[Pos]) -> TypeExpr:
-        r = self.resolve(t)
-        if _has_tvar(r):
+        """`resolve`, where an unsolved variable is an ambiguity error."""
+        t = self.head(t)
+        if isinstance(t, TVar):
             raise TypeCheckError(
                 "mismatch", pos,
                 detail="ambiguous type; an annotation is required")
-        return r
-
-
-def _has_tvar(t: TypeExpr) -> bool:
-    if isinstance(t, TVar):
-        return True
-    for f in t.child_fields:
-        if _has_tvar(getattr(t, f)):
-            return True
-    return False
+        changes = {}
+        for f in t.child_fields:
+            kid = getattr(t, f)
+            new = self.resolve_full(kid, pos)
+            if new is not kid:
+                changes[f] = new
+        return rebuild(t, changes)
 
 
 def validate_type(t: TypeExpr, pos: Optional[Pos] = None) -> None:
@@ -243,9 +248,21 @@ class Checker:
     def _halves(self, t: TypeExpr, pos: Optional[Pos],
                 what: str) -> tuple[TypeExpr, TypeExpr]:
         """The two component types of the pair type `t`."""
+        h = self.uni.head(t)
+        if isinstance(h, ProdT):
+            return h.left, h.right
         l, r = self.uni.fresh(), self.uni.fresh()
         self.uni.unify(ProdT(l, r), t, pos, detail=f"{what} needs a pair")
         return l, r
+
+    def _elem(self, t: TypeExpr, pos: Optional[Pos], detail: str) -> TypeExpr:
+        """The element type of the vector type `t`."""
+        h = self.uni.head(t)
+        if isinstance(h, VecT):
+            return h.elem
+        elem = self.uni.fresh()
+        self.uni.unify(VecT(elem), t, pos, detail=detail)
+        return elem
 
     def check_obligations(self) -> None:
         for t, pos in self.obligations:
@@ -311,26 +328,32 @@ class Checker:
             return ty, t
 
         if isinstance(t, BoolLit):
-            return BoolT(), t
+            return _BOOL, t
 
         if isinstance(t, Pair):
             hint = self._hint(expected, ProdT)
             lt, l2 = self.elaborate_term(env, t.left, hint.left if hint else None)
             rt, r2 = self.elaborate_term(env, t.right, hint.right if hint else None)
-            return ProdT(lt, rt), Pair(l2, r2, pos=t.pos)
+            if l2 is not t.left or r2 is not t.right:
+                t = Pair(l2, r2, pos=t.pos)
+            return ProdT(lt, rt), t
 
         if isinstance(t, (Fst, Snd)):
             at, a2 = self.elaborate_term(env, t.arg)
             first = isinstance(t, Fst)
             l, r = self._halves(at, t.pos, "fst" if first else "snd")
-            return (l if first else r), type(t)(a2, pos=t.pos)
+            if a2 is not t.arg:
+                t = type(t)(a2, pos=t.pos)
+            return (l if first else r), t
 
         if isinstance(t, Eq):
             lt, l2 = self.elaborate_term(env, t.left)
             rt, r2 = self.elaborate_term(env, t.right)
             self.uni.unify(lt, rt, t.pos, detail="== compares equal types")
             self._classical(lt, t.pos)
-            return BoolT(), Eq(l2, r2, pos=t.pos)
+            if l2 is not t.left or r2 is not t.right:
+                t = Eq(l2, r2, pos=t.pos)
+            return _BOOL, t
 
         if isinstance(t, Lam):
             hint = self._hint(expected, FunT)
@@ -338,19 +361,24 @@ class Checker:
             env2 = env.bind(self.bind_pattern(t.pat, arg_t))
             body_t, body2 = self.elaborate_term(env2, t.body,
                                                 hint.res if hint else None)
-            return FunT(arg_t, body_t), Lam(t.pat, body2, pos=t.pos)
+            if body2 is not t.body:
+                t = Lam(t.pat, body2, pos=t.pos)
+            return FunT(arg_t, body_t), t
 
         if isinstance(t, App):
             ft, f2 = self.elaborate_term(env, t.fn)
             fh = self.uni.head(ft)
             if isinstance(fh, FunT):
                 at, a2 = self.elaborate_term(env, t.arg, fh.arg)
-                return fh.res, App(f2, a2, pos=t.pos)
-            at, a2 = self.elaborate_term(env, t.arg)
-            res = self.uni.fresh()
-            self.uni.unify(FunT(at, res), ft, t.pos,
-                           detail="application needs a function")
-            return res, App(f2, a2, pos=t.pos)
+                res = fh.res
+            else:
+                at, a2 = self.elaborate_term(env, t.arg)
+                res = self.uni.fresh()
+                self.uni.unify(FunT(at, res), ft, t.pos,
+                               detail="application needs a function")
+            if f2 is not t.fn or a2 is not t.arg:
+                t = App(f2, a2, pos=t.pos)
+            return res, t
 
         if isinstance(t, Let):
             bt, b2 = self.elaborate_term(env, t.bound)
@@ -375,58 +403,61 @@ class Checker:
                 del self.obligations[n_obl:]
             env2 = env.bind(self.bind_pattern(t.pat, bt))
             nt, n2 = self.elaborate_term(env2, t.body, expected)
-            return nt, Let(t.pat, b2, n2, pos=t.pos)
+            if b2 is not t.bound or n2 is not t.body or type(t) is not Let:
+                t = Let(t.pat, b2, n2, pos=t.pos)
+            return nt, t
 
         if isinstance(t, VecLet):
             # Already elaborated input (e.g. re-checking a rewritten tree).
             bt, b2 = self.elaborate_term(env, t.bound)
-            elem = self.uni.fresh()
-            self.uni.unify(VecT(elem), bt, t.pos, detail="vector bind")
+            elem = self._elem(bt, t.pos, "vector bind")
             env2 = env.bind(self.bind_pattern(t.pat, elem))
             nt, n2 = self.elaborate_term(env2, t.body, expected)
-            res = self.uni.fresh()
-            self.uni.unify(VecT(res), nt, t.pos, detail="vector bind body")
+            self._elem(nt, t.pos, "vector bind body")
             if t.type_ is not None:
                 self.uni.unify(t.type_, nt, t.pos)
             self._classical(elem, t.pos)
             return nt, VecLet(t.pat, b2, n2, pos=t.pos, type_=nt)
 
         if isinstance(t, If):
-            ct, c2 = self.elaborate_term(env, t.cond, BoolT())
+            ct, c2 = self.elaborate_term(env, t.cond, _BOOL)
             tt, t2 = self.elaborate_term(env, t.then, expected)
             et, e2 = self.elaborate_term(env, t.orelse, expected)
             self.uni.unify(tt, et, t.pos, detail="if branches must agree")
-            return tt, If(c2, t2, e2, pos=t.pos)
+            if c2 is not t.cond or t2 is not t.then or e2 is not t.orelse:
+                t = If(c2, t2, e2, pos=t.pos)
+            return tt, t
 
         if isinstance(t, VecUnit):
             hint = self._hint(expected, VecT)
             ct, c2 = self.elaborate_term(env, t.content,
                                          hint.elem if hint else None)
             self._classical(ct, t.pos)
-            return VecT(ct), VecUnit(c2, pos=t.pos)
+            if c2 is not t.content:
+                t = VecUnit(c2, pos=t.pos)
+            return VecT(ct), t
 
         if isinstance(t, (VecAdd, VecSub)):
             lt, l2 = self.elaborate_term(env, t.left, expected)
             rt, r2 = self.elaborate_term(env, t.right, expected)
             self.uni.unify(lt, rt, t.pos, detail="vector sum of equal types")
-            elem = self.uni.fresh()
-            self.uni.unify(VecT(elem), lt, t.pos,
-                           detail="+/- applies to vector-typed terms")
-            return lt, type(t)(l2, r2, pos=t.pos)
+            self._elem(lt, t.pos, "+/- applies to vector-typed terms")
+            if l2 is not t.left or r2 is not t.right:
+                t = type(t)(l2, r2, pos=t.pos)
+            return lt, t
 
         if isinstance(t, VecScale):
             at, a2 = self.elaborate_term(env, t.arg, expected)
-            elem = self.uni.fresh()
-            self.uni.unify(VecT(elem), at, t.pos,
-                           detail="scaling applies to vector-typed terms")
-            return at, VecScale(t.scalar, a2, pos=t.pos)
+            self._elem(at, t.pos, "scaling applies to vector-typed terms")
+            if a2 is not t.arg:
+                t = VecScale(t.scalar, a2, pos=t.pos)
+            return at, t
 
         if isinstance(t, MZero):
             if t.type_ is not None:
                 validate_type(t.type_, t.pos)
             ty = t.type_ if t.type_ is not None else VecT(self.uni.fresh())
-            elem = self.uni.fresh()
-            self.uni.unify(VecT(elem), ty, t.pos, detail="mzero is vector-typed")
+            elem = self._elem(ty, t.pos, "mzero is vector-typed")
             self._classical(elem, t.pos)
             return ty, MZero(pos=t.pos, type_=ty)
 
@@ -542,7 +573,10 @@ def _elaborate_pass(env: EnvPair, term: Term, expected: Optional[TypeExpr]
     resolved = checker.uni.resolve_full(ty, term.pos)
     checker.check_obligations()
     validate_type(resolved, term.pos)
-    return resolved, checker.finalize(t2), checker.guessed
+    if checker.uni._next:
+        # with no variable made, every recorded type is already resolved
+        t2 = checker.finalize(t2)
+    return resolved, t2, checker.guessed
 
 
 def elaborate_term(env, term: Term,

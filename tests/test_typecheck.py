@@ -1,5 +1,6 @@
 """Two-environment typechecker: inference, elaboration, diagnostics."""
 import hashlib
+import operator
 import re
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from qarrow.syntax import (ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, FunT,
                            PVar, SuperT, TrL, TypeExpr, type_str, Var, VecLet,
                            VecT, VecUnit)
 from qarrow.typecheck import (elaborate_program, elaborate_term, EnvPair,
-                              TypeCheckError)
+                              TypeCheckError, Unifier)
 
 from ill_typed import ILL_TYPED
 
@@ -382,6 +383,56 @@ def test_elaborated_trees_keep_their_positions(prelude):
             _tree_lines(d.term, out)
             digest.update("\n".join(out).encode())
     assert digest.hexdigest() == PINNED_SHA256
+
+
+def _copies(parsed, elaborated, out):
+    """Append to `out` each elaborated node that is not its parsed node
+    though its children are the parsed node's own and it records nothing."""
+    if elaborated is parsed:
+        return
+    kids = [getattr(parsed, f) for f in parsed.child_fields]
+    new = [getattr(elaborated, f) for f in elaborated.child_fields]
+    if (len(kids) == len(new) and all(map(operator.is_, kids, new))
+            and all(getattr(elaborated, f) is None
+                    for f in elaborated.annot_fields)):
+        out.append(elaborated)
+    for p, e in zip(kids, new):
+        _copies(p, e, out)
+
+
+def test_unchanged_nodes_are_shared(prelude):
+    """The checker returns the very node it was given wherever no child
+    changed and there is nothing to record on it."""
+    for name, prog, gamma in _pinned_corpus(prelude):
+        _, el = elaborate_program(prog, dict(gamma))
+        copies = []
+        for before, after in zip(prog.defs, el.defs):
+            _copies(before.term, after.term, copies)
+        assert copies == [], name
+
+
+def test_reelaborating_the_prelude_makes_no_type_variable(prelude,
+                                                          monkeypatch):
+    """An elaborated definition checked again at its own type has every
+    type it needs on hand: the checker reads it, makes no variable, and
+    gives the same tree back, positions and annotations included."""
+    made = []
+    fresh = Unifier.fresh
+
+    def counted(self):
+        made.append(1)
+        return fresh(self)
+
+    monkeypatch.setattr(Unifier, "fresh", counted)
+    for d in prelude.program.defs:
+        made.clear()
+        ty, tree = elaborate_term(prelude.types, d.term, prelude.types[d.name])
+        assert (d.name, len(made)) == (d.name, 0)
+        assert ty == prelude.types[d.name] and tree == d.term
+        want, got = [], []
+        _tree_lines(d.term, want)
+        _tree_lines(tree, got)
+        assert got == want, d.name
 
 
 # Each error on the checker's unification path, with the type wrong where
