@@ -355,8 +355,11 @@ def _bind_plus_r(rw, n):
 
 def _delta(rw, n):
     body = rw.apart.get(n.name)
-    if body is None and n.name in rw.unfold:
-        body = rw.apart[n.name] = rw.rename_apart(rw.unfold[n.name])
+    if body is None:
+        body = rw.defs.get(n.name)
+        if body is None or isinstance(body, ArrowAbs):
+            return None
+        body = rw.apart[n.name] = rw.rename_apart(body)
     return body
 
 
@@ -491,13 +494,10 @@ class Rewriter:
 
     def __init__(self, defs: Optional[dict[str, Term]] = None,
                  fuel: int = 10000):
-        defs = defs or {}
-        self.reserved = frozenset(defs)
-        self.unfold: dict[str, Term] = {
-            name: term for name, term in defs.items()
-            if not isinstance(term, ArrowAbs)
-        }
-        # the bodies of `unfold` renamed apart, each on its first unfold
+        self.defs = defs or {}
+        self.reserved = frozenset(self.defs)
+        # the bodies of the definitions renamed apart, each on its first
+        # unfold; an arrow abstraction never unfolds
         self.apart: dict[str, Term] = {}
         self.fuel = fuel
 
