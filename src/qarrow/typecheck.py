@@ -12,7 +12,9 @@ solved on the fly, so unannotated lambdas still typecheck whenever their
 use determines the type.  Where a type cannot be determined, an annotation
 is required.
 
-Besides types, checking produces an *elaborated* copy of the tree:
+Besides types, checking produces an *elaborated* tree.  It shares every
+node that it does not change: a node whose children come back as they were
+and that records nothing is returned itself.  The changes are these:
 
 * sharing ``let`` whose bound term is vector-typed and whose body is
   vector-typed becomes a monadic ``VecLet``;
@@ -20,6 +22,14 @@ Besides types, checking produces an *elaborated* copy of the tree:
   vector-valued term;
 * arrow abstractions, command applications, lets, ``meas``/``trL`` record
   the types the translator needs.
+
+Where a rule needs the halves of a pair type or the element of a vector
+type and the type is already known to be one, the checker reads them off
+it; only an unknown or wrong type is unified against a fresh skeleton,
+which gives the same solution and the same error.  So a term whose types
+are all known, such as an elaborated definition checked again at its own
+type, makes no unification variable, and ``finalize``, which resolves the
+variables out of the recorded types, runs only when a variable was made.
 
 The first two are mode decisions, made on the types known at the moment
 the node is checked.  With no expected type, a second pass at the type the
@@ -403,7 +413,7 @@ class Checker:
                 del self.obligations[n_obl:]
             env2 = env.bind(self.bind_pattern(t.pat, bt))
             nt, n2 = self.elaborate_term(env2, t.body, expected)
-            if b2 is not t.bound or n2 is not t.body or type(t) is not Let:
+            if b2 is not t.bound or n2 is not t.body:
                 t = Let(t.pat, b2, n2, pos=t.pos)
             return nt, t
 
@@ -535,6 +545,9 @@ class Checker:
             if isinstance(c, Meas):
                 res = ProdT(at, at)
             else:
+                # a new pair, not the argument's own pair type: that one
+                # may carry the position it was written at, and the
+                # recorded pair has never had one
                 at = ProdT(*self._halves(at, c.pos, "trL"))
                 res = at.right
             self._classical(at, c.pos)
