@@ -58,6 +58,8 @@ Within one ``normalize`` call, the leftmost-outermost search restarts from
 the root after each rewrite and skips the subtrees it has found free of
 redexes: nodes are immutable, and a matcher reads only its node's subtree
 and the unfoldable definitions, so such a subtree stays free of redexes.
+A rewrite, substitution included, keeps the very subtrees it does not
+touch, so the search skips those too.
 
 Definition unfolding (``delta``) is restricted to definitions that are not
 arrow abstractions; programs are non-recursive, so unfolding terminates.
@@ -507,15 +509,12 @@ class Rewriter:
         reserved name."""
         changes = {}
         for f in node.child_fields:
-            kid = getattr(node, f)
-            new = self.rename_apart(kid)
-            if new is not kid:
-                changes[f] = new
+            changes[f] = self.rename_apart(getattr(node, f))
         if node.binder:
             clash = self.reserved.intersection(pattern_names(node.pat))
             if clash:
                 scope = node.child_fields[-1]
-                body = changes.get(scope, getattr(node, scope))
+                body = changes[scope]
                 changes["pat"], renaming = freshen_pattern(
                     node.pat, clash, self.reserved | free_vars(body))
                 changes[scope] = subst_map(body, renaming, self.reserved)
@@ -689,7 +688,7 @@ def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
     if lt is None or rt is None:
         err = left_err or right_err
         return Unknown(f"typechecking failed: {err}")
-    if type_str(lt) != type_str(rt):
+    if lt != rt:
         return NotEqual(f"types differ: {type_str(lt)} vs {type_str(rt)}")
 
     rw = Rewriter(defs, fuel)

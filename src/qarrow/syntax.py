@@ -22,10 +22,12 @@ Each term, command and type class declares its subtrees once, as the class
 attribute ``child_fields``: the names of its fields that hold a term, command
 or type, in field order.  Every other walk of the tree (here, in the checker
 and in the rewriter) is derived from that declaration and rebuilds nodes with
-``rebuild``.  When a node class is created, ``Node`` also derives from its
-fields ``data_fields`` (compared fields that are neither children nor
-``pat``, such as a variable's name), ``annot_fields`` (keyword-only fields
-other than ``pos``) and ``binder`` (whether it has a ``pat`` field).
+``rebuild``, which returns the node itself when no field changes, so a
+walk passes every field it recomputes and shares what it does not change.
+When a node class is created, ``Node`` also derives from its fields
+``data_fields`` (compared fields that are neither children nor ``pat``,
+such as a variable's name), ``annot_fields`` (keyword-only fields other
+than ``pos``) and ``binder`` (whether it has a ``pat`` field).
 
 The binder rule: a node with a ``pat`` field binds the pattern's names in its
 *last* child only.  So ``\\x. M`` and ``\\@x. Q`` bind ``x`` in their body,
@@ -442,11 +444,19 @@ def rebuild(node: Node, changes: dict) -> Node:
     """A copy of `node` with the fields in `changes` replaced and every other
     field, ``pos`` included, copied; `node` itself when nothing changes.
 
-    Fills the new instance's dictionary from the old one's in two C-level
-    updates, which costs less than calling the class with every field
-    spelled out.
+    A child, the pattern or a data field changes unless it is the same
+    object, as ``==`` ignores positions and annotations; an annotation
+    changes unless it equals the recorded one.  A copy fills the new
+    instance's dictionary from the old one's in two C-level updates, which
+    costs less than calling the class with every field spelled out.
     """
-    if not changes:
+    for f, v in changes.items():
+        old = getattr(node, f)
+        # no recorded annotation (None) equals a new one
+        if v is not old and (old is None or f not in node.annot_fields
+                             or v != old):
+            break
+    else:
         return node
     new = object.__new__(type(node))
     d = new.__dict__

@@ -14,7 +14,9 @@ is required.
 
 Besides types, checking produces an *elaborated* tree.  It shares every
 node that it does not change: a node whose children come back as they were
-and that records nothing is returned itself.  The changes are these:
+and whose recorded annotations equal those it computes is returned itself
+(``syntax.rebuild``), so an elaborated tree checked again at its type comes
+back as the same object.  The changes are these:
 
 * sharing ``let`` whose bound term is vector-typed and whose body is
   vector-typed becomes a monadic ``VecLet``;
@@ -66,11 +68,11 @@ from __future__ import annotations
 from typing import Optional
 
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
-                     Def, Eq, Fst, FunT, If, is_classical, Lam, Let,
-                     Meas, MZero, Pair, Pattern, pattern_names, Pos, ProdT,
-                     Program, PVar, QarrowError, rebuild, Snd, SuperT, Term,
-                     TrL, TVar, type_str, TypeExpr, Var, VecAdd, VecLet,
-                     VecScale, VecSub, VecT, VecUnit)
+                     Eq, Fst, FunT, If, is_classical, Lam, Let, Meas, MZero,
+                     Pair, Pattern, pattern_names, Pos, ProdT, Program, PVar,
+                     QarrowError, rebuild, Snd, SuperT, Term, TrL, TVar,
+                     type_str, TypeExpr, Var, VecAdd, VecLet, VecScale, VecSub,
+                     VecT, VecUnit)
 
 
 # Records are immutable and compared by value, so one Bool serves every
@@ -148,10 +150,7 @@ class Unifier:
         t = self.head(t)
         changes = {}
         for f in t.child_fields:
-            kid = getattr(t, f)
-            new = self.resolve(kid)
-            if new is not kid:
-                changes[f] = new
+            changes[f] = self.resolve(getattr(t, f))
         return rebuild(t, changes)
 
     def resolve_full(self, t: TypeExpr, pos: Optional[Pos]) -> TypeExpr:
@@ -163,10 +162,7 @@ class Unifier:
                 detail="ambiguous type; an annotation is required")
         changes = {}
         for f in t.child_fields:
-            kid = getattr(t, f)
-            new = self.resolve_full(kid, pos)
-            if new is not kid:
-                changes[f] = new
+            changes[f] = self.resolve_full(getattr(t, f), pos)
         return rebuild(t, changes)
 
 
@@ -344,26 +340,20 @@ class Checker:
             hint = self._hint(expected, ProdT)
             lt, l2 = self.elaborate_term(env, t.left, hint.left if hint else None)
             rt, r2 = self.elaborate_term(env, t.right, hint.right if hint else None)
-            if l2 is not t.left or r2 is not t.right:
-                t = Pair(l2, r2, pos=t.pos)
-            return ProdT(lt, rt), t
+            return ProdT(lt, rt), rebuild(t, {"left": l2, "right": r2})
 
         if isinstance(t, (Fst, Snd)):
             at, a2 = self.elaborate_term(env, t.arg)
             first = isinstance(t, Fst)
             l, r = self._halves(at, t.pos, "fst" if first else "snd")
-            if a2 is not t.arg:
-                t = type(t)(a2, pos=t.pos)
-            return (l if first else r), t
+            return (l if first else r), rebuild(t, {"arg": a2})
 
         if isinstance(t, Eq):
             lt, l2 = self.elaborate_term(env, t.left)
             rt, r2 = self.elaborate_term(env, t.right)
             self.uni.unify(lt, rt, t.pos, detail="== compares equal types")
             self._classical(lt, t.pos)
-            if l2 is not t.left or r2 is not t.right:
-                t = Eq(l2, r2, pos=t.pos)
-            return _BOOL, t
+            return _BOOL, rebuild(t, {"left": l2, "right": r2})
 
         if isinstance(t, Lam):
             hint = self._hint(expected, FunT)
@@ -371,9 +361,7 @@ class Checker:
             env2 = env.bind(self.bind_pattern(t.pat, arg_t))
             body_t, body2 = self.elaborate_term(env2, t.body,
                                                 hint.res if hint else None)
-            if body2 is not t.body:
-                t = Lam(t.pat, body2, pos=t.pos)
-            return FunT(arg_t, body_t), t
+            return FunT(arg_t, body_t), rebuild(t, {"body": body2})
 
         if isinstance(t, App):
             ft, f2 = self.elaborate_term(env, t.fn)
@@ -386,9 +374,7 @@ class Checker:
                 res = self.uni.fresh()
                 self.uni.unify(FunT(at, res), ft, t.pos,
                                detail="application needs a function")
-            if f2 is not t.fn or a2 is not t.arg:
-                t = App(f2, a2, pos=t.pos)
-            return res, t
+            return res, rebuild(t, {"fn": f2, "arg": a2})
 
         if isinstance(t, Let):
             bt, b2 = self.elaborate_term(env, t.bound)
@@ -413,9 +399,7 @@ class Checker:
                 del self.obligations[n_obl:]
             env2 = env.bind(self.bind_pattern(t.pat, bt))
             nt, n2 = self.elaborate_term(env2, t.body, expected)
-            if b2 is not t.bound or n2 is not t.body:
-                t = Let(t.pat, b2, n2, pos=t.pos)
-            return nt, t
+            return nt, rebuild(t, {"bound": b2, "body": n2})
 
         if isinstance(t, VecLet):
             # Already elaborated input (e.g. re-checking a rewritten tree).
@@ -427,41 +411,33 @@ class Checker:
             if t.type_ is not None:
                 self.uni.unify(t.type_, nt, t.pos)
             self._classical(elem, t.pos)
-            return nt, VecLet(t.pat, b2, n2, pos=t.pos, type_=nt)
+            return nt, rebuild(t, {"bound": b2, "body": n2, "type_": nt})
 
         if isinstance(t, If):
             ct, c2 = self.elaborate_term(env, t.cond, _BOOL)
             tt, t2 = self.elaborate_term(env, t.then, expected)
             et, e2 = self.elaborate_term(env, t.orelse, expected)
             self.uni.unify(tt, et, t.pos, detail="if branches must agree")
-            if c2 is not t.cond or t2 is not t.then or e2 is not t.orelse:
-                t = If(c2, t2, e2, pos=t.pos)
-            return tt, t
+            return tt, rebuild(t, {"cond": c2, "then": t2, "orelse": e2})
 
         if isinstance(t, VecUnit):
             hint = self._hint(expected, VecT)
             ct, c2 = self.elaborate_term(env, t.content,
                                          hint.elem if hint else None)
             self._classical(ct, t.pos)
-            if c2 is not t.content:
-                t = VecUnit(c2, pos=t.pos)
-            return VecT(ct), t
+            return VecT(ct), rebuild(t, {"content": c2})
 
         if isinstance(t, (VecAdd, VecSub)):
             lt, l2 = self.elaborate_term(env, t.left, expected)
             rt, r2 = self.elaborate_term(env, t.right, expected)
             self.uni.unify(lt, rt, t.pos, detail="vector sum of equal types")
             self._elem(lt, t.pos, "+/- applies to vector-typed terms")
-            if l2 is not t.left or r2 is not t.right:
-                t = type(t)(l2, r2, pos=t.pos)
-            return lt, t
+            return lt, rebuild(t, {"left": l2, "right": r2})
 
         if isinstance(t, VecScale):
             at, a2 = self.elaborate_term(env, t.arg, expected)
             self._elem(at, t.pos, "scaling applies to vector-typed terms")
-            if a2 is not t.arg:
-                t = VecScale(t.scalar, a2, pos=t.pos)
-            return at, t
+            return at, rebuild(t, {"arg": a2})
 
         if isinstance(t, MZero):
             if t.type_ is not None:
@@ -469,7 +445,7 @@ class Checker:
             ty = t.type_ if t.type_ is not None else VecT(self.uni.fresh())
             elem = self._elem(ty, t.pos, "mzero is vector-typed")
             self._classical(elem, t.pos)
-            return ty, MZero(pos=t.pos, type_=ty)
+            return ty, rebuild(t, {"type_": ty})
 
         if isinstance(t, ArrowAbs):
             hint = self._hint(expected, SuperT)
@@ -484,7 +460,7 @@ class Checker:
             ty = SuperT(arg_t, res_t)
             if t.type_ is not None:
                 self.uni.unify(t.type_, ty, t.pos)
-            return ty, ArrowAbs(t.pat, cmd2, pos=t.pos, type_=ty)
+            return ty, rebuild(t, {"cmd": cmd2, "type_": ty})
 
         raise TypeCheckError("mismatch", t.pos, detail=f"unexpected term {t!r}")
 
@@ -508,7 +484,7 @@ class Checker:
             if c.fn_type is not None:
                 self.uni.unify(c.fn_type, fh, c.pos)
             at, a2 = self.elaborate_term(env, c.arg, fh.arg)
-            return fh.res, CApp(f2, a2, pos=c.pos, fn_type=fh)
+            return fh.res, rebuild(c, {"fn": f2, "arg": a2, "fn_type": fh})
 
         if isinstance(c, CUnit):
             ct, c2 = self.elaborate_term(env, c.content)
@@ -519,15 +495,16 @@ class Checker:
                 if c.content_type is not None and c.mode == "vec":
                     self.uni.unify(c.content_type, ch.elem, c.pos)
                 self._classical(ch.elem, c.pos)
-                return ch.elem, CUnit(c2, pos=c.pos, mode="vec",
-                                      content_type=ch.elem)
+                return ch.elem, rebuild(c, {"content": c2, "mode": "vec",
+                                            "content_type": ch.elem})
             if isinstance(ch, (FunT, SuperT)):
                 raise TypeCheckError(
                     "non-classical-basis", c.pos,
                     detail=f"a command unit needs a classical or vector-typed "
                            f"content, found {type_str(self.uni.resolve(ch))}")
             self._classical(ct, c.pos)
-            return ct, CUnit(c2, pos=c.pos, mode="classical", content_type=ct)
+            return ct, rebuild(c, {"content": c2, "mode": "classical",
+                                   "content_type": ct})
 
         if isinstance(c, CLet):
             bt, b2 = self.elaborate_command(env, c.bound)
@@ -535,7 +512,7 @@ class Checker:
                 self.uni.unify(c.bound_type, bt, c.pos)
             env2 = env.bind(self.bind_pattern(c.pat, bt), delta=True)
             nt, n2 = self.elaborate_command(env2, c.body)
-            return nt, CLet(c.pat, b2, n2, pos=c.pos, bound_type=bt)
+            return nt, rebuild(c, {"bound": b2, "body": n2, "bound_type": bt})
 
         if isinstance(c, (Meas, TrL)):
             # meas copies its classical argument; trL keeps a pair's second
@@ -551,7 +528,7 @@ class Checker:
                 at = ProdT(*self._halves(at, c.pos, "trL"))
                 res = at.right
             self._classical(at, c.pos)
-            return res, type(c)(a2, pos=c.pos, arg_type=at)
+            return res, rebuild(c, {"arg": a2, "arg_type": at})
 
         raise TypeCheckError("mismatch", c.pos, detail=f"unexpected command {c!r}")
 
@@ -562,16 +539,11 @@ class Checker:
         ambiguity error at the node that records it."""
         changes = {}
         for f in node.child_fields:
-            kid = getattr(node, f)
-            new = self.finalize(kid)
-            if new is not kid:
-                changes[f] = new
+            changes[f] = self.finalize(getattr(node, f))
         for f in node.annot_fields:
             t = getattr(node, f)
             if isinstance(t, TypeExpr):
-                new = self.uni.resolve_full(t, node.pos)
-                if new is not t:
-                    changes[f] = new
+                changes[f] = self.uni.resolve_full(t, node.pos)
         return rebuild(node, changes)
 
 
@@ -623,5 +595,5 @@ def elaborate_program(program: Program,
         ty, t2 = elaborate_term(env, d.term, d.annot)
         env[d.name] = ty
         types[d.name] = ty
-        new_defs.append(Def(d.name, d.annot, t2, pos=d.pos))
+        new_defs.append(rebuild(d, {"term": t2}))
     return types, Program(tuple(new_defs))

@@ -980,6 +980,17 @@ def test_deep_nesting_is_a_clean_error(tmp_path, name):
                         proc.stderr), proc.stderr
 
 
+def test_a_program_too_deep_to_check_exits_2(tmp_path):
+    # 600 nested term lets parse, and then the checker runs out of stack
+    lets = "\n  ".join(f"let x{i + 1} = x{i} in" for i in range(600))
+    (tmp_path / "lets.qarr").write_text(
+        f"b : Bool\nb = let x0 = True in\n  {lets}\n  x600\n")
+    proc = _cli_child(tmp_path, "check", "lets.qarr")
+    assert (proc.returncode, proc.stdout) == (BADINPUT, "")
+    assert proc.stderr == ("lets.qarr: RecursionError: maximum recursion "
+                           "depth exceeded\n")
+
+
 def test_memory_and_recursion_errors_exit_2(runcli, demo, monkeypatch):
     def explode(*args):
         raise MemoryError("Unable to allocate 4.00 GiB")

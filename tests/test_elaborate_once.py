@@ -33,7 +33,8 @@ RETRY_TERMS = ["\\x. (let y = x in hadamard True, x + hadamard False)",
 
 
 def _finalize_every_node(checker, node):
-    """Finalization as it was: every node rebuilt, changed or not."""
+    """Finalization as it was: every child and every recorded type
+    resolved, with no test of what changed."""
     changes = {}
     for f in node.child_fields:
         changes[f] = _finalize_every_node(checker, getattr(node, f))

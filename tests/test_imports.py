@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every top-level function or class has a caller in the package or is
-exported, so does every method, and every exception class the package
-defines is a ``QarrowError``."""
+exported, so does every method, no function calls itself inside a
+comprehension, and every exception class the package defines is a
+``QarrowError``."""
 import ast
 import collections
 import importlib
@@ -138,6 +139,78 @@ def test_orphan_guard_sees_callers():
                "b": "from .a import g\n"
                     "def h() -> 'C':\n    return g()\n"}
     assert orphans(sources, {"h"}) == ["a.C.n", "a.f"]
+
+
+# Functions kept calling themselves inside a comprehension, with the reason.
+KEPT_SELF_CALLS: dict[str, str] = {
+    "linalg.basis": "a type's basis has 2**depth elements, so this "
+                    "recursion is never deep",
+}
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _comprehension_scope(comp: ast.AST) -> list[ast.AST]:
+    """The parts of a comprehension evaluated in its own frame: all but the
+    first iterable, which the enclosing function evaluates."""
+    first, *rest = comp.generators
+    parts = [getattr(comp, f) for f in ("elt", "key", "value")
+             if hasattr(comp, f)]
+    return parts + [*first.ifs, *rest]
+
+
+def self_calls_in_comprehensions(source: str) -> list[str]:
+    """The qualified name of each function in `source` that calls itself,
+    by its name or as ``self.name``, inside a comprehension or a generator
+    expression.  Before Python 3.12 each of those is a stack frame of its
+    own, which halves the depth of tree a recursive walk can take."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                if _calls_itself_in_comprehension(child):
+                    found.append(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def _calls_itself_in_comprehension(fn: ast.AST) -> bool:
+    for comp in ast.walk(fn):
+        if not isinstance(comp, _COMPREHENSIONS):
+            continue
+        for part in _comprehension_scope(comp):
+            for call in ast.walk(part):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if ((isinstance(f, ast.Name) and f.id == fn.name)
+                        or (isinstance(f, ast.Attribute) and f.attr == fn.name
+                            and isinstance(f.value, ast.Name)
+                            and f.value.id == "self")):
+                    return True
+    return False
+
+
+def test_no_walk_recurses_inside_a_comprehension():
+    found = [f"{p.stem}.{name}" for p in SOURCES for name in
+             self_calls_in_comprehensions(p.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(KEPT_SELF_CALLS)
+
+
+def test_self_call_guard_sees_comprehensions():
+    src = ("def f(x):\n    return [f(y) for y in x]\n"
+           "def g(x):\n    return tuple(y for y in g(x))\n"
+           "def h(x):\n    out = []\n    for y in x:\n"
+           "        out.append(h(y))\n    return out\n"
+           "class C:\n"
+           "    def m(self, x):\n        return {k: self.m(v) for k, v in x}\n"
+           "    def n(self, x):\n        return [self.o.n(v) for v in x]\n")
+    assert self_calls_in_comprehensions(src) == ["f", "C.m"]
 
 
 def private_imports(source: str) -> list[str]:

@@ -1,5 +1,7 @@
 """AST utilities: pretty/parse round trips, substitution, alpha-equivalence,
 and the per-class child declaration the generic walks rest on."""
+import inspect
+import sys
 import typing
 
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qarrow.parser import parse_program, parse_term
+from qarrow.rewriter import Rewriter
 from qarrow.syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, Command, CUnit,
-                           Fst, FunT, Lam, Let, Node, Pair, Pattern, PPair, ProdT,
-                           PVar, rebuild, SuperT, Term, TypeExpr, Var, VecT,
-                           alpha_eq, free_vars, lin_type, pattern_names,
-                           pretty, subst_map, type_str)
+                           Fst, FunT, Lam, Let, Node, Pair, Pattern, Pos,
+                           PPair, ProdT, PVar, rebuild, SuperT, Term, TypeExpr,
+                           Var, VecScale, VecT, alpha_eq, free_vars, lin_type,
+                           pattern_names, pretty, subst_map, type_str)
+from qarrow.typecheck import Checker, elaborate_term, EnvPair
 
 import randprog
 
@@ -187,6 +191,58 @@ def test_subst_capture_avoidance_command():
     assert alpha_eq(out, parse_term("\\@z. [(y, z)]"))
 
 
+def test_subst_keeps_untouched_subtrees():
+    t = parse_term("(\\@y. [(x, y)], (\\z. z, w))")
+    out = subst_map(t, {"x": BoolLit(True)})
+    assert out.right is t.right and out.left is not t.left
+    assert subst_map(t, {"v": BoolLit(True)}) is t
+
+
+# ---- rebuild: the one copy rule -----------------------------------------
+
+def _fields_are(node, changes, like):
+    """Every field of `node` is that of `changes`, or else that of `like`."""
+    return all(getattr(node, f) is changes.get(f, getattr(like, f))
+               for f in node.fields)
+
+
+def test_rebuild_returns_the_node_when_nothing_changes():
+    sup = SuperT(ProdT(BoolT(), BoolT()), BoolT())
+    node = CApp(Var("f"), Var("x", pos=Pos(1, 6)), pos=Pos(1, 1), fn_type=sup)
+    assert rebuild(node, {}) is node
+    # every child is the old one, by identity
+    assert rebuild(node, {"fn": node.fn, "arg": node.arg}) is node
+    # an annotation equal to the recorded one, positions aside
+    retyped = SuperT(ProdT(BoolT(pos=Pos(2, 1)), BoolT()), BoolT())
+    assert rebuild(node, {"arg": node.arg, "fn_type": retyped}) is node
+    lam = Lam(PVar("x"), node, pos=Pos(1, 1))
+    assert rebuild(lam, {"pat": lam.pat, "body": node}) is lam
+
+
+def test_rebuild_copies_an_unequal_annotation_or_a_distinct_child():
+    sup = SuperT(BoolT(), BoolT())
+    node = CApp(Var("f"), Var("x", pos=Pos(1, 6)), pos=Pos(1, 1), fn_type=sup)
+    # `==` ignores positions and annotations, so an equal child may be a
+    # moved or re-typed one, and must be kept
+    inner = ArrowAbs(PVar("y"), CUnit(Var("y")))
+    typed = rebuild(inner, {"type_": sup})
+    outer = Lam(PVar("z"), inner, pos=Pos(3, 1))
+    cases = [
+        (node, {"arg": Var("x", pos=Pos(1, 7))}),
+        (node, {"fn_type": SuperT(ProdT(BoolT(), BoolT()), BoolT())}),
+        (node, {"fn_type": None}),
+        (outer, {"body": typed}),
+        (outer, {"pat": PVar("z")}),
+        (VecScale(0.5, Var("v")), {"scalar": complex(0.5)}),
+    ]
+    for old, changes in cases:
+        new = rebuild(old, changes)
+        assert new is not old and new == old, changes
+        assert _fields_are(new, changes, old), changes
+    assert typed is not inner and typed.type_ is sup
+    assert rebuild(outer, {"body": typed}).body.type_ is sup
+
+
 # ---- misc helpers -----------------------------------------------------------
 
 def test_pattern_names():
@@ -277,15 +333,48 @@ def _freshen_all(node, env, counter):
     return rebuild(node, changes)
 
 
+def _within(frames, walk, *args):
+    """`walk(*args)`, run with `frames` stack frames to spare beyond this
+    call's own, and a margin for the calls in between."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames + 50)
+    try:
+        return walk(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_walks_recurse_once_per_level():
-    # a 400-deep let chain stays inside the default recursion limit: each
-    # walk calls itself directly, substitution through its binder helper
+    # each walk of a 400-deep let chain takes one frame per level, or two
+    # for substitution (through its binder helper) and for elaboration
+    # (``elaborate_term`` and ``_elab_term``); a comprehension per level
+    # would add 400 more, which the budget below does not leave
+    n = 400
     t = Var("y")
-    for i in range(400):
+    for i in range(n):
         t = Let(PVar(f"x{i}"), Var("y"), t)
-    out = subst_map(t, {"y": BoolLit(True)})
-    assert free_vars(t) == {"y"} and free_vars(out) == set()
-    assert alpha_eq(t, t) and not alpha_eq(t, out)
+    out = _within(2 * n, subst_map, t, {"y": BoolLit(True)})
+    assert _within(n, free_vars, t) == {"y"} and free_vars(out) == set()
+    assert _within(n, alpha_eq, t, t) and not alpha_eq(t, out)
+    # the innermost binder is named like a definition
+    apart = _within(n, Rewriter({"x0": BoolLit(True)}).rename_apart, t)
+    assert alpha_eq(apart, t) and "x0" not in _bound_names(apart)
+
+    # unannotated, so the checker makes type variables; each let pairs
+    # the one before with the argument, so the type is as deep as the chain
+    chain = Var(f"x{n - 1}")
+    for i in reversed(range(1, n)):
+        chain = Let(PVar(f"x{i}"), Pair(Var(f"x{i - 1}"), Var("y")), chain)
+    chain = Let(PVar("x0"), Pair(Var("y"), Var("y")), chain)
+    app = App(Lam(PVar("y"), chain), BoolLit(True))
+    checker = Checker()
+    ty, tree = _within(2 * n, checker.elaborate_term, EnvPair(), app)
+    assert checker.uni._next
+    ty = _within(n, checker.uni.resolve, ty)
+    tree = _within(n, checker.finalize, tree)
+    # checked again at its type, the elaborated chain comes back as it is
+    again = _within(2 * n, elaborate_term, {}, tree, ty)
+    assert type_str(again[0]) == type_str(ty) and again[1] is tree
 
 
 def _random_term(seed, family):

@@ -5,9 +5,12 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import randprog
+import structural
 from qarrow.parser import parse_program, parse_term, parse_type
+from qarrow.rewriter import apply_law_at, Law, normalize
 from qarrow.stdlib import prelude_source
 from qarrow.syntax import (ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, FunT,
                            Lam, Let, Meas, MZero, Pair, Pos, pretty, ProdT,
@@ -409,6 +412,77 @@ def test_unchanged_nodes_are_shared(prelude):
         for before, after in zip(prog.defs, el.defs):
             _copies(before.term, after.term, copies)
         assert copies == [], name
+
+
+def test_reelaborating_an_elaborated_definition_returns_it(prelude):
+    """An elaborated definition checked again, at its type or at none,
+    comes back as the very same object: every type it records comes out
+    equal, so no node is copied."""
+    checked = 0
+    for name, prog, gamma in _pinned_corpus(prelude):
+        types, el = elaborate_program(prog, dict(gamma))
+        env = dict(gamma)
+        for d in el.defs:
+            for expected in (types[d.name], None):
+                assert elaborate_term(env, d.term, expected)[1] is d.term, (
+                    name, d.name, expected)
+            env[d.name] = types[d.name]
+            checked += 1
+    assert checked > 200
+
+
+def _elaborated_sides(prelude, defs_map):
+    """(law instance, its type, side, whether the side is the result of
+    the law) for both sides of law instances of every family."""
+    for family in sorted(randprog.FAMILIES):
+        for seed in (1, 2, 3):
+            for j in range(24):
+                inst = randprog.law_instance(seed * 1000 + j, family)
+                ty, before = elaborate_term(prelude.types, inst.term,
+                                            inst.type_)
+                after = apply_law_at(before, inst.path, inst.law,
+                                     inst.direction, defs=defs_map)
+                yield inst, ty, before, False
+                yield inst, ty, after, True
+
+
+def _steps_keep_their_types(prelude, defs_map, term, ty) -> int:
+    """Check that the result of every step of normalizing `term`, checked
+    again at `ty`, comes back as the same object; the number of steps."""
+    steps = normalize(term, defs_map).steps
+    for step in steps:
+        assert elaborate_term(prelude.types, step.result, ty)[1] \
+            is step.result, (step.law, step.path)
+    return len(steps)
+
+
+def test_every_law_step_keeps_the_recorded_types(prelude, defs_map):
+    """Subject reduction, step by step: a law instance's sides and the
+    result of every step of their normalization, checked again at their
+    type, come back as the same object, recorded types and positions
+    included.  One law result is the exception: ``bind.assoc`` right to
+    left regroups a bind whose bound's type is recorded nowhere, so it
+    builds that ``VecLet`` with ``type_=None`` and the checker fills it."""
+    steps = regrouped = 0
+    for inst, ty, side, result in _elaborated_sides(prelude, defs_map):
+        again = elaborate_term(prelude.types, side, ty)[1]
+        unrecorded = result and inst.law is Law("bind.assoc") \
+            and inst.direction == "R2L"
+        assert (again is side) is not unrecorded, (inst.law, inst.direction)
+        regrouped += unrecorded
+        steps += _steps_keep_their_types(prelude, defs_map, again, ty)
+    assert steps > 2000 and regrouped > 0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(structural.terms(3))
+def test_every_structural_step_keeps_the_recorded_types(prelude, defs_map,
+                                                        case):
+    src, type_src = case
+    ty = parse_type(type_src)
+    _, term = elaborate_term(prelude.types, parse_term(src), ty)
+    assert elaborate_term(prelude.types, term, ty)[1] is term
+    _steps_keep_their_types(prelude, defs_map, term, ty)
 
 
 def test_reelaborating_the_prelude_makes_no_type_variable(prelude,
