@@ -688,7 +688,7 @@ def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
     if lt is None or rt is None:
         err = left_err or right_err
         return Unknown(f"typechecking failed: {err}")
-    if lt != rt:
+    if type_str(lt) != type_str(rt):
         return NotEqual(f"types differ: {type_str(lt)} vs {type_str(rt)}")
 
     rw = Rewriter(defs, fuel)

@@ -22,8 +22,9 @@ Each term, command and type class declares its subtrees once, as the class
 attribute ``child_fields``: the names of its fields that hold a term, command
 or type, in field order.  Every other walk of the tree (here, in the checker
 and in the rewriter) is derived from that declaration and rebuilds nodes with
-``rebuild``, which returns the node itself when no field changes, so a
-walk passes every field it recomputes and shares what it does not change.
+``rebuild``, which returns the node itself when every field it is given
+is the object the node holds, so a walk passes every field it recomputes
+and shares what it does not change.
 When a node class is created, ``Node`` also derives from its fields
 ``data_fields`` (compared fields that are neither children nor ``pat``,
 such as a variable's name), ``annot_fields`` (keyword-only fields other
@@ -444,17 +445,14 @@ def rebuild(node: Node, changes: dict) -> Node:
     """A copy of `node` with the fields in `changes` replaced and every other
     field, ``pos`` included, copied; `node` itself when nothing changes.
 
-    A child, the pattern or a data field changes unless it is the same
-    object, as ``==`` ignores positions and annotations; an annotation
-    changes unless it equals the recorded one.  A copy fills the new
-    instance's dictionary from the old one's in two C-level updates, which
-    costs less than calling the class with every field spelled out.
+    A field changes unless it is the same object: ``==`` ignores positions
+    and annotations, so an equal child may be a moved or re-typed one.  A
+    copy fills the new instance's dictionary from the old one's in two
+    C-level updates, which costs less than calling the class with every
+    field spelled out.
     """
     for f, v in changes.items():
-        old = getattr(node, f)
-        # no recorded annotation (None) equals a new one
-        if v is not old and (old is None or f not in node.annot_fields
-                             or v != old):
+        if v is not getattr(node, f):
             break
     else:
         return node

@@ -14,9 +14,11 @@ is required.
 
 Besides types, checking produces an *elaborated* tree.  It shares every
 node that it does not change: a node whose children come back as they were
-and whose recorded annotations equal those it computes is returned itself
-(``syntax.rebuild``), so an elaborated tree checked again at its type comes
-back as the same object.  The changes are these:
+and that records nothing new is returned itself (``syntax.rebuild``).  A
+node that already records a type keeps that very object once unification
+has proved it equal to the computed one (a recorded type holds no type
+variable), so an elaborated tree checked again at its type comes back as
+the same object.  The changes are these:
 
 * sharing ``let`` whose bound term is vector-typed and whose body is
   vector-typed becomes a monadic ``VecLet``;
@@ -411,7 +413,8 @@ class Checker:
             if t.type_ is not None:
                 self.uni.unify(t.type_, nt, t.pos)
             self._classical(elem, t.pos)
-            return nt, rebuild(t, {"bound": b2, "body": n2, "type_": nt})
+            return nt, rebuild(t, {"bound": b2, "body": n2,
+                                   "type_": t.type_ or nt})
 
         if isinstance(t, If):
             ct, c2 = self.elaborate_term(env, t.cond, _BOOL)
@@ -460,7 +463,7 @@ class Checker:
             ty = SuperT(arg_t, res_t)
             if t.type_ is not None:
                 self.uni.unify(t.type_, ty, t.pos)
-            return ty, rebuild(t, {"cmd": cmd2, "type_": ty})
+            return ty, rebuild(t, {"cmd": cmd2, "type_": t.type_ or ty})
 
         raise TypeCheckError("mismatch", t.pos, detail=f"unexpected term {t!r}")
 
@@ -484,19 +487,22 @@ class Checker:
             if c.fn_type is not None:
                 self.uni.unify(c.fn_type, fh, c.pos)
             at, a2 = self.elaborate_term(env, c.arg, fh.arg)
-            return fh.res, rebuild(c, {"fn": f2, "arg": a2, "fn_type": fh})
+            return fh.res, rebuild(c, {"fn": f2, "arg": a2,
+                                       "fn_type": c.fn_type or fh})
 
         if isinstance(c, CUnit):
             ct, c2 = self.elaborate_term(env, c.content)
-            if c.content_type is not None and c.mode == "classical":
-                self.uni.unify(c.content_type, ct, c.pos)
+            old = c.content_type if c.mode == "classical" else None
+            if old is not None:
+                self.uni.unify(old, ct, c.pos)
             ch = self.uni.head(ct)
             if isinstance(ch, VecT):
-                if c.content_type is not None and c.mode == "vec":
-                    self.uni.unify(c.content_type, ch.elem, c.pos)
+                old = c.content_type if c.mode == "vec" else None
+                if old is not None:
+                    self.uni.unify(old, ch.elem, c.pos)
                 self._classical(ch.elem, c.pos)
                 return ch.elem, rebuild(c, {"content": c2, "mode": "vec",
-                                            "content_type": ch.elem})
+                                            "content_type": old or ch.elem})
             if isinstance(ch, (FunT, SuperT)):
                 raise TypeCheckError(
                     "non-classical-basis", c.pos,
@@ -504,7 +510,7 @@ class Checker:
                            f"content, found {type_str(self.uni.resolve(ch))}")
             self._classical(ct, c.pos)
             return ct, rebuild(c, {"content": c2, "mode": "classical",
-                                   "content_type": ct})
+                                   "content_type": old or ct})
 
         if isinstance(c, CLet):
             bt, b2 = self.elaborate_command(env, c.bound)
@@ -512,7 +518,8 @@ class Checker:
                 self.uni.unify(c.bound_type, bt, c.pos)
             env2 = env.bind(self.bind_pattern(c.pat, bt), delta=True)
             nt, n2 = self.elaborate_command(env2, c.body)
-            return nt, rebuild(c, {"bound": b2, "body": n2, "bound_type": bt})
+            return nt, rebuild(c, {"bound": b2, "body": n2,
+                                   "bound_type": c.bound_type or bt})
 
         if isinstance(c, (Meas, TrL)):
             # meas copies its classical argument; trL keeps a pair's second
@@ -528,7 +535,7 @@ class Checker:
                 at = ProdT(*self._halves(at, c.pos, "trL"))
                 res = at.right
             self._classical(at, c.pos)
-            return res, rebuild(c, {"arg": a2, "arg_type": at})
+            return res, rebuild(c, {"arg": a2, "arg_type": c.arg_type or at})
 
         raise TypeCheckError("mismatch", c.pos, detail=f"unexpected command {c!r}")
 

@@ -991,6 +991,24 @@ def test_a_program_too_deep_to_check_exits_2(tmp_path):
                            "depth exceeded\n")
 
 
+def test_a_deep_type_under_a_deep_command_chain_proves(tmp_path):
+    # `prove` checks each side again under a 250-deep chain of command
+    # lets, each recording a type up to 250 products deep, so re-checking
+    # must not compare recorded types by recursion on top of the chain
+    n = 250
+    ty = "(Bool,Bool)"
+    for _ in range(1, n):
+        ty = f"({ty},Bool)"
+    lets = "\n  ".join(f"let y{i} = [(y{i - 1}, x)] in" for i in range(1, n))
+    (tmp_path / "deep.qarr").write_text(
+        f"f : Super Bool {ty}\nf = \\@x.\n  let y0 = [(x, x)] in\n  {lets}\n"
+        f"  [y{n - 1}]\n")
+    proc = _cli_child(tmp_path, "prove", "deep.qarr", "f", "f")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("equal: both sides normalize to the same term "
+                           f"({2 * n} steps)\n")
+
+
 def test_memory_and_recursion_errors_exit_2(runcli, demo, monkeypatch):
     def explode(*args):
         raise MemoryError("Unable to allocate 4.00 GiB")
