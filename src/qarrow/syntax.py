@@ -451,6 +451,8 @@ def rebuild(node: Node, changes: dict) -> Node:
     C-level updates, which costs less than calling the class with every
     field spelled out.
     """
+    if not changes:
+        return node
     for f, v in changes.items():
         if v is not getattr(node, f):
             break
