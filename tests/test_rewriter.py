@@ -456,6 +456,17 @@ def test_refute_different_types(prelude, defs_map):
     assert "types differ" in v.reason
 
 
+def test_types_deeper_than_record_equality_reaches(defs_map):
+    # the two sides' types are compared by their printed form: `==` on
+    # records recurses about three frames per level of a type, and runs
+    # out of stack on this 350-deep pair type
+    n = 350
+    lets = " ".join(f"let x{i} = (x{i - 1}, y) in" for i in range(1, n))
+    t = T(f"(\\y. let x0 = (y, y) in {lets} x{n - 1}) True")
+    v = prove_equal(t, t, types={}, env={}, defs=defs_map)
+    assert isinstance(v, ProvedByNormalization)
+
+
 def test_unknown_for_ill_typed(prelude, defs_map):
     v = prove_equal(T("nosuch"), T("True"),
                     types=prelude.types, env=prelude.env, defs=defs_map)
