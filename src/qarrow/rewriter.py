@@ -67,14 +67,21 @@ No binder takes a *reserved* name, the name of a definition (Barendregt's
 variable convention): ``normalize`` and ``apply_law_at`` rename apart the
 binders of reserved names in the term they start from, each definition's
 body is renamed apart the first time it unfolds, and every fresh name a
-law picks avoids the reserved names.  A definition's body reads only
+law picks avoids the reserved names.  A tree the checker returned is not
+walked for that when none of the binder names the checker recorded of it
+is reserved (see ``typecheck``).  A definition's body reads only
 earlier definitions, so a name that ``delta`` unfolds is free wherever it
 stands, and no binder above it captures a name its body reads.
 
-``prove_equal`` first normalizes both sides.  Only when that does not
-decide does it evaluate closed terms and compare their denotations, with
-``compare_values`` from ``evaluator``, which it imports then: rewriting and
-normalizing load neither the evaluator nor numpy.
+``prove_equal`` types each side, then normalizes both.  A side that is a
+tree the checker returned is not checked again: the checker's record of it
+gives its type, when every gamma entry the record read is the same type
+object in ``types`` and the side's expected type, if any, is the recorded
+type object (``typecheck.recall``).  Any other side is elaborated.  Only
+when normalization does not decide does the prover evaluate closed terms
+and compare their denotations, with ``compare_values`` from ``evaluator``,
+which it imports then: rewriting and normalizing load neither the
+evaluator nor numpy.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ from .syntax import (alpha_eq, App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq,
                      pattern_term, pretty, PVar, QarrowError, rebuild, Record,
                      Snd, subst_map, Term, type_str, TypeExpr, Var, VecAdd,
                      VecLet, VecUnit)
-from .typecheck import elaborate_term, TypeCheckError
+from .typecheck import checked, elaborate_term, recall, TypeCheckError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -506,10 +513,17 @@ class Rewriter:
     def rename_apart(self, node: Node) -> Node:
         """`node` with every binder of a reserved name renamed to a fresh
         name that is not reserved; `node` itself when no binder takes a
-        reserved name."""
+        reserved name.  A tree the checker returned is not walked when the
+        binder names it recorded are not reserved."""
+        rec = checked(node)
+        if rec is not None and self.reserved.isdisjoint(rec.binders):
+            return node
+        return self._rename_apart(node)
+
+    def _rename_apart(self, node: Node) -> Node:
         changes = {}
         for f in node.child_fields:
-            changes[f] = self.rename_apart(getattr(node, f))
+            changes[f] = self._rename_apart(getattr(node, f))
         if node.binder:
             clash = self.reserved.intersection(pattern_names(node.pat))
             if clash:
@@ -656,6 +670,16 @@ class Unknown(Record):
         return f"unknown: {self.reason}"
 
 
+def _elaborate_side(types: Mapping, side: Term,
+                    expected: Optional[TypeExpr]) -> tuple[TypeExpr, Term]:
+    """`side`'s type and elaborated tree: the checker's record of `side`
+    where its guards hold (``typecheck.recall``), else a new elaboration."""
+    ty = recall(types, side, expected)
+    if ty is not None:
+        return ty, side
+    return elaborate_term(types, side, expected)
+
+
 def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
                 defs: Optional[dict[str, Term]] = None,
                 fuel: int = 10000, tol: float = 1e-9,
@@ -666,23 +690,30 @@ def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
     values; only the second stage reads a value, so `env` may evaluate them
     on first lookup.  `expected` gives the type of each side where the
     caller knows it, such as a definition's annotation; a side without one
-    is typed on its own, or at the other side's type if it is ambiguous."""
+    is typed on its own, or at the other side's type if it is ambiguous.
+
+    A side that is a tree ``elaborate_term`` returned, under a gamma whose
+    entries it read are the very type objects in `types`, and whose
+    `expected` is None or the very type it returned, takes that type from
+    the checker's record and is not elaborated again.  So an elaborated
+    ``\\x. x`` checked at ``Bool -> Bool`` proves equal to itself, where
+    the same term parsed and not elaborated is ambiguous."""
     lt = rt = None
     left_err = right_err = None
     try:
-        lt, left2 = elaborate_term(types, left, expected[0])
+        lt, left2 = _elaborate_side(types, left, expected[0])
     except TypeCheckError as e:
         left_err = e
     try:
-        rt, right2 = elaborate_term(types, right, expected[1])
+        rt, right2 = _elaborate_side(types, right, expected[1])
     except TypeCheckError as e:
         right_err = e
     try:
         # one side may be ambiguous on its own; borrow the other's type
         if lt is None and rt is not None:
-            lt, left2 = elaborate_term(types, left, rt)
+            lt, left2 = _elaborate_side(types, left, rt)
         elif rt is None and lt is not None:
-            rt, right2 = elaborate_term(types, right, lt)
+            rt, right2 = _elaborate_side(types, right, lt)
     except TypeCheckError as e:
         return Unknown(f"typechecking failed: {e}")
     if lt is None or rt is None:

@@ -61,12 +61,34 @@ guesses:
   previous point does not reach it.  ``tests/test_elaborate_once.py``
   checks results against the elaboration that always takes two passes.
 
+The checker remembers the trees it returned.  ``elaborate_term``, when it
+is given a plain gamma mapping, records of the tree it returns the type it
+returned, the gamma entries it read (name to type object: ``EnvPair.lookup``
+notes each read from the base) and the names its binders took
+(``EnvPair.bind`` notes them).  This is subject reduction used as a cache
+(Wright & Felleisen, "A syntactic approach to type soundness", 1994): an
+elaborated tree checked again comes back as itself.  ``recall`` gives the
+recorded type back only for that very object, only while every name the
+record read maps to the same type object in the gamma it is given, and
+only when no expected type is given or the recorded type object is; the
+prover reads it instead of elaborating a side, and ``Rewriter.rename_apart``
+reads the binder names.  Records are keyed by ``id`` and guarded by a weak
+reference to the tree, so a record dies with its tree and a reused ``id``
+never finds one.  They are neither keyed by the tree, whose ``==`` and hash
+are structural, so a moved or re-typed equal tree would find one, nor
+stored on the node, whose copies under ``rebuild`` would inherit a record
+that no longer holds.  ``elaborate_term`` itself never reads them: a type
+recorded at an annotation keeps that annotation's position, which a pass
+would not.  A call given an ``EnvPair`` records nothing.
+
 Error kinds: ``mismatch``, ``unbound``, ``delta-misuse``,
 ``non-classical-basis``, ``pattern-arity``.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Mapping
 from typing import Optional
 
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
@@ -194,18 +216,27 @@ class EnvPair:
     of it finds nothing and reports a delta-misuse, not the base's type.
     ``bind``, ``hide_delta`` and ``enter_command`` return a new pair that
     shares the base and copies at most the overlay and delta; no pair's
-    dictionaries change after it is made."""
+    dictionaries change after it is made.
+
+    The notes for a record are the exception: when ``reads`` and ``bound``
+    are set (by ``elaborate_term``), every pair derived from this one
+    shares them, ``lookup`` notes in ``reads`` each name it reads from the
+    base and the type object it found, and ``bind`` adds to ``bound`` each
+    name it binds."""
 
     def __init__(self, gamma=None, delta=None, hidden=frozenset()):
         self.base: dict[str, TypeExpr] = gamma if gamma is not None else {}
         self.local: dict[str, Optional[TypeExpr]] = {}
         self.delta: dict[str, TypeExpr] = dict(delta or {})
         self.hidden: frozenset[str] = frozenset(hidden)
+        self.reads: Optional[dict[str, Optional[TypeExpr]]] = None
+        self.bound: Optional[set[str]] = None
 
     def _derive(self, local, delta, hidden) -> "EnvPair":
         env = object.__new__(EnvPair)
         env.base, env.local, env.delta, env.hidden = (self.base, local,
                                                       delta, hidden)
+        env.reads, env.bound = self.reads, self.bound
         return env
 
     def lookup(self, name: str) -> Optional[TypeExpr]:
@@ -213,7 +244,10 @@ class EnvPair:
             return self.delta[name]
         if name in self.local:
             return self.local[name]
-        return self.base.get(name)
+        ty = self.base.get(name)
+        if self.reads is not None:
+            self.reads[name] = ty
+        return ty
 
     def bind(self, pairs, delta: bool = False) -> "EnvPair":
         """`pairs` of (name, type) bound in gamma, or in delta when `delta`
@@ -229,8 +263,10 @@ class EnvPair:
             else:
                 local[name] = ty
                 dlt.pop(name, None)
-        return self._derive(local, dlt, self.hidden.difference(
-            [name for name, _ in pairs]))
+        names = [name for name, _ in pairs]
+        if self.bound is not None:
+            self.bound.update(names)
+        return self._derive(local, dlt, self.hidden.difference(names))
 
     def hide_delta(self) -> "EnvPair":
         return self._derive(self.local, {}, self.hidden | set(self.delta))
@@ -555,6 +591,59 @@ class Checker:
 
 
 # --------------------------------------------------------------------------
+# Records of the trees the checker returned
+
+
+class CheckedTree(weakref.ref):
+    """A weak reference to a tree that ``elaborate_term`` returned, with
+    what the checker learned of it: the type it returned (``type_``), the
+    gamma entries it read (``reads``, pairs of a name and its type object,
+    None for a name gamma lacked) and the names its binders took
+    (``binders``).  Both are tuples, which take less memory than a dict or
+    a set of a few entries.  ``key`` is the tree's ``id``, under which
+    ``_CHECKED`` holds the record until the tree dies.
+
+    Only ``elaborate_term`` makes one, with ``weakref.ref.__new__`` and
+    the fields set after: with a Python ``__new__`` and ``__init__``, a
+    record cost about three times as much (``timeit``)."""
+
+    __slots__ = ("key", "type_", "reads", "binders")
+
+
+_CHECKED: dict[int, CheckedTree] = {}
+
+
+def _forget(rec: CheckedTree) -> None:
+    # called as the tree dies, before its id can be reused; the entry may
+    # be a later record of the same tree, whose own call removes it
+    if _CHECKED.get(rec.key) is rec:
+        del _CHECKED[rec.key]
+
+
+def checked(tree) -> Optional[CheckedTree]:
+    """The record of `tree` itself, or None when the checker did not
+    return it (or returned it under an ``EnvPair``)."""
+    rec = _CHECKED.get(id(tree))
+    return rec if rec is not None and rec() is tree else None
+
+
+def recall(gamma: Mapping, tree,
+           expected: Optional[TypeExpr]) -> Optional[TypeExpr]:
+    """The type ``elaborate_term`` returned with `tree` itself, to stand
+    for checking `tree` again under `gamma` at `expected`; None when `tree`
+    has no record, when `expected` is given and is not the recorded type
+    object, or when a name the record read maps to another object in
+    `gamma`."""
+    rec = checked(tree)
+    if rec is None or (expected is not None and expected is not rec.type_):
+        return None
+    for name, ty in rec.reads:
+        if gamma.get(name) is not ty:
+            return None
+    return rec.type_
+
+
+# --------------------------------------------------------------------------
 # Public entry points
 
 
@@ -581,12 +670,22 @@ def elaborate_term(env, term: Term,
     inferred, so that those decisions are made with fully known types.  A
     pass that guessed nothing would make the same decisions again (see the
     module docstring), so it is not repeated.
+
+    With a plain mapping, the tree returned is recorded (see the module
+    docstring); with an ``EnvPair``, nothing is.
     """
-    if not isinstance(env, EnvPair):
+    noted = not isinstance(env, EnvPair)
+    if noted:
         env = EnvPair(env)
+        env.reads, env.bound = {}, set()
     ty, t2, guessed = _elaborate_pass(env, term, expected)
     if guessed and expected is None:
         ty, t2, _ = _elaborate_pass(env, term, ty)
+    if noted:
+        rec = weakref.ref.__new__(CheckedTree, t2, _forget)
+        rec.key, rec.type_ = id(t2), ty
+        rec.reads, rec.binders = tuple(env.reads.items()), tuple(env.bound)
+        _CHECKED[rec.key] = rec
     return ty, t2
 
 

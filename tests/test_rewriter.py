@@ -31,8 +31,8 @@ from qarrow import (
 from qarrow.evaluator import _witness_states, compare_values
 from qarrow.linalg import dim, pure_density
 from qarrow.rewriter import ProofTrace, Rewriter, get_at, replace_at
-from qarrow.syntax import (BoolT, CLet, CUnit, MZero, ProdT, PVar, Var,
-                           VecAdd, VecLet, VecT)
+from qarrow.syntax import (BoolT, CLet, CUnit, FunT, MZero, ProdT, PVar,
+                           Var, VecAdd, VecLet, VecT)
 
 import randprog
 from dense_arrow import apply_super
@@ -465,6 +465,22 @@ def test_types_deeper_than_record_equality_reaches(defs_map):
     t = T(f"(\\y. let x0 = (y, y) in {lets} x{n - 1}) True")
     v = prove_equal(t, t, types={}, env={}, defs=defs_map)
     assert isinstance(v, ProvedByNormalization)
+
+
+def test_an_elaborated_side_is_typed_by_its_record():
+    # `\x. x` is ambiguous on its own.  Checked at Bool -> Bool, the
+    # checker records that type with the tree it returns, and the prover
+    # reads it, where it used to check the tree again and find it
+    # ambiguous; the same term, parsed and not elaborated, still is
+    _, tree = elaborate_term({}, T("\\x. x"), FunT(B, B))
+    v = prove_equal(tree, tree, types={}, env={})
+    assert v.describe() == ("equal: both sides normalize to the same term "
+                            "(0 steps)")
+    raw = T("\\x. x")
+    v = prove_equal(raw, raw, types={}, env={})
+    assert v.describe() == ("unknown: typechecking failed: <input>:1:1: "
+                            "mismatch: ambiguous type; an annotation is "
+                            "required")
 
 
 def test_unknown_for_ill_typed(prelude, defs_map):
