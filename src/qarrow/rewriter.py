@@ -77,8 +77,11 @@ stands, and no binder above it captures a name its body reads.
 tree the checker returned is not checked again: the checker's record of it
 gives its type, when every gamma entry the record read is the same type
 object in ``types`` and the side's expected type, if any, is the recorded
-type object (``typecheck.recall``).  Any other side is elaborated.  Only
-when normalization does not decide does the prover evaluate closed terms
+type object (``typecheck.recall``).  Any other side is elaborated.  When
+the sides so typed fail to check or to agree, both are elaborated afresh
+and that verdict stands, so a record changes a verdict only where a side
+that is ambiguous on its own takes the recorded type.  Only when
+normalization does not decide does the prover evaluate closed terms
 and compare their denotations, with ``compare_values`` from ``evaluator``,
 which it imports then: rewriting and normalizing load neither the
 evaluator nor numpy.
@@ -670,14 +673,48 @@ class Unknown(Record):
         return f"unknown: {self.reason}"
 
 
-def _elaborate_side(types: Mapping, side: Term,
-                    expected: Optional[TypeExpr]) -> tuple[TypeExpr, Term]:
+def _recall_or_elaborate(types: Mapping, side: Term,
+                         expected: Optional[TypeExpr]
+                         ) -> tuple[TypeExpr, Term]:
     """`side`'s type and elaborated tree: the checker's record of `side`
     where its guards hold (``typecheck.recall``), else a new elaboration."""
     ty = recall(types, side, expected)
     if ty is not None:
         return ty, side
     return elaborate_term(types, side, expected)
+
+
+def _type_sides(types: Mapping, left: Term, right: Term,
+                expected: tuple[Optional[TypeExpr], Optional[TypeExpr]],
+                elaborate):
+    """The common type and elaborated trees of both sides, each typed by
+    `elaborate` on its own, or at the other side's type if it is ambiguous;
+    the verdict itself when a side does not typecheck or the types
+    differ."""
+    lt = rt = None
+    left_err = right_err = None
+    try:
+        lt, left2 = elaborate(types, left, expected[0])
+    except TypeCheckError as e:
+        left_err = e
+    try:
+        rt, right2 = elaborate(types, right, expected[1])
+    except TypeCheckError as e:
+        right_err = e
+    try:
+        # one side may be ambiguous on its own; borrow the other's type
+        if lt is None and rt is not None:
+            lt, left2 = elaborate(types, left, rt)
+        elif rt is None and lt is not None:
+            rt, right2 = elaborate(types, right, lt)
+    except TypeCheckError as e:
+        return Unknown(f"typechecking failed: {e}")
+    if lt is None or rt is None:
+        err = left_err or right_err
+        return Unknown(f"typechecking failed: {err}")
+    if type_str(lt) != type_str(rt):
+        return NotEqual(f"types differ: {type_str(lt)} vs {type_str(rt)}")
+    return lt, left2, right2
 
 
 def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
@@ -694,33 +731,24 @@ def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
 
     A side that is a tree ``elaborate_term`` returned, under a gamma whose
     entries it read are the very type objects in `types`, and whose
-    `expected` is None or the very type it returned, takes that type from
-    the checker's record and is not elaborated again.  So an elaborated
-    ``\\x. x`` checked at ``Bool -> Bool`` proves equal to itself, where
-    the same term parsed and not elaborated is ambiguous."""
-    lt = rt = None
-    left_err = right_err = None
-    try:
-        lt, left2 = _elaborate_side(types, left, expected[0])
-    except TypeCheckError as e:
-        left_err = e
-    try:
-        rt, right2 = _elaborate_side(types, right, expected[1])
-    except TypeCheckError as e:
-        right_err = e
-    try:
-        # one side may be ambiguous on its own; borrow the other's type
-        if lt is None and rt is not None:
-            lt, left2 = _elaborate_side(types, left, rt)
-        elif rt is None and lt is not None:
-            rt, right2 = _elaborate_side(types, right, lt)
-    except TypeCheckError as e:
-        return Unknown(f"typechecking failed: {e}")
-    if lt is None or rt is None:
-        err = left_err or right_err
-        return Unknown(f"typechecking failed: {err}")
-    if type_str(lt) != type_str(rt):
-        return NotEqual(f"types differ: {type_str(lt)} vs {type_str(rt)}")
+    `expected` is None or the very type recorded with it, takes that type
+    from the checker's record and is not elaborated again.  The recorded
+    type stands even where the tree is ambiguous on its own: a tree that
+    ``elaborate_term`` returned for ``\\x. x`` at ``Bool -> Bool`` proves
+    equal to itself, where a tree the checker never returned is ambiguous.
+    A record never makes a side fail or the types differ: when the sides
+    so typed do not agree, both are typed afresh, as if neither had a
+    record, and that verdict stands."""
+    recorded = checked(left) is not None or checked(right) is not None
+    typed = _type_sides(types, left, right, expected,
+                        _recall_or_elaborate if recorded else elaborate_term)
+    if recorded and not isinstance(typed, tuple):
+        # a record may type a side that is ambiguous on its own, where a
+        # fresh check would borrow the other side's type
+        typed = _type_sides(types, left, right, expected, elaborate_term)
+    if not isinstance(typed, tuple):
+        return typed
+    lt, left2, right2 = typed
 
     rw = Rewriter(defs, fuel)
     ltr = rw.normalize(left2)

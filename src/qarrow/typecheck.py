@@ -79,7 +79,11 @@ are structural, so a moved or re-typed equal tree would find one, nor
 stored on the node, whose copies under ``rebuild`` would inherit a record
 that no longer holds.  ``elaborate_term`` itself never reads them: a type
 recorded at an annotation keeps that annotation's position, which a pass
-would not.  A call given an ``EnvPair`` records nothing.
+would not.  A call given an ``EnvPair`` records nothing.  A tree checked
+again keeps its record while every name it read keeps its type object and
+the type comes out printed the same, so the recorded type stays the first
+object returned: for a definition, the very object gamma maps its name to,
+which a caller may pass as the expected type.
 
 Error kinds: ``mismatch``, ``unbound``, ``delta-misuse``,
 ``non-classical-basis``, ``pattern-arity``.
@@ -596,10 +600,10 @@ class Checker:
 
 class CheckedTree(weakref.ref):
     """A weak reference to a tree that ``elaborate_term`` returned, with
-    what the checker learned of it: the type it returned (``type_``), the
-    gamma entries it read (``reads``, pairs of a name and its type object,
-    None for a name gamma lacked) and the names its binders took
-    (``binders``).  Both are tuples, which take less memory than a dict or
+    what the checker learned of it: the type it first returned
+    (``type_``), the gamma entries it read (``reads``, pairs of a name and
+    its type object, None for a name gamma lacked) and the names its
+    binders took (``binders``).  Both are tuples, which take less memory than a dict or
     a set of a few entries.  ``key`` is the tree's ``id``, under which
     ``_CHECKED`` holds the record until the tree dies.
 
@@ -672,7 +676,8 @@ def elaborate_term(env, term: Term,
     module docstring), so it is not repeated.
 
     With a plain mapping, the tree returned is recorded (see the module
-    docstring); with an ``EnvPair``, nothing is.
+    docstring), unless its record still holds under `env` at a type
+    printed the same, which it keeps; with an ``EnvPair``, nothing is.
     """
     noted = not isinstance(env, EnvPair)
     if noted:
@@ -682,6 +687,9 @@ def elaborate_term(env, term: Term,
     if guessed and expected is None:
         ty, t2, _ = _elaborate_pass(env, term, ty)
     if noted:
+        kept = recall(env.base, t2, None)
+        if kept is not None and type_str(kept) == type_str(ty):
+            return ty, t2
         rec = weakref.ref.__new__(CheckedTree, t2, _forget)
         rec.key, rec.type_ = id(t2), ty
         rec.reads, rec.binders = tuple(env.reads.items()), tuple(env.bound)

@@ -82,7 +82,36 @@ def test_the_expected_type_must_be_the_recorded_object(checkers):
     assert "mismatch" in got.reason and built >= 1
 
 
+def test_a_record_never_makes_the_types_differ():
+    # the checker returns the parsed `\x. x` itself at Bool -> Bool, so
+    # that object records Bool -> Bool.  On its own it is ambiguous, and a
+    # fresh check borrows the right side's type; so does the prover when
+    # the recorded type disagrees with it
+    term = parse_term("\\x. x")
+    _, tree = elaborate_term({}, term, BB)
+    assert tree is term and checked(term).type_ == BB
+    pairs = FunT(ProdT(BoolT(), BoolT()), ProdT(BoolT(), BoolT()))
+    got = prove_equal(term, term, types={}, env={}, expected=(None, pairs))
+    fresh = parse_term("\\x. x")
+    want = prove_equal(fresh, fresh, types={}, env={}, expected=(None, pairs))
+    assert got.kind == want.kind == "proved-by-normalization"
+    assert got.describe() == want.describe()
+    # nor makes a side fail with another error: where the right side is
+    # unbound, the left side's ambiguity is reported, not the right side's
+    # error at Bool -> Bool; where it is a pair, the left side's mismatch
+    # at the pair type
+    for right, error in (("nosuch", "ambiguous type"),
+                         ("(True, True)", "expected (Bool,Bool)")):
+        got = prove_equal(term, parse_term(right), types={}, env={})
+        want = prove_equal(fresh, parse_term(right), types={}, env={})
+        assert got.describe() == want.describe()
+        assert error in got.reason, right
+
+
 def test_nothing_is_recorded_under_an_env_pair(checkers):
+    # an earlier test's trees may still be held by a caught error's frame,
+    # and die when the collector runs
+    gc.collect()
     before = len(_CHECKED)
     cases = [
         # delta entries

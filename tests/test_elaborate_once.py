@@ -186,13 +186,16 @@ def test_prove_equal_elaborates_each_side_once(prelude, defs_map, checkers):
 
 
 def test_cli_prove_of_two_definitions_builds_no_checker(
-        tmp_path, monkeypatch, capsys, checkers):
-    from qarrow import rewriter, stdlib
+        tmp_path, monkeypatch, capsys, checkers, prelude, defs_map):
+    from qarrow import rewriter
     from qarrow.cli import main
 
-    # a prelude of its own, whose definitions no other test has checked
-    # again (that records a new type object, which `expected` is not)
-    monkeypatch.setattr(stdlib, "_cached", None)
+    # a definition checked again, at a type equal to its own but another
+    # object or at none, keeps its record, whose type is gamma's object
+    # that the CLI passes as the side's expected type
+    for d in parse_program(prelude_source()).defs:
+        for expected in (d.annot, None):
+            elaborate_term(prelude.types, defs_map[d.name], expected)
 
     src = tmp_path / "demo.qarr"
     src.write_text(DEMO + "\nident : Super Bool Bool\nident = \\@x. [x]\n")

@@ -471,7 +471,7 @@ def test_an_elaborated_side_is_typed_by_its_record():
     # `\x. x` is ambiguous on its own.  Checked at Bool -> Bool, the
     # checker records that type with the tree it returns, and the prover
     # reads it, where it used to check the tree again and find it
-    # ambiguous; the same term, parsed and not elaborated, still is
+    # ambiguous; a tree the checker never returned still is
     _, tree = elaborate_term({}, T("\\x. x"), FunT(B, B))
     v = prove_equal(tree, tree, types={}, env={})
     assert v.describe() == ("equal: both sides normalize to the same term "
