@@ -206,12 +206,31 @@ def _translate(delta: tuple[DeltaEntry, ...], cmd: Command,
 # Inverse translation: pipeline -> arrow abstraction
 
 
+def _read_names(e: ClassicExpr) -> frozenset[str]:
+    """The names `e` reads: its ``NamedSuper`` names and the free names of
+    its ``arr`` and ``lift`` lambdas."""
+    if isinstance(e, (Arr, LiftLin)):
+        return free_vars(e.fn)
+    if isinstance(e, NamedSuper):
+        return frozenset((e.name,))
+    if isinstance(e, Compose):
+        return _read_names(e.first_) | _read_names(e.then_)
+    if isinstance(e, FanoutC):
+        return _read_names(e.left_) | _read_names(e.right_)
+    return frozenset()
+
+
 def inverse_translate(e: ClassicExpr) -> ArrowAbs:
     counter = itertools.count(1)
+    # a binder of a name the pipeline reads would capture it
+    taken = _read_names(e)
 
     def fresh(base: str) -> str:
-        n = next(counter)
-        return base if n == 1 else f"{base}{n}"
+        while True:
+            n = next(counter)
+            name = base if n == 1 else f"{base}{n}"
+            if name not in taken:
+                return name
 
     def go(e: ClassicExpr) -> ArrowAbs:
         ty = SuperT(e.in_type, e.out_type)

@@ -366,12 +366,10 @@ def cmd_prove(args) -> int:
 
     check_limits(args.fuel, args.tolerance)
     _, gamma, env, defs = load_file(args.file, not args.no_prelude)
-    sides = (args.lhs, args.rhs)
-    verdict = prove_equal(*(resolve_target(t, defs) for t in sides),
+    verdict = prove_equal(resolve_target(args.lhs, defs),
+                          resolve_target(args.rhs, defs),
                           types=gamma, env=env, defs=defs, fuel=args.fuel,
-                          tol=args.tolerance,
-                          expected=tuple(gamma[t] if t in defs else None
-                                         for t in sides))
+                          tol=args.tolerance)
     proved = isinstance(verdict, (ProvedByNormalization, ProvedSemantically))
     witness = verdict.witness if isinstance(verdict, NotEqual) else None
     if witness is not None:

@@ -66,8 +66,8 @@ arrow abstractions; programs are non-recursive, so unfolding terminates.
 No binder takes a *reserved* name, the name of a definition (Barendregt's
 variable convention): ``normalize`` and ``apply_law_at`` rename apart the
 binders of reserved names in the term they start from, each definition's
-body is renamed apart the first time it unfolds, and every fresh name a
-law picks avoids the reserved names.  A tree the checker returned is not
+body is renamed apart as it unfolds, and every fresh name a law picks
+avoids the reserved names.  A tree the checker returned is not
 walked for that when none of the binder names the checker recorded of it
 is reserved (see ``typecheck``).  A definition's body reads only
 earlier definitions, so a name that ``delta`` unfolds is free wherever it
@@ -76,15 +76,12 @@ stands, and no binder above it captures a name its body reads.
 ``prove_equal`` types each side, then normalizes both.  A side that is a
 tree the checker returned is not checked again: the checker's record of it
 gives its type, when every gamma entry the record read is the same type
-object in ``types`` and the side's expected type, if any, is the recorded
-type object (``typecheck.recall``).  Any other side is elaborated.  When
-the sides so typed fail to check or to agree, both are elaborated afresh
-and that verdict stands, so a record changes a verdict only where a side
-that is ambiguous on its own takes the recorded type.  Only when
-normalization does not decide does the prover evaluate closed terms
-and compare their denotations, with ``compare_values`` from ``evaluator``,
-which it imports then: rewriting and normalizing load neither the
-evaluator nor numpy.
+object in ``types`` (``typecheck.recall``).  Any other side is elaborated
+on its own, or at the other side's type if it is ambiguous on its own; a
+side once typed is not typed again.  Only when normalization does not
+decide does the prover evaluate closed terms and compare their
+denotations, with ``compare_values`` from ``evaluator``, which it imports
+then: rewriting and normalizing load neither the evaluator nor numpy.
 """
 
 from __future__ import annotations
@@ -366,13 +363,10 @@ def _bind_plus_r(rw, n):
 
 
 def _delta(rw, n):
-    body = rw.apart.get(n.name)
-    if body is None:
-        body = rw.defs.get(n.name)
-        if body is None or isinstance(body, ArrowAbs):
-            return None
-        body = rw.apart[n.name] = rw.rename_apart(body)
-    return body
+    body = rw.defs.get(n.name)
+    if body is None or isinstance(body, ArrowAbs):
+        return None
+    return rw.rename_apart(body)
 
 
 # --------------------------------------------------------------------------
@@ -508,9 +502,6 @@ class Rewriter:
                  fuel: int = 10000):
         self.defs = defs or {}
         self.reserved = frozenset(self.defs)
-        # the bodies of the definitions renamed apart, each on its first
-        # unfold; an arrow abstraction never unfolds
-        self.apart: dict[str, Term] = {}
         self.fuel = fuel
 
     def rename_apart(self, node: Node) -> Node:
@@ -673,40 +664,46 @@ class Unknown(Record):
         return f"unknown: {self.reason}"
 
 
-def _recall_or_elaborate(types: Mapping, side: Term,
-                         expected: Optional[TypeExpr]
-                         ) -> tuple[TypeExpr, Term]:
+def _recall_or_elaborate(types: Mapping, side: Term) -> tuple[TypeExpr, Term]:
     """`side`'s type and elaborated tree: the checker's record of `side`
     where its guards hold (``typecheck.recall``), else a new elaboration."""
-    ty = recall(types, side, expected)
+    ty = recall(types, side)
     if ty is not None:
         return ty, side
-    return elaborate_term(types, side, expected)
+    return elaborate_term(types, side)
 
 
-def _type_sides(types: Mapping, left: Term, right: Term,
-                expected: tuple[Optional[TypeExpr], Optional[TypeExpr]],
-                elaborate):
-    """The common type and elaborated trees of both sides, each typed by
-    `elaborate` on its own, or at the other side's type if it is ambiguous;
-    the verdict itself when a side does not typecheck or the types
-    differ."""
+def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
+                defs: Optional[dict[str, Term]] = None,
+                fuel: int = 10000, tol: float = 1e-9):
+    """Decide whether two terms are equal: first by normalization, then by
+    evaluating closed terms and comparing denotations.  `env` maps names to
+    values; only the second stage reads a value, so `env` may evaluate them
+    on first lookup.
+
+    A side that is a tree ``elaborate_term`` returned, under a gamma whose
+    entries it read are the very type objects in `types`, takes the type
+    recorded with it and is not elaborated again, even where the tree is
+    ambiguous on its own: a tree that ``elaborate_term`` returned for
+    ``\\x. x`` at ``Bool -> Bool`` proves equal to itself, where a tree the
+    checker never returned is ambiguous.  Any other side is elaborated on
+    its own, or at the other side's type if it is ambiguous on its own."""
     lt = rt = None
     left_err = right_err = None
     try:
-        lt, left2 = elaborate(types, left, expected[0])
+        lt, left2 = _recall_or_elaborate(types, left)
     except TypeCheckError as e:
         left_err = e
     try:
-        rt, right2 = elaborate(types, right, expected[1])
+        rt, right2 = _recall_or_elaborate(types, right)
     except TypeCheckError as e:
         right_err = e
     try:
         # one side may be ambiguous on its own; borrow the other's type
         if lt is None and rt is not None:
-            lt, left2 = elaborate(types, left, rt)
+            lt, left2 = elaborate_term(types, left, rt)
         elif rt is None and lt is not None:
-            rt, right2 = elaborate(types, right, lt)
+            rt, right2 = elaborate_term(types, right, lt)
     except TypeCheckError as e:
         return Unknown(f"typechecking failed: {e}")
     if lt is None or rt is None:
@@ -714,41 +711,6 @@ def _type_sides(types: Mapping, left: Term, right: Term,
         return Unknown(f"typechecking failed: {err}")
     if type_str(lt) != type_str(rt):
         return NotEqual(f"types differ: {type_str(lt)} vs {type_str(rt)}")
-    return lt, left2, right2
-
-
-def prove_equal(left: Term, right: Term, *, types: dict, env: Mapping,
-                defs: Optional[dict[str, Term]] = None,
-                fuel: int = 10000, tol: float = 1e-9,
-                expected: tuple[Optional[TypeExpr],
-                                Optional[TypeExpr]] = (None, None)):
-    """Decide whether two terms are equal: first by normalization, then by
-    evaluating closed terms and comparing denotations.  `env` maps names to
-    values; only the second stage reads a value, so `env` may evaluate them
-    on first lookup.  `expected` gives the type of each side where the
-    caller knows it, such as a definition's annotation; a side without one
-    is typed on its own, or at the other side's type if it is ambiguous.
-
-    A side that is a tree ``elaborate_term`` returned, under a gamma whose
-    entries it read are the very type objects in `types`, and whose
-    `expected` is None or the very type recorded with it, takes that type
-    from the checker's record and is not elaborated again.  The recorded
-    type stands even where the tree is ambiguous on its own: a tree that
-    ``elaborate_term`` returned for ``\\x. x`` at ``Bool -> Bool`` proves
-    equal to itself, where a tree the checker never returned is ambiguous.
-    A record never makes a side fail or the types differ: when the sides
-    so typed do not agree, both are typed afresh, as if neither had a
-    record, and that verdict stands."""
-    recorded = checked(left) is not None or checked(right) is not None
-    typed = _type_sides(types, left, right, expected,
-                        _recall_or_elaborate if recorded else elaborate_term)
-    if recorded and not isinstance(typed, tuple):
-        # a record may type a side that is ambiguous on its own, where a
-        # fresh check would borrow the other side's type
-        typed = _type_sides(types, left, right, expected, elaborate_term)
-    if not isinstance(typed, tuple):
-        return typed
-    lt, left2, right2 = typed
 
     rw = Rewriter(defs, fuel)
     ltr = rw.normalize(left2)

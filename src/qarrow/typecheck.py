@@ -68,9 +68,8 @@ notes each read from the base) and the names its binders took
 (``EnvPair.bind`` notes them).  This is subject reduction used as a cache
 (Wright & Felleisen, "A syntactic approach to type soundness", 1994): an
 elaborated tree checked again comes back as itself.  ``recall`` gives the
-recorded type back only for that very object, only while every name the
-record read maps to the same type object in the gamma it is given, and
-only when no expected type is given or the recorded type object is; the
+recorded type back only for that very object, and only while every name
+the record read maps to the same type object in the gamma it is given; the
 prover reads it instead of elaborating a side, and ``Rewriter.rename_apart``
 reads the binder names.  Records are keyed by ``id`` and guarded by a weak
 reference to the tree, so a record dies with its tree and a reused ``id``
@@ -79,11 +78,8 @@ are structural, so a moved or re-typed equal tree would find one, nor
 stored on the node, whose copies under ``rebuild`` would inherit a record
 that no longer holds.  ``elaborate_term`` itself never reads them: a type
 recorded at an annotation keeps that annotation's position, which a pass
-would not.  A call given an ``EnvPair`` records nothing.  A tree checked
-again keeps its record while every name it read keeps its type object and
-the type comes out printed the same, so the recorded type stays the first
-object returned: for a definition, the very object gamma maps its name to,
-which a caller may pass as the expected type.
+would not.  A call given an ``EnvPair`` records nothing, and a tree
+checked again is recorded again, with the type that check returned.
 
 Error kinds: ``mismatch``, ``unbound``, ``delta-misuse``,
 ``non-classical-basis``, ``pattern-arity``.
@@ -600,7 +596,7 @@ class Checker:
 
 class CheckedTree(weakref.ref):
     """A weak reference to a tree that ``elaborate_term`` returned, with
-    what the checker learned of it: the type it first returned
+    what the checker learned of it: the type it returned
     (``type_``), the gamma entries it read (``reads``, pairs of a name and
     its type object, None for a name gamma lacked) and the names its
     binders took (``binders``).  Both are tuples, which take less memory than a dict or
@@ -631,15 +627,13 @@ def checked(tree) -> Optional[CheckedTree]:
     return rec if rec is not None and rec() is tree else None
 
 
-def recall(gamma: Mapping, tree,
-           expected: Optional[TypeExpr]) -> Optional[TypeExpr]:
+def recall(gamma: Mapping, tree) -> Optional[TypeExpr]:
     """The type ``elaborate_term`` returned with `tree` itself, to stand
-    for checking `tree` again under `gamma` at `expected`; None when `tree`
-    has no record, when `expected` is given and is not the recorded type
-    object, or when a name the record read maps to another object in
+    for checking `tree` again under `gamma`; None when `tree` has no
+    record, or when a name the record read maps to another object in
     `gamma`."""
     rec = checked(tree)
-    if rec is None or (expected is not None and expected is not rec.type_):
+    if rec is None:
         return None
     for name, ty in rec.reads:
         if gamma.get(name) is not ty:
@@ -676,8 +670,7 @@ def elaborate_term(env, term: Term,
     module docstring), so it is not repeated.
 
     With a plain mapping, the tree returned is recorded (see the module
-    docstring), unless its record still holds under `env` at a type
-    printed the same, which it keeps; with an ``EnvPair``, nothing is.
+    docstring); with an ``EnvPair``, nothing is.
     """
     noted = not isinstance(env, EnvPair)
     if noted:
@@ -687,9 +680,6 @@ def elaborate_term(env, term: Term,
     if guessed and expected is None:
         ty, t2, _ = _elaborate_pass(env, term, ty)
     if noted:
-        kept = recall(env.base, t2, None)
-        if kept is not None and type_str(kept) == type_str(ty):
-            return ty, t2
         rec = weakref.ref.__new__(CheckedTree, t2, _forget)
         rec.key, rec.type_ = id(t2), ty
         rec.reads, rec.binders = tuple(env.reads.items()), tuple(env.bound)

@@ -1,8 +1,7 @@
 """The checker's records of the trees it returned, and the prover's use of
 them.  ``prove_equal`` reads a side's record instead of elaborating it only
 for that very tree, under a gamma that maps every name the record read to
-the same type object, and at no expected type or the recorded type object.
-Any other side is elaborated as it always was, with the same verdict and
+the same type object.  Any other side is elaborated as it always was, with the same verdict and
 the same error text: the reference for that is the same proof of a copy of
 each side's root, which has no record."""
 
@@ -37,8 +36,7 @@ def test_a_record_names_its_tree_only():
     assert rec() is tree and rec.type_ is ty
     assert rec.reads == (("f", SUPER),) and set(rec.binders) == {"x"}
     assert checked(copy.copy(tree)) is None
-    assert recall({"f": SUPER}, tree, None) is ty
-    assert recall({"f": SUPER}, tree, ty) is ty
+    assert recall({"f": SUPER}, tree) is ty
 
 
 def test_a_name_read_from_gamma_must_keep_its_type_object(checkers):
@@ -63,49 +61,34 @@ def test_a_name_bound_in_the_tree_is_not_a_read():
     gamma = {"x": ProdT(BoolT(), BoolT()), "not": BB}
     _, tree = elaborate_term(gamma, parse_term("\\x. not x"))
     assert checked(tree).reads == (("not", BB),)
-    assert recall({"not": BB}, tree, None) is checked(tree).type_
+    assert recall({"not": BB}, tree) is checked(tree).type_
 
 
-def test_the_expected_type_must_be_the_recorded_object(checkers):
-    ty = FunT(BoolT(), BoolT())
-    _, tree = elaborate_term({}, parse_term("\\x. x"), ty)
-    recorded = checked(tree).type_
-    got, built = _prove(tree, checkers, types={},
-                        expected=(recorded, recorded))
-    assert got.kind == "proved-by-normalization" and built == 0
-    other = FunT(BoolT(), BoolT())
-    assert other == recorded and other is not recorded
-    got, built = _prove(tree, checkers, types={}, expected=(other, other))
-    assert got.kind == "proved-by-normalization" and built >= 1
-    got, built = _prove(tree, checkers, types={},
-                        expected=(BoolT(), BoolT()))
-    assert "mismatch" in got.reason and built >= 1
-
-
-def test_a_record_never_makes_the_types_differ():
+def test_a_recorded_side_keeps_its_type_against_any_other_side():
     # the checker returns the parsed `\x. x` itself at Bool -> Bool, so
-    # that object records Bool -> Bool.  On its own it is ambiguous, and a
-    # fresh check borrows the right side's type; so does the prover when
-    # the recorded type disagrees with it
+    # that object records Bool -> Bool, which it keeps whatever the other
+    # side is: an ambiguous side that has no record borrows it, and a side
+    # of another type makes the types differ.  `qarrow prove` prints the
+    # same for definitions f : Bool -> Bool and g : (Bool,Bool) ->
+    # (Bool,Bool), both `\x. x`
     term = parse_term("\\x. x")
     _, tree = elaborate_term({}, term, BB)
     assert tree is term and checked(term).type_ == BB
     pairs = FunT(ProdT(BoolT(), BoolT()), ProdT(BoolT(), BoolT()))
-    got = prove_equal(term, term, types={}, env={}, expected=(None, pairs))
-    fresh = parse_term("\\x. x")
-    want = prove_equal(fresh, fresh, types={}, env={}, expected=(None, pairs))
-    assert got.kind == want.kind == "proved-by-normalization"
-    assert got.describe() == want.describe()
-    # nor makes a side fail with another error: where the right side is
-    # unbound, the left side's ambiguity is reported, not the right side's
-    # error at Bool -> Bool; where it is a pair, the left side's mismatch
-    # at the pair type
-    for right, error in (("nosuch", "ambiguous type"),
-                         ("(True, True)", "expected (Bool,Bool)")):
-        got = prove_equal(term, parse_term(right), types={}, env={})
-        want = prove_equal(fresh, parse_term(right), types={}, env={})
-        assert got.describe() == want.describe()
-        assert error in got.reason, right
+    _, other = elaborate_term({}, parse_term("\\x. x"), pairs)
+    cases = [
+        (parse_term("(True, True)"),
+         "not equal: types differ: Bool -> Bool vs (Bool,Bool)"),
+        (parse_term("nosuch"),
+         "unknown: typechecking failed: <input>:1:1: unbound: nosuch"),
+        (parse_term("\\x. x"),
+         "equal: both sides normalize to the same term (0 steps)"),
+        (other, "not equal: types differ: Bool -> Bool vs "
+                "(Bool,Bool) -> (Bool,Bool)"),
+    ]
+    for right, want in cases:
+        got = prove_equal(term, right, types={}, env={})
+        assert got.describe() == want
 
 
 def test_nothing_is_recorded_under_an_env_pair(checkers):
@@ -144,7 +127,7 @@ def test_a_dead_trees_id_never_finds_a_record(checkers):
     other = parse_term("\\x. x")
     _CHECKED[id(other)] = rec
     try:
-        assert checked(other) is None and recall({}, other, None) is None
+        assert checked(other) is None and recall({}, other) is None
         got, built = _prove(other, checkers, types={})
         assert "ambiguous type" in got.reason and built == 2
     finally:

@@ -235,6 +235,33 @@ def test_inverse_round_trip_random(prelude, seed):
     assert np.max(np.abs(direct.action - back.action)) < 1e-12
 
 
+CAPTURE_CASES = [
+    # the first fresh binder used to be x, which captured the callee x and
+    # failed to typecheck ...
+    ("x : Super Bool Bool\nx = \\@q. QNot @ q\n"
+     "y : Super Bool Bool\ny = \\@a. x @ a\n",
+     "\\@x2. let w3 = (\\@x4. [(\\a. a) x4]) @ x2 in (\\@x5. x @ x5) @ w3"),
+    # ... or captured the x an arr lambda reads, and typechecked with
+    # another meaning
+    ("x : Bool\nx = True\ny : Super Bool Bool\ny = \\@a. [not x]\n",
+     "\\@x2. [(\\a. not x) x2]"),
+]
+
+
+@pytest.mark.parametrize("src,text", CAPTURE_CASES, ids=["callee", "arr"])
+def test_inverse_binders_avoid_the_names_the_pipeline_reads(prelude, src,
+                                                             text):
+    types, program = elaborate_program(parse_program(src), prelude.types)
+    x, y = (d.term for d in program.defs)
+    env = {**prelude.env, "x": eval_term(x, prelude.env)}
+    inv = inverse_translate(translate_term(y))
+    assert pretty(inv) == text
+    _, inv2 = elaborate_term({**prelude.types, **types}, inv, SuperT(B, B))
+    direct = eval_term(y, env).val
+    back = eval_term(inv2, env).val
+    assert np.max(np.abs(direct.action - back.action)) < 1e-12
+
+
 def test_classic_via_materialize_equals_direct(prelude):
     # materializing the combinator pipeline equals evaluating the abstraction
     for name in ("bell", "Alice", "teleport"):

@@ -488,16 +488,30 @@ def test_prove_a_rounding_difference_is_unknown(runcli, lhs, rhs, said):
 
 def test_prove_types_a_definition_at_its_annotation(runcli, tmp_path):
     """``f`` alone is ambiguous; as a side of ``prove`` it has its declared
-    type, and a definition of another type still differs by type."""
+    type, an inline side that is ambiguous on its own borrows the other
+    side's, and a definition or term of another type differs by type."""
     f = tmp_path / "f.qarr"
     f.write_text("f : Bool -> Bool\nf = \\x. x\n"
-                 "g : (Bool,Bool) -> (Bool,Bool)\ng = \\p. p\n")
-    for rhs in ("f", "\\x. x"):
-        assert runcli("prove", str(f), "f", rhs) == (
-            OK, "equal: both sides normalize to the same term (0 steps)\n", "")
-    assert runcli("prove", str(f), "f", "g") == (
-        FAIL, "not equal: types differ: Bool -> Bool vs "
-              "(Bool,Bool) -> (Bool,Bool)\n", "")
+                 "g : (Bool,Bool) -> (Bool,Bool)\ng = \\x. x\n"
+                 "h : Super Bool Bool\nh = \\@x. [x]\n")
+    same = "equal: both sides normalize to the same term (0 steps)"
+    cases = [
+        ("f", "f", OK, same),
+        ("f", "g", FAIL, "not equal: types differ: Bool -> Bool vs "
+                         "(Bool,Bool) -> (Bool,Bool)"),
+        ("f", "nosuch", UNDECIDED,
+         "unknown: typechecking failed: <arg>:1:1: unbound: nosuch"),
+        ("f", "(True,True)", FAIL,
+         "not equal: types differ: Bool -> Bool vs (Bool,Bool)"),
+        ("\\x.x", "f", OK, same),
+        ("g", "\\x.x", OK, same),
+        ("h", "\\@x.[x]", OK, same),
+        ("f", "\\y.y", OK, same),
+        ("g", "g", OK, same),
+    ]
+    for lhs, rhs, code, line in cases:
+        assert runcli("prove", str(f), lhs, rhs) == (code, line + "\n", ""), \
+            (lhs, rhs)
 
 
 UNEQUAL_HIGHER_ORDER = [

@@ -191,8 +191,8 @@ def test_cli_prove_of_two_definitions_builds_no_checker(
     from qarrow.cli import main
 
     # a definition checked again, at a type equal to its own but another
-    # object or at none, keeps its record, whose type is gamma's object
-    # that the CLI passes as the side's expected type
+    # object or at none, is recorded again, reading the same gamma objects,
+    # so a side that names it still takes its type from the record
     for d in parse_program(prelude_source()).defs:
         for expected in (d.annot, None):
             elaborate_term(prelude.types, defs_map[d.name], expected)
