@@ -1,9 +1,9 @@
 """The checker's records of the trees it returned, and the prover's use of
 them.  ``prove_equal`` reads a side's record instead of elaborating it only
 for that very tree, under a gamma that maps every name the record read to
-the same type object.  Any other side is elaborated as it always was, with the same verdict and
-the same error text: the reference for that is the same proof of a copy of
-each side's root, which has no record."""
+the same type object.  Any other side is elaborated as it always was,
+with the same verdict and the same error text: the reference for that is
+the same proof of a copy of each side's root, which has no record."""
 
 import copy
 import gc
