@@ -270,7 +270,18 @@ def pattern_term(p: Pattern) -> "Term":
 
 
 class Term(Node):
-    """Base class for terms."""
+    """Base class for terms.
+
+    The slot ``_checked`` holds the checker's record of this very object
+    (``typecheck.checked``), set by ``typecheck.elaborate_term`` on the tree
+    it returns and unset otherwise.  It lies outside ``__dict__``, which is
+    all that ``rebuild``, ``copy`` and pickle copy (``__getstate__``), so no
+    copy carries a record."""
+
+    __slots__ = ("_checked",)
+
+    def __getstate__(self):
+        return self.__dict__
 
 
 class Var(Term):

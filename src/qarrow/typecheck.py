@@ -61,25 +61,24 @@ guesses:
   previous point does not reach it.  ``tests/test_elaborate_once.py``
   checks results against the elaboration that always takes two passes.
 
-The checker remembers the trees it returned.  ``elaborate_term``, when it
-is given a plain gamma mapping, records of the tree it returns the type it
-returned, the gamma entries it read (name to type object: ``EnvPair.lookup``
-notes each read from the base) and the names its binders took
-(``EnvPair.bind`` notes them).  This is subject reduction used as a cache
-(Wright & Felleisen, "A syntactic approach to type soundness", 1994): an
-elaborated tree checked again comes back as itself.  ``recall`` gives the
-recorded type back only for that very object, and only while every name
-the record read maps to the same type object in the gamma it is given; the
-prover reads it instead of elaborating a side, and ``Rewriter.rename_apart``
-reads the binder names.  Records are keyed by ``id`` and guarded by a weak
-reference to the tree, so a record dies with its tree and a reused ``id``
-never finds one.  They are neither keyed by the tree, whose ``==`` and hash
-are structural, so a moved or re-typed equal tree would find one, nor
-stored on the node, whose copies under ``rebuild`` would inherit a record
-that no longer holds.  ``elaborate_term`` itself never reads them: a type
-recorded at an annotation keeps that annotation's position, which a pass
-would not.  A call given an ``EnvPair`` records nothing, and a tree
-checked again is recorded again, with the type that check returned.
+The checker remembers the trees it returned.  ``elaborate_term`` records
+of the tree it returns the type it returned, the gamma entries it read
+(name to type object: ``EnvPair.lookup`` notes each read from the base)
+and the names its binders took (``EnvPair.bind`` notes them).  This is
+subject reduction used as a cache (Wright & Felleisen, "A syntactic
+approach to type soundness", 1994): an elaborated tree checked again comes
+back as itself.  The record sits in the tree's own ``_checked`` slot
+(``syntax.Term``), so it dies with the tree.  The slot lies outside the
+instance dictionary, which is all that ``rebuild``, ``copy`` and pickle
+copy, so no copy carries a record: an equal copy may be moved or re-typed.
+``recall`` gives the recorded type back only while every name the record
+read maps to the same type object in the gamma it is given; the prover
+reads it instead of elaborating a side, and ``Rewriter.rename_apart``
+reads the binder names.  ``elaborate_term`` never types a tree by its
+record, since a type recorded at an annotation keeps that annotation's
+position, which a pass would not; but a tree it returns keeps its record
+while that record holds under the gamma of the new check, whatever type
+that check was given, and is recorded again otherwise.
 
 Error kinds: ``mismatch``, ``unbound``, ``delta-misuse``,
 ``non-classical-basis``, ``pattern-arity``.
@@ -87,9 +86,8 @@ Error kinds: ``mismatch``, ``unbound``, ``delta-misuse``,
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Mapping
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (App, ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, Command,
                      Eq, Fst, FunT, If, is_classical, Lam, Let, Meas, MZero,
@@ -218,19 +216,18 @@ class EnvPair:
     shares the base and copies at most the overlay and delta; no pair's
     dictionaries change after it is made.
 
-    The notes for a record are the exception: when ``reads`` and ``bound``
-    are set (by ``elaborate_term``), every pair derived from this one
-    shares them, ``lookup`` notes in ``reads`` each name it reads from the
-    base and the type object it found, and ``bind`` adds to ``bound`` each
-    name it binds."""
+    The notes for a record are the exception: every pair derived from this
+    one shares its ``reads`` and ``bound``, ``lookup`` notes in ``reads``
+    each name it reads from the base and the type object it found, and
+    ``bind`` adds to ``bound`` each name it binds."""
 
     def __init__(self, gamma=None, delta=None, hidden=frozenset()):
         self.base: dict[str, TypeExpr] = gamma if gamma is not None else {}
         self.local: dict[str, Optional[TypeExpr]] = {}
         self.delta: dict[str, TypeExpr] = dict(delta or {})
         self.hidden: frozenset[str] = frozenset(hidden)
-        self.reads: Optional[dict[str, Optional[TypeExpr]]] = None
-        self.bound: Optional[set[str]] = None
+        self.reads: dict[str, Optional[TypeExpr]] = {}
+        self.bound: set[str] = set()
 
     def _derive(self, local, delta, hidden) -> "EnvPair":
         env = object.__new__(EnvPair)
@@ -244,9 +241,7 @@ class EnvPair:
             return self.delta[name]
         if name in self.local:
             return self.local[name]
-        ty = self.base.get(name)
-        if self.reads is not None:
-            self.reads[name] = ty
+        ty = self.reads[name] = self.base.get(name)
         return ty
 
     def bind(self, pairs, delta: bool = False) -> "EnvPair":
@@ -264,8 +259,7 @@ class EnvPair:
                 local[name] = ty
                 dlt.pop(name, None)
         names = [name for name, _ in pairs]
-        if self.bound is not None:
-            self.bound.update(names)
+        self.bound.update(names)
         return self._derive(local, dlt, self.hidden.difference(names))
 
     def hide_delta(self) -> "EnvPair":
@@ -594,37 +588,26 @@ class Checker:
 # Records of the trees the checker returned
 
 
-class CheckedTree(weakref.ref):
-    """A weak reference to a tree that ``elaborate_term`` returned, with
-    what the checker learned of it: the type it returned
-    (``type_``), the gamma entries it read (``reads``, pairs of a name and
-    its type object, None for a name gamma lacked) and the names its
-    binders took (``binders``).  Both are tuples, which take less memory than a dict or
-    a set of a few entries.  ``key`` is the tree's ``id``, under which
-    ``_CHECKED`` holds the record until the tree dies.
+class CheckedTree(NamedTuple):
+    """What the checker learned of a tree that ``elaborate_term`` returned:
+    the type it returned (``type_``), the gamma entries it read (``reads``,
+    pairs of a name and its type object, None for a name gamma lacked) and
+    the names its binders took (``binders``).  Both are tuples, which take
+    less memory than a dict or a set of a few entries.
 
-    Only ``elaborate_term`` makes one, with ``weakref.ref.__new__`` and
-    the fields set after: with a Python ``__new__`` and ``__init__``, a
-    record cost about three times as much (``timeit``)."""
+    ``elaborate_term`` builds one with ``tuple.__new__``, which skips the
+    Python-level ``__new__`` of a named tuple, and stores it in the tree's
+    ``_checked`` slot."""
 
-    __slots__ = ("key", "type_", "reads", "binders")
-
-
-_CHECKED: dict[int, CheckedTree] = {}
-
-
-def _forget(rec: CheckedTree) -> None:
-    # called as the tree dies, before its id can be reused; the entry may
-    # be a later record of the same tree, whose own call removes it
-    if _CHECKED.get(rec.key) is rec:
-        del _CHECKED[rec.key]
+    type_: TypeExpr
+    reads: tuple
+    binders: tuple
 
 
 def checked(tree) -> Optional[CheckedTree]:
     """The record of `tree` itself, or None when the checker did not
-    return it (or returned it under an ``EnvPair``)."""
-    rec = _CHECKED.get(id(tree))
-    return rec if rec is not None and rec() is tree else None
+    return it (a copy of a tree it returned has none)."""
+    return getattr(tree, "_checked", None)
 
 
 def recall(gamma: Mapping, tree) -> Optional[TypeExpr]:
@@ -658,32 +641,26 @@ def _elaborate_pass(env: EnvPair, term: Term, expected: Optional[TypeExpr]
     return resolved, t2, checker.guessed
 
 
-def elaborate_term(env, term: Term,
+def elaborate_term(gamma: Mapping, term: Term,
                    expected: Optional[TypeExpr] = None) -> tuple[TypeExpr, Term]:
-    """Infer (and elaborate) a term under an environment.
+    """Infer (and elaborate) a term under the mapping `gamma`.
 
-    `env` may be an EnvPair or a plain mapping treated as gamma.  When no
-    expected type is given and the pass guessed (made a let plain on a type
-    not yet known), the term is checked once more at the type the first pass
-    inferred, so that those decisions are made with fully known types.  A
-    pass that guessed nothing would make the same decisions again (see the
-    module docstring), so it is not repeated.
+    When no expected type is given and the pass guessed (made a let plain
+    on a type not yet known), the term is checked once more at the type the
+    first pass inferred, so that those decisions are made with fully known
+    types.  A pass that guessed nothing would make the same decisions again
+    (see the module docstring), so it is not repeated.
 
-    With a plain mapping, the tree returned is recorded (see the module
-    docstring); with an ``EnvPair``, nothing is.
+    The tree returned is recorded (see the module docstring), unless it
+    already holds a record that still holds under `gamma`, which stands.
     """
-    noted = not isinstance(env, EnvPair)
-    if noted:
-        env = EnvPair(env)
-        env.reads, env.bound = {}, set()
+    env = EnvPair(gamma)
     ty, t2, guessed = _elaborate_pass(env, term, expected)
     if guessed and expected is None:
         ty, t2, _ = _elaborate_pass(env, term, ty)
-    if noted:
-        rec = weakref.ref.__new__(CheckedTree, t2, _forget)
-        rec.key, rec.type_ = id(t2), ty
-        rec.reads, rec.binders = tuple(env.reads.items()), tuple(env.bound)
-        _CHECKED[rec.key] = rec
+    if recall(gamma, t2) is None:
+        object.__setattr__(t2, "_checked", tuple.__new__(CheckedTree, (
+            ty, tuple(env.reads.items()), tuple(env.bound))))
     return ty, t2
 
 

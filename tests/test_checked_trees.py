@@ -7,11 +7,13 @@ the same proof of a copy of each side's root, which has no record."""
 
 import copy
 import gc
+import pickle
+import weakref
 
 from qarrow import (elaborate_program, elaborate_term, parse_program,
-                    parse_term, prove_equal)
-from qarrow.syntax import BoolT, FunT, ProdT, SuperT
-from qarrow.typecheck import _CHECKED, checked, EnvPair, recall
+                    parse_term, parse_type, prove_equal)
+from qarrow.syntax import BoolLit, BoolT, FunT, ProdT, rebuild, SuperT
+from qarrow.typecheck import checked, recall
 
 BB = FunT(BoolT(), BoolT())
 SUPER = SuperT(BoolT(), BoolT())
@@ -33,7 +35,7 @@ def test_a_record_names_its_tree_only():
     term = parse_term("\\@x. f @ x")
     ty, tree = elaborate_term({"f": SUPER}, term)
     rec = checked(tree)
-    assert rec() is tree and rec.type_ is ty
+    assert tree._checked is rec and rec.type_ is ty
     assert rec.reads == (("f", SUPER),) and set(rec.binders) == {"x"}
     assert checked(copy.copy(tree)) is None
     assert recall({"f": SUPER}, tree) is ty
@@ -91,47 +93,32 @@ def test_a_recorded_side_keeps_its_type_against_any_other_side():
         assert got.describe() == want
 
 
-def test_nothing_is_recorded_under_an_env_pair(checkers):
-    # an earlier test's trees may still be held by a caught error's frame,
-    # and die when the collector runs
-    gc.collect()
-    before = len(_CHECKED)
-    cases = [
-        # delta entries
-        (EnvPair({"f": SUPER}, delta={"q": BoolT()}), "(q, q)", "unbound: q"),
-        # local entries
-        (EnvPair({}).bind([("y", BoolT())]), "(y, True)", "unbound: y"),
-        # and none
-        (EnvPair({"f": SUPER}), "f", None),
-    ]
-    for env, src, error in cases:
-        _, tree = elaborate_term(env, parse_term(src))
-        assert checked(tree) is None and len(_CHECKED) == before
-        got, built = _prove(tree, checkers, types={"f": SUPER})
-        assert built >= 1
-        if error is not None:
-            assert error in got.reason
+def test_a_record_that_holds_stands_when_its_tree_is_checked_again():
+    # `\x. x` checked again at another type comes back as itself; its
+    # record read nothing from gamma, so it still holds and keeps the
+    # definition's type, which is what `qarrow prove` prints
+    types, program = elaborate_program(parse_program(
+        "f : Bool -> Bool\nf = \\x. x\n"))
+    f = program.defs[0].term
+    pairs = parse_type("(Bool,Bool) -> (Bool,Bool)")
+    assert elaborate_term(types, f, pairs)[1] is f
+    assert checked(f).type_ is types["f"]
+    got = prove_equal(f, parse_term("(True, True)"), types=types, env={})
+    assert got.describe() == (
+        "not equal: types differ: Bool -> Bool vs (Bool,Bool)")
 
 
-def test_a_dead_trees_id_never_finds_a_record(checkers):
-    _, tree = elaborate_term({}, parse_term("\\x. x"), BB)
-    rec = checked(tree)
-    gc.collect()
-    before = len(_CHECKED)
-    del tree
-    gc.collect()
-    assert rec() is None and len(_CHECKED) == before - 1
-    assert rec.key not in _CHECKED
-    # a live tree under the dead tree's id: the weak reference tells them
-    # apart, so its side is elaborated, and is as ambiguous as it was
-    other = parse_term("\\x. x")
-    _CHECKED[id(other)] = rec
-    try:
-        assert checked(other) is None and recall({}, other) is None
-        got, built = _prove(other, checkers, types={})
-        assert "ambiguous type" in got.reason and built == 2
-    finally:
-        del _CHECKED[id(other)]
+def test_no_copy_of_a_checked_tree_carries_its_record():
+    _, tree = elaborate_term({"f": SUPER}, parse_term("\\@x. f @ x"))
+    assert checked(tree) is not None
+    for other in (copy.copy(tree), copy.deepcopy(tree),
+                  pickle.loads(pickle.dumps(tree))):
+        assert other == tree and other is not tree
+        assert checked(other) is None
+    _, pair = elaborate_term({}, parse_term("(True, True)"))
+    assert checked(pair) is not None
+    other = rebuild(pair, {"left": BoolLit(False)})
+    assert other is not pair and checked(other) is None
 
 
 def test_records_die_with_their_trees(prelude):
@@ -143,11 +130,12 @@ def test_records_die_with_their_trees(prelude):
         "flip = \\b. not b",
         "t = True",
     ])
-    gc.collect()
-    start = len(_CHECKED)
+    passes = []     # weak references to each pass's program and trees
     for _ in range(50):
-        types, program = elaborate_program(parse_program(src), prelude.types)
-        assert len(_CHECKED) <= start + len(program.defs)
-    del types, program
+        _, program = elaborate_program(parse_program(src), prelude.types)
+        assert all(checked(d.term) is not None for d in program.defs)
+        passes.append([weakref.ref(program)]
+                      + [weakref.ref(d.term) for d in program.defs])
     gc.collect()
-    assert len(_CHECKED) == start
+    assert all(ref() is None for refs in passes[:-1] for ref in refs)
+    assert passes[-1][0]() is program

@@ -15,7 +15,7 @@ import json
 import randprog
 from qarrow import apply_law_at, elaborate_term, pretty, prove_equal
 from qarrow.syntax import pattern_names
-from qarrow.typecheck import _CHECKED
+from qarrow.typecheck import checked
 
 from helpers import laws
 
@@ -84,20 +84,23 @@ def test_records_change_no_verdict(prelude, defs_map):
 
 
 def test_every_record_holds_its_trees_binder_names(prelude, defs_map):
-    # the records live while their trees do: the prelude's, and each pair's
-    # until the next pair is built
-    seen = {}       # id -> record, kept so that no id is reused
+    # the trees the test holds: the prelude's definitions, and each pair's
+    # sides once the pair is proved, when the checker returned them
+    recorded = 0
+    for tree in defs_map.values():
+        assert set(checked(tree).binders) == _binder_names(tree), pretty(tree)
+        recorded += 1
     pairs = 0
     for _, before, after in _pairs(prelude, defs_map):
         prove_equal(before, after, types=dict(prelude.types),
                     env=prelude.env, defs=defs_map)
-        for rec in list(_CHECKED.values()):
-            tree = rec()
-            if tree is not None and id(rec) not in seen:
+        for tree in (before, after):
+            rec = checked(tree)
+            if rec is not None:
                 assert set(rec.binders) == _binder_names(tree), pretty(tree)
-                seen[id(rec)] = rec
+                recorded += 1
         pairs += 1
-    assert len(seen) > pairs
+    assert recorded > len(defs_map) + pairs
 
 
 def _binder_names(node):

@@ -1,8 +1,10 @@
 """The README's examples: every ``$ qarrow ...`` command in its text blocks,
 run in-process on the Quick start program, prints the output shown under
 it, byte for byte.  The ``--json`` examples that the README shortens with
-``...`` are skipped."""
+``...`` are skipped.  The Python API block runs, and the values of its
+expression statements are the densities its comments name."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -58,3 +60,22 @@ def test_readme_example(argv, want, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     main(argv)
     assert without_noise(capsys.readouterr().out) == without_noise(want)
+
+
+def test_readme_python_block():
+    import numpy as np
+
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    namespace, shown = {}, []
+    for stmt in ast.parse(blocks[0]).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            shown.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"),
+                 namespace)
+    half, one = shown                       # I/2, then |1><1|
+    assert np.abs(half - np.eye(2) / 2).max() < NOISE
+    assert np.abs(one - np.diag([0.0, 1.0])).max() < NOISE

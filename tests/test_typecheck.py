@@ -16,8 +16,8 @@ from qarrow.syntax import (ArrowAbs, BoolLit, BoolT, CApp, CLet, CUnit, FunT,
                            Lam, Let, Meas, MZero, Pair, Pos, pretty, ProdT,
                            PVar, SuperT, TrL, TypeExpr, type_str, Var, VecLet,
                            VecT, VecUnit)
-from qarrow.typecheck import (elaborate_program, elaborate_term, EnvPair,
-                              TypeCheckError, Unifier)
+from qarrow.typecheck import (Checker, elaborate_program, elaborate_term,
+                              EnvPair, TypeCheckError, Unifier)
 
 from ill_typed import ILL_TYPED
 
@@ -199,14 +199,14 @@ def test_shadowing():
 
 def test_env_pair_delta_lookup(prelude):
     env = EnvPair(dict(prelude.types), {"q": B})
-    ty, _ = elaborate_term(env, parse_term("not q"))
+    ty, _ = Checker().elaborate_term(env, parse_term("not q"))
     assert type_str(ty) == "Bool"
 
 
 def test_env_pair_keeps_hidden_names():
     env = EnvPair({}, {"q": B}, frozenset({"x"}))
     with pytest.raises(TypeCheckError) as ei:
-        elaborate_term(env, parse_term("x"))
+        Checker().elaborate_term(env, parse_term("x"))
     assert ei.value.kind == "delta-misuse"
 
 
