@@ -31,8 +31,7 @@ _EXPORTS = {
     "syntax": ("alpha_eq", "ArrowAbs", "BoolT", "free_vars", "FunT",
                "is_classical", "pretty", "ProdT", "Program", "QarrowError",
                "SuperT", "type_str", "TypeExpr", "VecT"),
-    "typecheck": ("elaborate_program", "elaborate_term", "EnvPair",
-                  "TypeCheckError"),
+    "typecheck": ("elaborate_program", "elaborate_term", "TypeCheckError"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

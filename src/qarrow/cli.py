@@ -31,7 +31,8 @@ error with a position prints as ``source:line:col: message``.  The source
 is the file, ``<stdin>`` for ``-``, ``<arg>`` for an inline target, or
 ``prelude.qarr``.  Usage errors, an unreadable file, a bad ket or density,
 evaluation errors, and running out of stack or memory (``file:
-RecursionError: …``, ``file: MemoryError: …``) carry no position.
+RecursionError: maximum recursion depth exceeded``, ``file: MemoryError:
+…``) carry no position.
 ``prove`` reports an ill-typed side as an ``unknown`` verdict, with its
 position, and exits 3.
 """
@@ -477,6 +478,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # do not fit in memory: bad input, reported without a traceback
         kind = "MemoryError" if isinstance(e, MemoryError) else "RecursionError"
         detail = (str(e).splitlines() or [""])[0]
+        depth = "maximum recursion depth exceeded"
+        if detail.startswith(depth):
+            # CPython goes on to name the kind of call that overflowed
+            detail = depth
         print(f"{args.file}: {kind}: {detail}", file=sys.stderr)
         return BADINPUT
 

@@ -63,8 +63,10 @@ guesses:
 
 The checker remembers the trees it returned.  ``elaborate_term`` records
 of the tree it returns the type it returned, the gamma entries it read
-(name to type object: ``EnvPair.lookup`` notes each read from the base)
-and the names its binders took (``EnvPair.bind`` notes them).  This is
+(name to type object) and the names its binders took.  The ``Checker``
+of each pass notes them: the ``Var`` rule each read that falls through
+the scope to gamma, ``bind_pattern`` each binder.  The record keeps the
+notes of the last pass, which reads and binds what the first did.  This is
 subject reduction used as a cache (Wright & Felleisen, "A syntactic
 approach to type soundness", 1994): an elaborated tree checked again comes
 back as itself.  The record sits in the tree's own ``_checked`` slot
@@ -123,12 +125,6 @@ class Unifier:
     def fresh(self) -> TVar:
         self._next += 1
         return TVar(self._next)
-
-    def snapshot(self) -> dict[int, TypeExpr]:
-        return dict(self.subst)
-
-    def restore(self, snap: dict[int, TypeExpr]) -> None:
-        self.subst = snap
 
     def head(self, t: TypeExpr) -> TypeExpr:
         while isinstance(t, TVar) and t.uid in self.subst:
@@ -202,81 +198,68 @@ def validate_type(t: TypeExpr, pos: Optional[Pos] = None) -> None:
                                  detail=f"{type_str(t)} needs {need}")
 
 
+# What `EnvPair.hide_delta` binds its names to: a lookup that finds it is a
+# delta-misuse.
+HIDDEN = object()
+
+
 class EnvPair:
-    """gamma: function-level bindings; delta: command-level bindings;
-    hidden: delta names currently out of scope (for precise errors).
+    """The scope of a judgment: gamma, the function-level bindings, and
+    delta, the names bound by arrow abstractions and command lets.
 
     Gamma is the caller's mapping, held by reference as a read-only
-    ``base`` and never copied, under a small ``local`` overlay of the names
-    the checker has bound since.  Binding a name in delta takes it out of
-    gamma: an overlay entry of ``None`` is a tombstone over a base entry of
-    that name, so once ``hide_delta`` puts the name in ``hidden`` a lookup
-    of it finds nothing and reports a delta-misuse, not the base's type.
-    ``bind``, ``hide_delta`` and ``enter_command`` return a new pair that
-    shares the base and copies at most the overlay and delta; no pair's
-    dictionaries change after it is made.
+    ``base`` and never copied.  ``local`` maps every name bound since to
+    its type, whichever environment took it, and ``delta`` is the set of
+    its names that are in delta.  ``hide_delta`` maps those names to
+    ``HIDDEN`` for the function position of an arrow application;
+    ``enter_command`` forgets which names are in delta, so that they are
+    gamma in a nested arrow body.  ``bind``, ``hide_delta`` and
+    ``enter_command`` return a new pair that shares the base; no pair
+    changes after it is made."""
 
-    The notes for a record are the exception: every pair derived from this
-    one shares its ``reads`` and ``bound``, ``lookup`` notes in ``reads``
-    each name it reads from the base and the type object it found, and
-    ``bind`` adds to ``bound`` each name it binds."""
+    def __init__(self, gamma=None, delta=None):
+        self.base: Mapping[str, TypeExpr] = gamma if gamma is not None else {}
+        self.local: dict[str, TypeExpr] = dict(delta or {})
+        self.delta: frozenset[str] = frozenset(self.local)
 
-    def __init__(self, gamma=None, delta=None, hidden=frozenset()):
-        self.base: dict[str, TypeExpr] = gamma if gamma is not None else {}
-        self.local: dict[str, Optional[TypeExpr]] = {}
-        self.delta: dict[str, TypeExpr] = dict(delta or {})
-        self.hidden: frozenset[str] = frozenset(hidden)
-        self.reads: dict[str, Optional[TypeExpr]] = {}
-        self.bound: set[str] = set()
-
-    def _derive(self, local, delta, hidden) -> "EnvPair":
+    def _derive(self, local, delta) -> "EnvPair":
         env = object.__new__(EnvPair)
-        env.base, env.local, env.delta, env.hidden = (self.base, local,
-                                                      delta, hidden)
-        env.reads, env.bound = self.reads, self.bound
+        env.base, env.local, env.delta = self.base, local, delta
         return env
-
-    def lookup(self, name: str) -> Optional[TypeExpr]:
-        if name in self.delta:
-            return self.delta[name]
-        if name in self.local:
-            return self.local[name]
-        ty = self.reads[name] = self.base.get(name)
-        return ty
 
     def bind(self, pairs, delta: bool = False) -> "EnvPair":
         """`pairs` of (name, type) bound in gamma, or in delta when `delta`
-        is true; each name leaves the other environment and `hidden`."""
-        local, dlt = dict(self.local), dict(self.delta)
-        for name, ty in pairs:
-            if delta:
-                dlt[name] = ty
-                if name in self.base:
-                    local[name] = None
-                else:
-                    local.pop(name, None)
-            else:
-                local[name] = ty
-                dlt.pop(name, None)
+        is true."""
+        local = dict(self.local)
+        local.update(pairs)
         names = [name for name, _ in pairs]
-        self.bound.update(names)
-        return self._derive(local, dlt, self.hidden.difference(names))
+        return self._derive(local, self.delta.union(names) if delta
+                            else self.delta.difference(names))
 
     def hide_delta(self) -> "EnvPair":
-        return self._derive(self.local, {}, self.hidden | set(self.delta))
+        return self._derive({**self.local, **dict.fromkeys(self.delta, HIDDEN)},
+                            frozenset())
 
     def enter_command(self) -> "EnvPair":
-        """All currently visible bindings become gamma for a nested arrow body."""
-        return self._derive({**self.local, **self.delta}, {}, self.hidden)
+        """Every visible binding becomes gamma for a nested arrow body."""
+        return self._derive(self.local, frozenset())
 
 
 class Checker:
+    """The state of one pass: the unifier, the obligations that a type be
+    classical, the guess flag and the notes for the record of the tree the
+    pass returns.  Scopes (``EnvPair``) hold bindings only."""
+
     def __init__(self) -> None:
         self.uni = Unifier()
         self.obligations: list[tuple[TypeExpr, Optional[Pos]]] = []
         # set when a let was made plain while its bound type, or (for a
         # vector bound) its body's type, was still an unsolved variable
         self.guessed = False
+        # each read that falls through to gamma (name to the type object
+        # found, None for a name gamma lacks) and each binder's name
+        self.reads: dict[str, Optional[TypeExpr]] = {}
+        self.binders: set[str] = set()
 
     # -- helpers
 
@@ -335,6 +318,7 @@ class Checker:
                                  detail=f"tuple pattern against {type_str(self.uni.resolve(h))}")
 
         go(pat, ty)
+        self.binders.update(names)
         return out
 
     # -- terms
@@ -355,14 +339,16 @@ class Checker:
     def _elab_term(self, env: EnvPair, t: Term,
                    expected: Optional[TypeExpr]) -> tuple[TypeExpr, Term]:
         if isinstance(t, Var):
-            ty = env.lookup(t.name)
+            ty = env.local.get(t.name)
             if ty is None:
-                if t.name in env.hidden:
-                    raise TypeCheckError(
-                        "delta-misuse", t.pos,
-                        detail=f"{t.name} is bound in the command environment "
-                               f"and cannot be used here")
-                raise TypeCheckError("unbound", t.pos, detail=t.name)
+                ty = self.reads[t.name] = env.base.get(t.name)
+                if ty is None:
+                    raise TypeCheckError("unbound", t.pos, detail=t.name)
+            elif ty is HIDDEN:
+                raise TypeCheckError(
+                    "delta-misuse", t.pos,
+                    detail=f"{t.name} is bound in the command environment "
+                           f"and cannot be used here")
             return ty, t
 
         if isinstance(t, BoolLit):
@@ -414,7 +400,7 @@ class Checker:
             if isinstance(bh, TVar):
                 self.guessed = True
             elif isinstance(bh, VecT):
-                snap = self.uni.snapshot()
+                subst = dict(self.uni.subst)
                 n_obl = len(self.obligations)
                 try:
                     env2 = env.bind(self.bind_pattern(t.pat, bh.elem))
@@ -427,7 +413,7 @@ class Checker:
                         self.guessed = True
                 except TypeCheckError:
                     pass
-                self.uni.restore(snap)
+                self.uni.subst = subst
                 del self.obligations[n_obl:]
             env2 = env.bind(self.bind_pattern(t.pat, bt))
             nt, n2 = self.elaborate_term(env2, t.body, expected)
@@ -628,17 +614,17 @@ def recall(gamma: Mapping, tree) -> Optional[TypeExpr]:
 # Public entry points
 
 
-def _elaborate_pass(env: EnvPair, term: Term, expected: Optional[TypeExpr]
-                    ) -> tuple[TypeExpr, Term, bool]:
+def _elaborate_pass(gamma: Mapping, term: Term, expected: Optional[TypeExpr]
+                    ) -> tuple[TypeExpr, Term, Checker]:
     checker = Checker()
-    ty, t2 = checker.elaborate_term(env, term, expected)
+    ty, t2 = checker.elaborate_term(EnvPair(gamma), term, expected)
     resolved = checker.uni.resolve_full(ty, term.pos)
     checker.check_obligations()
     validate_type(resolved, term.pos)
     if checker.uni._next:
         # with no variable made, every recorded type is already resolved
         t2 = checker.finalize(t2)
-    return resolved, t2, checker.guessed
+    return resolved, t2, checker
 
 
 def elaborate_term(gamma: Mapping, term: Term,
@@ -651,16 +637,16 @@ def elaborate_term(gamma: Mapping, term: Term,
     types.  A pass that guessed nothing would make the same decisions again
     (see the module docstring), so it is not repeated.
 
-    The tree returned is recorded (see the module docstring), unless it
-    already holds a record that still holds under `gamma`, which stands.
+    The tree returned is recorded with the notes of the last pass (see the
+    module docstring), unless it already holds a record that still holds
+    under `gamma`, which stands.
     """
-    env = EnvPair(gamma)
-    ty, t2, guessed = _elaborate_pass(env, term, expected)
-    if guessed and expected is None:
-        ty, t2, _ = _elaborate_pass(env, term, ty)
+    ty, t2, checker = _elaborate_pass(gamma, term, expected)
+    if checker.guessed and expected is None:
+        ty, t2, checker = _elaborate_pass(gamma, term, ty)
     if recall(gamma, t2) is None:
         object.__setattr__(t2, "_checked", tuple.__new__(CheckedTree, (
-            ty, tuple(env.reads.items()), tuple(env.bound))))
+            ty, tuple(checker.reads.items()), tuple(checker.binders))))
     return ty, t2
 
 

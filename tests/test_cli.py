@@ -1041,6 +1041,17 @@ def test_memory_and_recursion_errors_exit_2(runcli, demo, monkeypatch):
     assert err == (f"{demo}: RecursionError: maximum recursion depth "
                    f"exceeded\n")
 
+    # CPython names the kind of call that overflowed; the line does not
+    def recurse_in_call(*args):
+        raise RecursionError("maximum recursion depth exceeded while "
+                             "calling a Python object")
+
+    monkeypatch.setattr("qarrow.evaluator.run_super", recurse_in_call)
+    code, _, err = runcli("run", demo, "flip", "--input", "|0>")
+    assert code == BADINPUT
+    assert err == (f"{demo}: RecursionError: maximum recursion depth "
+                   f"exceeded\n")
+
 
 # --------------------------------------------------------------------------
 # ket expressions

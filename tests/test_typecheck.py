@@ -204,10 +204,34 @@ def test_env_pair_delta_lookup(prelude):
 
 
 def test_env_pair_keeps_hidden_names():
-    env = EnvPair({}, {"q": B}, frozenset({"x"}))
+    env = EnvPair({}, {"x": B}).hide_delta()
     with pytest.raises(TypeCheckError) as ei:
         Checker().elaborate_term(env, parse_term("x"))
     assert ei.value.kind == "delta-misuse"
+
+
+# Each source follows `f : Super Bool Bool = `: a hidden delta name is
+# rebound by a lambda or an arrow in function position, and stays hidden
+# inside a nested arrow, even where it shadows a prelude name.
+SCOPES = [
+    ("\\@x. ((\\x. QNot) True) @ x", None),
+    ("\\@x. (\\@x. QNot @ x) @ x", None),
+    ("\\@x. ((\\x. \\@y. [x]) True) @ x", None),
+    ("\\@x. ((\\b. \\@y. [x]) True) @ x", ("delta-misuse", 1, 40)),
+    ("\\@Had. (\\@y. Had @ y) @ Had", ("delta-misuse", 1, 36)),
+    ("\\@Had. (\\@Had. Had @ Had) @ Had", ("delta-misuse", 1, 38)),
+]
+
+
+@pytest.mark.parametrize("src,error", SCOPES)
+def test_scope_of_hidden_delta_names(prelude, src, error):
+    program = parse_program(f"f : Super Bool Bool = {src}")
+    if error is None:
+        elaborate_program(program, dict(prelude.types))
+        return
+    with pytest.raises(TypeCheckError) as ei:
+        elaborate_program(program, dict(prelude.types))
+    assert (ei.value.kind, ei.value.pos.line, ei.value.pos.col) == error
 
 
 # ---- diagnostics ----------------------------------------------------------------
