@@ -54,12 +54,20 @@ term at each step.  So normalization also stops, with ``complete`` false and
 make the term larger than ``size_limit`` of the start term's size (nodes
 counted over ``child_fields``).
 
-Within one ``normalize`` call, the leftmost-outermost search restarts from
-the root after each rewrite and skips the subtrees it has found free of
-redexes: nodes are immutable, and a matcher reads only its node's subtree
-and the unfoldable definitions, so such a subtree stays free of redexes.
-A rewrite, substitution included, keeps the very subtrees it does not
-touch, so the search skips those too.
+``normalize`` walks the term once in preorder, with a zipper (Huet, "The
+Zipper", JFP 1997): the focus, and the ancestors above it with the child
+index taken below each.  A rewrite replaces the focus and leaves every
+node before it in preorder free of redexes, except perhaps an ancestor
+whose matcher reads down to the rewrite.  Every matcher reads its node and
+that node's children, so the parent is tried again; ``eta`` and ``right``
+read deeper, through the child that ``Law.reach`` names, so an ancestor
+whose reach holds the rewrite is tried again too.  The outermost of those
+that matches is the next redex; if none does, the search goes on through
+the new subtree and then rightwards, rebuilding each ancestor with its new
+child once, when it climbs past it.  Nodes keep their size and free
+variables as facts (``syntax.Node``), so a step costs its redex and the
+nodes it builds, not the whole term.  A step's whole tree, ``Step.result``,
+is built when first read.
 
 Definition unfolding (``delta``) is restricted to definitions that are not
 arrow abstractions; programs are non-recursive, so unfolding terminates.
@@ -378,45 +386,55 @@ class Law(Enum):
     traces; it also has ``head``, the class at the head of its left-hand
     side; ``auto``, whether normalization applies it; ``grows``, whether a
     step may make the term larger (it substitutes, unfolds or distributes);
-    and its matchers ``l2r`` and ``r2l``, the second None where the law has
-    no right-to-left direction.  Declaration order is normalization's
-    priority order among the laws of one head."""
+    ``reach``, where its matcher reads below its node's children; and its
+    matchers ``l2r`` and ``r2l``, the second None where the law has no
+    right-to-left direction.  Declaration order is normalization's priority
+    order among the laws of one head.
 
-    def __new__(cls, name, head, auto, grows, l2r, r2l=None):
+    Every automatic matcher reads its node and that node's children (their
+    classes, data and annotations) and nothing deeper, except where
+    ``reach`` is ``(i, cls)``: then, when child ``i`` is of class ``cls``,
+    the matcher may read all of that child's subtree.  So ``eta``'s
+    freeness test reads the whole application under the abstraction, and
+    ``right``'s comparison the whole content of the unit."""
+
+    def __new__(cls, name, head, auto, grows, reach, l2r, r2l=None):
         law = object.__new__(cls)
         law._value_ = name
-        law.head, law.auto, law.grows = head, auto, grows
+        law.head, law.auto, law.grows, law.reach = head, auto, grows, reach
         law.l2r, law.r2l = l2r, r2l
         return law
 
-    # name, head, auto, grows, l2r[, r2l]
-    BETA_ARROW = "beta~>", CApp, True, True, _beta
-    ETA_ARROW = "eta~>", ArrowAbs, True, False, _eta
-    LEFT_UNIT = "left", CLet, True, True, _left
-    RIGHT_UNIT = "right", CLet, True, False, _right
-    ASSOC = "assoc", CLet, True, False, _assoc, _assoc_r
-    BETA_FUN = "beta", App, True, True, _beta
-    ETA_FUN = "eta", Lam, True, False, _eta
-    BETA_PAIR1 = "beta.1", Fst, True, False, _beta_pair
-    BETA_PAIR2 = "beta.2", Snd, True, False, _beta_pair
-    ETA_PAIR = "eta.x", Pair, False, False, _eta_pair
-    LET_SUBST = "let", Let, True, True, _let_subst
-    IF_TRUE = "if.true", If, True, False, _if_true
-    IF_FALSE = "if.false", If, True, False, _if_false
-    EQ_LIT = "eq.lit", Eq, True, False, _eq_lit
-    EQ_TRUE = "eq.true", Eq, True, False, _eq_true
-    IF_DISTRIB = "if.distrib", If, True, True, _if_distrib, _if_distrib_r
-    IF_ETA = "if.eta", If, True, False, _if_eta
-    BIND_LEFT = "bind.left", VecLet, True, True, _left
-    BIND_RIGHT = "bind.right", VecLet, True, False, _right
-    ZERO_BIND = "zero.bind", VecLet, True, False, _zero_bind
-    BIND_ZERO = "bind.zero", VecLet, True, False, _bind_zero
-    BIND_ASSOC = "bind.assoc", VecLet, True, False, _bind_assoc, _bind_assoc_r
-    ZERO_PLUS = "zero.plus", VecAdd, True, False, _zero_plus
-    PLUS_ZERO = "plus.zero", VecAdd, True, False, _plus_zero
-    PLUS_ASSOC = "plus.assoc", VecAdd, True, False, _plus_assoc, _plus_assoc_r
-    BIND_PLUS = "bind.plus", VecLet, False, True, _bind_plus, _bind_plus_r
-    DELTA = "delta", Var, True, True, _delta
+    # name, head, auto, grows, reach, l2r[, r2l]
+    BETA_ARROW = "beta~>", CApp, True, True, None, _beta
+    ETA_ARROW = "eta~>", ArrowAbs, True, False, (0, CApp), _eta
+    LEFT_UNIT = "left", CLet, True, True, None, _left
+    RIGHT_UNIT = "right", CLet, True, False, (1, CUnit), _right
+    ASSOC = "assoc", CLet, True, False, None, _assoc, _assoc_r
+    BETA_FUN = "beta", App, True, True, None, _beta
+    ETA_FUN = "eta", Lam, True, False, (0, App), _eta
+    BETA_PAIR1 = "beta.1", Fst, True, False, None, _beta_pair
+    BETA_PAIR2 = "beta.2", Snd, True, False, None, _beta_pair
+    ETA_PAIR = "eta.x", Pair, False, False, None, _eta_pair
+    LET_SUBST = "let", Let, True, True, None, _let_subst
+    IF_TRUE = "if.true", If, True, False, None, _if_true
+    IF_FALSE = "if.false", If, True, False, None, _if_false
+    EQ_LIT = "eq.lit", Eq, True, False, None, _eq_lit
+    EQ_TRUE = "eq.true", Eq, True, False, None, _eq_true
+    IF_DISTRIB = "if.distrib", If, True, True, None, _if_distrib, _if_distrib_r
+    IF_ETA = "if.eta", If, True, False, None, _if_eta
+    BIND_LEFT = "bind.left", VecLet, True, True, None, _left
+    BIND_RIGHT = "bind.right", VecLet, True, False, (1, VecUnit), _right
+    ZERO_BIND = "zero.bind", VecLet, True, False, None, _zero_bind
+    BIND_ZERO = "bind.zero", VecLet, True, False, None, _bind_zero
+    BIND_ASSOC = ("bind.assoc", VecLet, True, False, None, _bind_assoc,
+                  _bind_assoc_r)
+    ZERO_PLUS = "zero.plus", VecAdd, True, False, None, _zero_plus
+    PLUS_ZERO = "plus.zero", VecAdd, True, False, None, _plus_zero
+    PLUS_ASSOC = ("plus.assoc", VecAdd, True, False, None, _plus_assoc,
+                  _plus_assoc_r)
+    BIND_PLUS = "bind.plus", VecLet, False, True, None, _bind_plus, _bind_plus_r
+    DELTA = "delta", Var, True, True, None, _delta
 
 
 # the (law, matcher) pairs to try at a node, by its exact class (node
@@ -426,6 +444,11 @@ _AUTO_BY_CLASS: dict[type, tuple[tuple[Law, Callable], ...]] = {
     for head in dict.fromkeys(law.head for law in Law if law.auto)
 }
 
+# (head, child index, child class) of each automatic law's reach
+_REACHES = frozenset((law.head, *law.reach) for law in Law
+                     if law.auto and law.reach)
+_REACH_HEADS = frozenset(head for head, _, _ in _REACHES)
+
 
 def size_limit(size: int) -> int:
     """The largest term, in nodes, that normalizing a term of `size` nodes
@@ -434,10 +457,14 @@ def size_limit(size: int) -> int:
 
 
 def _size(node: Node) -> int:
-    """The number of nodes of `node`, counted over ``child_fields``."""
-    n = 1
-    for f in node.child_fields:
-        n += _size(getattr(node, f))
+    """The number of nodes of `node`, counted over ``child_fields``;
+    computed once per node and kept in its ``_size`` slot."""
+    n = getattr(node, "_size", None)
+    if n is None:
+        n = 1
+        for f in node.child_fields:
+            n += _size(getattr(node, f))
+        object.__setattr__(node, "_size", n)
     return n
 
 
@@ -446,10 +473,52 @@ def _size(node: Node) -> int:
 
 
 class Step(Record):
+    """One rewrite: `law` at `path` in the tree before it, giving `result`,
+    the whole tree after it.
+
+    A step that ``normalize`` records builds its `result` on first read
+    and keeps it: its slot ``_replay`` holds the step before it (or the
+    tree normalization started from) and the subtree it put at `path`, and
+    the read replays ``replace_at`` from the nearest earlier step whose
+    tree is built, keeping each tree it builds.  The last step's `result`
+    is its trace's `end`, built as the search ends."""
+
+    __slots__ = ("_replay",)
+
     law: Law
     path: tuple[int, ...]
     direction: str          # "L2R" | "R2L"
     result: Node            # whole tree after this step
+
+    def __getattr__(self, name):
+        if name != "result":
+            raise AttributeError(name)
+        pending = []
+        tree = self
+        while type(tree) is Step:
+            if "result" in tree.__dict__:
+                tree = tree.result
+                break
+            pending.append(tree)
+            tree = tree._replay[0]
+        for step in reversed(pending):
+            tree = replace_at(tree, step.path, step._replay[1])
+            _keep_result(step, tree)
+        return tree
+
+
+def _step(law: Law, path: tuple[int, ...], before, new: Node) -> Step:
+    """A left-to-right step whose result is built on first read, from
+    `before` (a step or a tree) and the subtree `new` put at `path`."""
+    step = object.__new__(Step)
+    step.__dict__.update(law=law, path=path, direction="L2R")
+    object.__setattr__(step, "_replay", (before, new))
+    return step
+
+
+def _keep_result(step: Step, tree: Node) -> None:
+    object.__setattr__(step, "result", tree)
+    object.__delattr__(step, "_replay")
 
 
 class ProofTrace(Record):
@@ -549,62 +618,139 @@ class Rewriter:
                 f"{law.value} ({direction}) is not applicable at {path}")
         return replace_at(root, path, new)
 
-    def _search(self, node: Node, path: list[int], clean: dict[int, Node]):
-        """The first redex of `node` in preorder, as (path, law, redex,
-        result), trying every law of each node's class; `node` is at `path`
-        in the term searched.  None when `node`'s subtree has no redex.
-
-        `clean` maps ``id(n)`` to ``n`` for subtrees already found free of
-        redexes; they are skipped, and `node`'s subtree joins them when it
-        has none.  Holding the node keeps its id from being reused.
-        """
-        if id(node) in clean:
-            return None
-        for law, match in _AUTO_BY_CLASS.get(type(node), ()):
-            new = match(self, node)
-            if new is not None:
-                return tuple(path), law, node, new
-        for i, f in enumerate(node.child_fields):
-            path.append(i)
-            found = self._search(getattr(node, f), path, clean)
-            path.pop()
-            if found is not None:
-                return found
-        clean[id(node)] = node
-        return None
-
     def normalize(self, node: Node, fuel: Optional[int] = None) -> ProofTrace:
         fuel = self.fuel if fuel is None else fuel
         start = node
         node = self.rename_apart(node)
         steps: list[Step] = []
+        before = node           # what the next step replays from
         stopped = None
-        clean: dict[int, Node] = {}     # stays valid for the whole call
         # `size` bounds the term's size from above; it is exact at the start
         # and whenever it is recomputed, which it is only near the limit
         size = _size(node)
         limit = size_limit(size)
+        # the zipper: the focus, the ancestors above it from the root down
+        # and the child index taken below each.  An ancestor is rebuilt with
+        # its new child when the search climbs past it.  `deep` holds the
+        # depths of the ancestors whose reach holds the focus.
+        focus = node
+        spine: list[Node] = []
+        path: list[int] = []
+        deep: list[int] = []
         while True:
-            found = self._search(node, [], clean)
-            if found is None:
-                break
-            if fuel <= 0:
-                stopped = "fuel"
-                break
-            path, law, redex, new = found
-            if law.grows:
-                growth = _size(new) - _size(redex)
-                size += growth
-                if size > limit:
-                    size = _size(node) + growth
-                    if size > limit:
-                        stopped = "size"
+            for law, match in _AUTO_BY_CLASS.get(type(focus), ()):
+                new = match(self, focus)
+                if new is not None:
+                    break
+            else:
+                # no redex here: on to the next node in preorder, the first
+                # child, else the nearest right sibling of it or an ancestor
+                fields = focus.child_fields
+                if fields:
+                    spine.append(focus)
+                    path.append(0)
+                    focus = getattr(focus, fields[0])
+                    if type(spine[-1]) in _REACH_HEADS:
+                        _note_reach(spine, path, focus, deep)
+                    continue
+                while spine:
+                    parent = spine[-1]
+                    fields = parent.child_fields
+                    i = path[-1]
+                    if getattr(parent, fields[i]) is not focus:
+                        parent = spine[-1] = rebuild(parent, {fields[i]: focus})
+                    i += 1
+                    if i < len(fields):
+                        path[-1] = i
+                        focus = getattr(parent, fields[i])
+                        if type(parent) in _REACH_HEADS:
+                            _note_reach(spine, path, focus, deep)
                         break
-            node = replace_at(node, path, new)
-            steps.append(Step(law, path, "L2R", node))
-            fuel -= 1
-        return ProofTrace(start, tuple(steps), node, stopped is None,
+                    spine.pop()
+                    path.pop()
+                    if deep and deep[-1] == len(spine):
+                        deep.pop()
+                    focus = parent
+                else:
+                    break       # the root is searched: a normal form
+                continue
+            while new is not None:      # `law` rewrites the focus to `new`
+                if fuel <= 0:
+                    stopped = "fuel"
+                    break
+                if law.grows:
+                    growth = _size(new) - _size(focus)
+                    size += growth
+                    if size > limit:
+                        size = _size(_put_back(spine, path, focus)) + growth
+                        if size > limit:
+                            stopped = "size"
+                            break
+                before = _step(law, tuple(path), before, new)
+                steps.append(before)
+                fuel -= 1
+                focus, new = new, None
+                if spine:
+                    if type(spine[-1]) in _REACH_HEADS:
+                        _note_reach(spine, path, focus, deep)
+                    law, new, focus = self._retry(spine, path, focus, deep)
+            if stopped is not None:
+                break
+        end = _put_back(spine, path, focus)
+        if steps:
+            _keep_result(steps[-1], end)
+        return ProofTrace(start, tuple(steps), end, stopped is None,
                           stopped=stopped)
+
+    def _retry(self, spine: list[Node], path: list[int], focus: Node,
+               deep: list[int]):
+        """After a rewrite at the focus, try again the ancestors where a law
+        can newly match: the parent, and those in `deep`.  Returns the first
+        law that applies at the outermost one that does, the law's result
+        and that ancestor, which becomes the focus, with the zipper cut to
+        it; else (None, None, `focus`)."""
+        parent = len(spine) - 1
+        tried = [j for j in deep if j < parent]
+        if type(spine[parent]) in _AUTO_BY_CLASS:
+            tried.append(parent)
+        if not tried:
+            return None, None, focus
+        _put_back(spine, path, focus, tried[0])
+        for j in tried:
+            node = spine[j]
+            for law, match in _AUTO_BY_CLASS.get(type(node), ()):
+                new = match(self, node)
+                if new is not None:
+                    del spine[j:], path[j:]
+                    while deep and deep[-1] >= j:
+                        deep.pop()
+                    return law, new, node
+        return None, None, focus
+
+
+def _note_reach(spine: list[Node], path: list[int], focus: Node,
+                deep: list[int]) -> None:
+    """Note in `deep` whether the reach of a law of the focus's parent holds
+    the focus, the parent's child at the last index of `path`."""
+    j = len(spine) - 1
+    if deep and deep[-1] == j:
+        deep.pop()
+    if (type(spine[j]), path[j], type(focus)) in _REACHES:
+        deep.append(j)
+
+
+def _put_back(spine: list[Node], path: list[int], node: Node,
+              top: int = 0) -> Node:
+    """`node` put back under the ancestors in `spine` up to depth `top`:
+    each ancestor whose child changed is rebuilt and replaces its old self
+    in `spine`.  Returns the ancestor at `top`, or `node` if there is none."""
+    for j in range(len(spine) - 1, top - 1, -1):
+        parent = spine[j]
+        f = parent.child_fields[path[j]]
+        if getattr(parent, f) is not node:
+            parent = spine[j] = rebuild(parent, {f: node})
+        node = parent
+    return node
 
 
 def apply_law_at(root: Node, path: tuple[int, ...], law: Law,

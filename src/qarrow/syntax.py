@@ -134,9 +134,23 @@ def _getter(names: tuple[str, ...]):
 
 
 class Node(Record):
+    """Base of the syntax trees.
+
+    Two facts about a node are computed at most once and kept in its slots:
+    ``_size``, its number of nodes over ``child_fields`` (the rewriter's
+    ``_size``), and ``_free``, its free variables (``free_vars``).  Slots lie
+    outside ``__dict__``, which is all that ``rebuild``, ``copy`` and pickle
+    copy (``__getstate__``), so a copy computes its own facts and never
+    carries those of the node it copied."""
+
+    __slots__ = ("_size", "_free")
+
     pos: Optional[Pos] = None
 
     child_fields = ()
+
+    def __getstate__(self):
+        return self.__dict__
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -274,14 +288,10 @@ class Term(Node):
 
     The slot ``_checked`` holds the checker's record of this very object
     (``typecheck.checked``), set by ``typecheck.elaborate_term`` on the tree
-    it returns and unset otherwise.  It lies outside ``__dict__``, which is
-    all that ``rebuild``, ``copy`` and pickle copy (``__getstate__``), so no
-    copy carries a record."""
+    it returns and unset otherwise.  Like the facts (see ``Node``), no copy
+    carries a record."""
 
     __slots__ = ("_checked",)
-
-    def __getstate__(self):
-        return self.__dict__
 
 
 class Var(Term):
@@ -480,28 +490,36 @@ def rebuild(node: Node, changes: dict) -> Node:
 # Free variables
 
 def free_vars(node) -> frozenset[str]:
-    """Free variables of a term or command."""
-    out: set[str] = set()
-    _add_free_vars(node, frozenset(), out)
-    return frozenset(out)
-
-
-def _add_free_vars(node, bound: frozenset, out: set) -> None:
-    # one set for the whole walk: a set per node cost about three times as
-    # much on the arr lambdas of a translated program
+    """Free variables of a term or command.  Computed once per node, and
+    kept in its ``_free`` slot, with those of every node below it.  A node
+    shares a child's set when it adds no name to it, and the variables of
+    one name share one set."""
+    fv = getattr(node, "_free", None)
+    if fv is not None:
+        return fv
     if type(node) is Var:
-        if node.name not in bound:
-            out.add(node.name)
-        return
-    fields = node.child_fields
-    if node.binder:
-        for f in fields[:-1]:
-            _add_free_vars(getattr(node, f), bound, out)
-        _add_free_vars(getattr(node, fields[-1]),
-                       bound.union(pattern_names(node.pat)), out)
+        fv = _VAR_FREE.get(node.name)
+        if fv is None:
+            fv = _VAR_FREE[node.name] = frozenset((node.name,))
     else:
+        fv = _NO_NAMES
+        fields = node.child_fields
         for f in fields:
-            _add_free_vars(getattr(node, f), bound, out)
+            kid = free_vars(getattr(node, f))
+            if node.binder and f is fields[-1]:
+                names = pattern_names(node.pat)
+                if not kid.isdisjoint(names):
+                    kid = kid.difference(names)
+            if fv <= kid:
+                fv = kid
+            elif not kid <= fv:
+                fv = fv | kid
+    object.__setattr__(node, "_free", fv)
+    return fv
+
+
+_NO_NAMES = frozenset()
+_VAR_FREE: dict[str, frozenset[str]] = {}      # name -> {name}
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""The redex search of ``Rewriter.normalize``, which skips subtrees it has
-found free of redexes, checked against the plain search with no memo:
-restart from the root after every rewrite and try every automatic law at
-every node.  The two must take the same steps."""
+"""The redex search of ``Rewriter.normalize``, which resumes where its last
+step was, checked against the plain search: restart from the root after
+every rewrite and try every automatic law at every node.  The two must take
+the same steps, and a step must cost its redex, not the whole term.  The
+facts that nodes keep (size, free variables) must be those a walk finds."""
 
 import itertools
 
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 import randprog
 import structural
 from qarrow import apply_law_at, elaborate_term, parse_term, parse_type, pretty
-from qarrow import rewriter
+from qarrow import rewriter, syntax
 from qarrow.rewriter import Law, Rewriter, replace_at
+from qarrow.syntax import free_vars, pattern_names, rebuild
 
 from helpers import rebind
 
@@ -55,8 +57,9 @@ def normalize_steps(rw, node, fuel):
 
 def _terms(prelude, defs_map):
     """Every law family's instance before and after its law, over a few
-    seeds; every prelude definition; the README's ``dneg``; and each of
-    these whose binders can take definition names, so renamed."""
+    seeds; every prelude definition; the README's ``dneg``; a short
+    ``_chain``, whose ``assoc`` steps go down a spine; and each of these
+    whose binders can take definition names, so renamed."""
     out = {}
     for family in sorted(randprog.FAMILIES):
         for seed in range(4):
@@ -70,6 +73,7 @@ def _terms(prelude, defs_map):
     for name, term in defs_map.items():
         out[f"prelude-{name}"] = term
     out["dneg"] = elaborate_term(prelude.types, parse_term(GOLDEN_START))[1]
+    out["chain-6"] = elaborate_term(prelude.types, _chain(6))[1]
     names = itertools.cycle(("not", "cnot", "hadamard"))
     for name, term in list(out.items()):
         term, renamed = rebind(term, names)
@@ -109,6 +113,49 @@ def _count_matches(monkeypatch):
         cls: tuple((law, counting(m)) for law, m in pairs)
         for cls, pairs in rewriter._AUTO_BY_CLASS.items()})
     return calls
+
+
+def _count_rebuilds(monkeypatch):
+    calls = [0]
+
+    def counted(node, changes):
+        calls[0] += 1
+        return rebuild(node, changes)
+
+    # the rewriter holds its own reference; substitution reads syntax's
+    monkeypatch.setattr(syntax, "rebuild", counted)
+    monkeypatch.setattr(rewriter, "rebuild", counted)
+    return calls
+
+
+def _chain(n):
+    # a chain of n gate lets bound by an outer let, which assoc flattens one
+    # level per step, beside a chain of n classical lets that each reduce
+    # (left unit) at the same position
+    gates = " ".join(f"let x{i + 1} = QNot @ x{i} in" for i in range(n))
+    units = " ".join(f"let z{i + 1} = [{'True' if i == 0 else f'z{i}'}] in"
+                     for i in range(n))
+    return parse_term(f"\\@x0. let y = {gates} Had @ x{n} in "
+                      f"{units} [(y, z{n})]")
+
+
+def test_a_deep_chain_costs_linear_work(prelude, defs_map, monkeypatch):
+    # each assoc step is one level deeper than the last; restarting at the
+    # root and rebuilding the spine made 182 708 matcher calls at n = 200
+    # and 725 408 at n = 400
+    rw = Rewriter(defs_map)
+    matches, rebuilds = [], []
+    for n in (40, 80, 160):
+        term = elaborate_term(prelude.types, _chain(n))[1]
+        calls = _count_matches(monkeypatch)
+        copies = _count_rebuilds(monkeypatch)
+        trace = rw.normalize(term)
+        assert len(trace.steps) == 2 * n and trace.complete
+        matches.append(calls[0])
+        rebuilds.append(copies[0])
+        monkeypatch.undo()
+    for counts in (matches, rebuilds):
+        assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1]
 
 
 def test_matcher_calls_on_a_long_normalization(prelude, defs_map, monkeypatch):
@@ -154,3 +201,55 @@ def test_a_deep_rewrite_enables_an_outer_redex(prelude, defs_map, src, first):
     got = normalize_steps(rw, term, 10000)
     assert got == plain_steps(rw, term, 10000)
     assert [(law, path) for law, path, _ in got[0][:2]] == first
+
+
+def _walked_size(node):
+    return 1 + sum(_walked_size(getattr(node, f)) for f in node.child_fields)
+
+
+def _walked_free_vars(node, bound=frozenset()):
+    if isinstance(node, syntax.Var):
+        return set() if node.name in bound else {node.name}
+    out = set()
+    for f in node.child_fields:
+        inner = bound
+        if node.binder and f == node.child_fields[-1]:
+            inner = bound | set(pattern_names(node.pat))
+        out |= _walked_free_vars(getattr(node, f), inner)
+    return out
+
+
+def _nodes(node):
+    yield node
+    for f in node.child_fields:
+        yield from _nodes(getattr(node, f))
+
+
+def test_facts_never_go_stale(prelude, defs_map):
+    # a node's size and free variables, read from its facts where it has
+    # them, are what a walk that reads no fact finds, on every tree of every
+    # normalization: the start, each step's result and the end
+    rw = Rewriter(defs_map)
+    checked_steps = 0
+    for name, term in _terms(prelude, defs_map).items():
+        trace = rw.normalize(term)
+        for step in trace.steps:
+            for node in _nodes(step.result):
+                assert rewriter._size(node) == _walked_size(node), name
+                assert free_vars(node) == _walked_free_vars(node), name
+            checked_steps += 1
+    assert checked_steps > 500
+
+
+def test_a_rebuilt_node_carries_no_fact(prelude):
+    term = elaborate_term(prelude.types, parse_term(GOLDEN_START))[1]
+    body = term.cmd
+    assert rewriter._size(term) > 1 and free_vars(term) == {"not"}
+    for slot in ("_size", "_free"):
+        assert getattr(term, slot, None) is not None
+        assert getattr(body, slot, None) is not None
+    copy = rebuild(term, {"cmd": body.body})
+    for slot in ("_size", "_free"):
+        assert getattr(copy, slot, None) is None
+    assert rewriter._size(copy) == _walked_size(copy)
+    assert free_vars(copy) == _walked_free_vars(copy) == {"not", "y"}
