@@ -65,8 +65,9 @@ whose reach holds the rewrite is tried again too.  The outermost of those
 that matches is the next redex; if none does, the search goes on through
 the new subtree and then rightwards, rebuilding each ancestor with its new
 child once, when it climbs past it.  Nodes keep their size and free
-variables as facts (``syntax.Node``), so a step costs its redex and the
-nodes it builds, not the whole term.  A step's whole tree, ``Step.result``,
+variables as facts (``syntax.Node``; ``_size`` and ``kept_free_vars``
+compute them), so a step costs its redex and the nodes it builds, not the
+whole term.  A step's whole tree, ``Step.result``,
 is built when first read.
 
 Definition unfolding (``delta``) is restricted to definitions that are not
@@ -99,11 +100,11 @@ from enum import Enum
 from typing import Callable, Optional, TYPE_CHECKING
 
 from .syntax import (alpha_eq, App, ArrowAbs, BoolLit, CApp, CLet, CUnit, Eq,
-                     free_vars, freshen_pattern, Fst, If, Lam, Let, MZero,
-                     Node, Pair, Pattern, pattern_names, pattern_subst,
-                     pattern_term, pretty, PVar, QarrowError, rebuild, Record,
-                     Snd, subst_map, Term, type_str, TypeExpr, Var, VecAdd,
-                     VecLet, VecUnit)
+                     free_vars, freshen_pattern, Fst, If, kept_free_vars,
+                     Lam, Let, MZero, Node, Pair, Pattern, pattern_names,
+                     pattern_subst, pattern_term, pretty, PVar, QarrowError,
+                     rebuild, Record, Snd, subst_map, Term, type_str,
+                     TypeExpr, Var, VecAdd, VecLet, VecUnit)
 from .typecheck import checked, elaborate_term, recall, TypeCheckError
 
 if TYPE_CHECKING:
@@ -163,7 +164,7 @@ def _eta(rw, n):
     body = getattr(n, n.child_fields[-1])
     if (isinstance(n.pat, PVar) and isinstance(body, _PARTNER[type(n)])
             and isinstance(body.arg, Var) and body.arg.name == n.pat.name
-            and n.pat.name not in free_vars(body.fn)):
+            and n.pat.name not in kept_free_vars(body.fn)):
         return body.fn
     return None
 
@@ -196,12 +197,12 @@ def _unshadow(rw, pat: Pattern, body: Node, outer: Pattern, rest: Node):
     over `rest`: each of its names that `rest` reads, other than through the
     outer binder `outer`, becomes fresh, in `pat` and in `body`."""
     outer_names = set(pattern_names(outer))
-    rest_fv = free_vars(rest) - outer_names
+    rest_fv = kept_free_vars(rest) - outer_names
     clash = rest_fv.intersection(pattern_names(pat))
     if not clash:
         return pat, body
-    pat, renaming = freshen_pattern(
-        pat, clash, {*rest_fv, *free_vars(body), *outer_names, *rw.reserved})
+    avoid = {*rest_fv, *kept_free_vars(body), *outer_names, *rw.reserved}
+    pat, renaming = freshen_pattern(pat, clash, avoid)
     return pat, subst_map(body, renaming, rw.reserved)
 
 
@@ -220,7 +221,7 @@ def _assoc(rw, n):
 
 def _assoc_r(rw, n):
     if (isinstance(n, CLet) and isinstance(n.body, CLet)
-            and not set(pattern_names(n.pat)) & free_vars(n.body.body)
+            and kept_free_vars(n.body.body).isdisjoint(pattern_names(n.pat))
             and not set(pattern_names(n.pat)) & set(pattern_names(n.body.pat))):
         outer_bound = CLet(n.pat, n.bound, n.body.bound,
                            bound_type=n.bound_type)
@@ -239,7 +240,7 @@ def _bind_assoc(rw, n):
 
 def _bind_assoc_r(rw, n):
     if (isinstance(n, VecLet) and isinstance(n.body, VecLet)
-            and not set(pattern_names(n.pat)) & free_vars(n.body.body)
+            and kept_free_vars(n.body.body).isdisjoint(pattern_names(n.pat))
             and not set(pattern_names(n.pat)) & set(pattern_names(n.body.pat))):
         # the type of the regrouped bound (that of the inner bound term) is
         # not recorded on the node; re-elaborate before normalizing further
@@ -506,6 +507,10 @@ class Step(Record):
             _keep_result(step, tree)
         return tree
 
+    def __reduce__(self):
+        # copy and pickle a step with its tree built, not its replay slot
+        return Step, (self.law, self.path, self.direction, self.result)
+
 
 def _step(law: Law, path: tuple[int, ...], before, new: Node) -> Step:
     """A left-to-right step whose result is built on first read, from
@@ -593,7 +598,7 @@ class Rewriter:
                 scope = node.child_fields[-1]
                 body = changes[scope]
                 changes["pat"], renaming = freshen_pattern(
-                    node.pat, clash, self.reserved | free_vars(body))
+                    node.pat, clash, self.reserved | kept_free_vars(body))
                 changes[scope] = subst_map(body, renaming, self.reserved)
         return rebuild(node, changes)
 

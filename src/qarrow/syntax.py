@@ -136,12 +136,13 @@ def _getter(names: tuple[str, ...]):
 class Node(Record):
     """Base of the syntax trees.
 
-    Two facts about a node are computed at most once and kept in its slots:
-    ``_size``, its number of nodes over ``child_fields`` (the rewriter's
-    ``_size``), and ``_free``, its free variables (``free_vars``).  Slots lie
-    outside ``__dict__``, which is all that ``rebuild``, ``copy`` and pickle
-    copy (``__getstate__``), so a copy computes its own facts and never
-    carries those of the node it copied."""
+    Two facts about a node are computed at most once, when substitution or
+    the rewriter first asks, and kept in its slots: ``_size``, its number of
+    nodes over ``child_fields`` (the rewriter's ``_size``), and ``_free``,
+    its free variables (``kept_free_vars``).  Slots lie outside
+    ``__dict__``, which is all that ``rebuild``, ``copy`` and pickle copy
+    (``__getstate__``), so a copy computes its own facts and never carries
+    those of the node it copied."""
 
     __slots__ = ("_size", "_free")
 
@@ -490,36 +491,56 @@ def rebuild(node: Node, changes: dict) -> Node:
 # Free variables
 
 def free_vars(node) -> frozenset[str]:
-    """Free variables of a term or command.  Computed once per node, and
-    kept in its ``_free`` slot, with those of every node below it.  A node
-    shares a child's set when it adds no name to it, and the variables of
-    one name share one set."""
+    """Free variables of a term or command."""
+    out: set[str] = set()
+    _add_free_vars(node, frozenset(), out)
+    return frozenset(out)
+
+
+def _add_free_vars(node, bound: frozenset, out: set) -> None:
+    # one set for the whole walk: a set per node cost about three times as
+    # much on the arr lambdas of a translated program
+    if type(node) is Var:
+        if node.name not in bound:
+            out.add(node.name)
+        return
+    fields = node.child_fields
+    if node.binder:
+        for f in fields[:-1]:
+            _add_free_vars(getattr(node, f), bound, out)
+        _add_free_vars(getattr(node, fields[-1]),
+                       bound.union(pattern_names(node.pat)), out)
+    else:
+        for f in fields:
+            _add_free_vars(getattr(node, f), bound, out)
+
+
+def kept_free_vars(node) -> frozenset[str]:
+    """``free_vars`` of `node`, kept as a fact in its ``_free`` slot, with
+    those of every node below it but the variables, so that asking again
+    of a node or of any part of it costs nothing.  Substitution and the
+    rewriter ask it of the same subtrees step after step; a caller that
+    walks a tree once should use ``free_vars``, which keeps nothing.  A
+    node shares a child's set when it adds no name to it."""
+    if type(node) is Var:
+        return frozenset((node.name,))
     fv = getattr(node, "_free", None)
     if fv is not None:
         return fv
-    if type(node) is Var:
-        fv = _VAR_FREE.get(node.name)
-        if fv is None:
-            fv = _VAR_FREE[node.name] = frozenset((node.name,))
-    else:
-        fv = _NO_NAMES
-        fields = node.child_fields
-        for f in fields:
-            kid = free_vars(getattr(node, f))
-            if node.binder and f is fields[-1]:
-                names = pattern_names(node.pat)
-                if not kid.isdisjoint(names):
-                    kid = kid.difference(names)
-            if fv <= kid:
-                fv = kid
-            elif not kid <= fv:
-                fv = fv | kid
+    fv = frozenset()
+    fields = node.child_fields
+    for f in fields:
+        kid = kept_free_vars(getattr(node, f))
+        if node.binder and f is fields[-1]:
+            names = pattern_names(node.pat)
+            if not kid.isdisjoint(names):
+                kid = kid.difference(names)
+        if fv <= kid:
+            fv = kid
+        elif not kid <= fv:
+            fv = fv | kid
     object.__setattr__(node, "_free", fv)
     return fv
-
-
-_NO_NAMES = frozenset()
-_VAR_FREE: dict[str, frozenset[str]] = {}      # name -> {name}
 
 
 # --------------------------------------------------------------------------
@@ -556,11 +577,11 @@ def _subst_binder(pat: Pattern, body, sub, avoid):
     """Substitute into a binder's scope, freshening the pattern if it would
     capture; returns (new_pattern, new_body)."""
     bound = pattern_names(pat)
-    body_fv = free_vars(body)
+    body_fv = kept_free_vars(body)
     live = {k: v for k, v in sub.items() if k not in bound and k in body_fv}
     if not live:
         return pat, body
-    incoming = frozenset().union(*map(free_vars, live.values()))
+    incoming = frozenset().union(*map(kept_free_vars, live.values()))
     if not incoming.isdisjoint(bound):
         pat, renaming = freshen_pattern(
             pat, bound, incoming.union(avoid, live, body_fv))

@@ -15,6 +15,7 @@ gave before the search resumed where its last step was."""
 import copy
 import hashlib
 import json
+import pickle
 
 import randprog
 from qarrow import (apply_law_at, elaborate_term, parse_term, pretty,
@@ -117,6 +118,26 @@ def test_trees_built_on_read_are_the_eager_trees(prelude, defs_map):
                 assert node == step.result, key
                 steps += 1
     assert steps > 5000
+
+
+def test_a_trace_copies_and_pickles_with_its_trees(prelude, defs_map):
+    # a fresh trace, whose steps before the last have not built their trees
+    rw = Rewriter(defs_map)
+    copied = 0
+    for key, before, after in _pairs(prelude, defs_map):
+        for side in (before, after):
+            if len(rw.normalize(side).steps) < 2:
+                continue
+            for clone in (copy.deepcopy, copy.copy,
+                          lambda t: pickle.loads(pickle.dumps(t))):
+                trace = rw.normalize(side)
+                got = clone(trace)
+                assert got == trace and repr(got) == repr(trace), key
+                assert render_trace(got) == render_trace(trace), key
+            copied += 1
+        if copied >= 40:
+            break
+    assert copied >= 40
 
 
 def test_a_proof_builds_only_the_end_trees(prelude, defs_map):
