@@ -9,11 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from qarrow.classic import ClassicExpr, Compose, FanoutC
-from qarrow.evaluator import apply_closure, EvalError, VecV
-from qarrow.linalg import basis, dim
 from qarrow.rewriter import Law, ProofTrace, Rewriter
-from qarrow.syntax import (alpha_eq, free_vars, PVar, rebuild, subst_map,
-                           TypeExpr, Var)
+from qarrow.syntax import alpha_eq, free_vars, PVar, rebuild, subst_map, Var
+
+from reference import lift_matrix as materialize_lin  # a closure's matrix
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -25,17 +24,6 @@ def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def dens_close(x: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> bool:
     return x.shape == y.shape and bool(np.max(np.abs(x - y)) <= tol)
-
-
-def materialize_lin(f, in_t: TypeExpr, out_t: TypeExpr) -> np.ndarray:
-    """Matrix of a vector-valued function value: column a is f a."""
-    mat = np.zeros((dim(out_t), dim(in_t)), dtype=complex)
-    for i, elem in enumerate(basis(in_t)):
-        v = apply_closure(f, elem)
-        if not isinstance(v, VecV):
-            raise EvalError("expected a vector-valued function")
-        mat[:, i] = v.amp
-    return mat
 
 
 def matrix_built(s) -> bool:

@@ -33,7 +33,6 @@ SUPER_SIGS: dict[str, tuple[TypeExpr, TypeExpr]] = {
     "bell": (BB, BB),
     "Alice": (BB, BB),
 }
-SMALL_SUPER_SIGS = {n: s for n, s in SUPER_SIGS.items() if s == (B, B)}
 
 # Prelude classical / linear functions, with their (arg, result) types.
 CLASSICAL_FNS: dict[str, tuple[TypeExpr, TypeExpr]] = {
@@ -50,13 +49,9 @@ CLASSICAL_FNS: dict[str, tuple[TypeExpr, TypeExpr]] = {
 class Gen:
     """A deterministic AST builder driven by one `random.Random`."""
 
-    def __init__(self, seed: int, small: bool = False):
+    def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.n = 0
-        # `small` restricts intermediates to Bool so the exponential
-        # reference semantics stays cheap.
-        self.small = small
-        self.sigs = SMALL_SUPER_SIGS if small else SUPER_SIGS
 
     def fresh(self, stem: str = "v") -> str:
         self.n += 1
@@ -81,9 +76,7 @@ class Gen:
         if t == B:
             opts.append("lit")
             if depth > 0:
-                opts += ["not", "if"]
-                if not self.small:
-                    opts.append("eq")
+                opts += ["not", "if", "eq"]
         if isinstance(t, ProdT):
             opts += ["pair", "pair"]
         choice = rng.choice(opts)
@@ -114,11 +107,10 @@ class Gen:
         """A command producing `out_t` with the command context `env`."""
         rng = self.rng
         opts = ["unit"]
-        capps = [n for n, (_, o) in self.sigs.items() if o == out_t]
+        capps = [n for n, (_, o) in SUPER_SIGS.items() if o == out_t]
         if capps:
             opts += ["capp", "capp"]
-        if (not self.small and isinstance(out_t, ProdT)
-                and out_t.left == out_t.right):
+        if isinstance(out_t, ProdT) and out_t.left == out_t.right:
             opts.append("meas")
         opts.append("trl")
         if depth > 0:
@@ -128,14 +120,14 @@ class Gen:
             return CUnit(self.term_of(env, out_t, 2))
         if choice == "capp":
             name = rng.choice(capps)
-            in_t, _ = self.sigs[name]
+            in_t, _ = SUPER_SIGS[name]
             return CApp(Var(name), self.term_of(env, in_t, 2))
         if choice == "meas":
             return Meas(self.term_of(env, out_t.left, 2))
         if choice == "trl":
-            side = B if self.small else rng.choice([B, BB])
+            side = rng.choice([B, BB])
             return TrL(self.term_of(env, ProdT(side, out_t), 2))
-        mid = B if self.small else rng.choice([B, B, BB])
+        mid = rng.choice([B, B, BB])
         bound = self.command(env, mid, depth - 1)
         if isinstance(mid, ProdT) and rng.random() < 0.3:
             a, b = self.fresh("p"), self.fresh("q")
@@ -182,13 +174,12 @@ class Gen:
 
 
 def random_super(seed: int, in_t: Optional[TypeExpr] = None,
-                 out_t: Optional[TypeExpr] = None, depth: int = 2,
-                 small: bool = False) -> tuple[ArrowAbs, SuperT]:
+                 out_t: Optional[TypeExpr] = None,
+                 depth: int = 2) -> tuple[ArrowAbs, SuperT]:
     """A closed arrow abstraction over prelude names, with its type."""
-    g = Gen(seed, small=small)
-    pickable = [B] if small else [B, BB]
-    in_t = in_t if in_t is not None else g.rng.choice(pickable)
-    out_t = out_t if out_t is not None else g.rng.choice(pickable)
+    g = Gen(seed)
+    in_t = in_t if in_t is not None else g.rng.choice([B, BB])
+    out_t = out_t if out_t is not None else g.rng.choice([B, BB])
     x = g.fresh("x")
     cmd = g.command([(x, in_t)], out_t, depth)
     return ArrowAbs(PVar(x), cmd), SuperT(in_t, out_t)

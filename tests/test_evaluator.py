@@ -1,5 +1,5 @@
 """Evaluator behaviour: value forms, vector arithmetic, and the batched
-pipeline semantics checked against independently-built dense oracles."""
+pipeline semantics checked against dense oracles and ``reference_super``."""
 
 import tracemalloc
 
@@ -37,15 +37,15 @@ from qarrow.evaluator import (
     est_cells,
     eval_arrow_abs,
 )
-from qarrow.linalg import basis, dim, vec_return
+from qarrow.linalg import basis, dim
 from qarrow.syntax import rebuild
 
 import randprog
-from dense_arrow import (fun2lin, reference_super, super_arr, super_compose,
-                         super_first, super_from_lin, super_meas, super_second,
-                         super_trL)
+from dense_arrow import (super_arr, super_first, super_from_lin, super_meas,
+                         super_second, super_trL)
 from helpers import (classic_children, dens_close, materialize_lin,
                      matrix_built, random_density)
+from reference import choi, reference_super
 
 B = BoolT()
 BB = ProdT(B, B)
@@ -395,20 +395,19 @@ def test_materialize_lin_hadamard(prelude):
 
 
 # --------------------------------------------------------------------------
-# Batched evaluation agrees with the clause-by-clause reference semantics
+# Batched evaluation agrees with the reference semantics
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_batched_matches_reference_small(prelude, seed):
-    term, t = randprog.random_super(seed, B, B, small=True)
+    term, t = randprog.random_super(seed, B, B)
     _, term = elaborate_term(prelude.types, term, t)
     got = eval_arrow_abs(term, dict(prelude.env)).val
     want = reference_super(term, dict(prelude.env))
     assert np.max(np.abs(got.action - want.action)) <= 1e-12
 
 
-# measurement in several positions, against the clause-by-clause reference
-# (kept small by hand: the reference semantics is exponential in context size)
+# measurement in several positions, against the reference
 MEAS_PROGRAMS = [
     ("\\@q. let p = meas q in [p]", SuperT(B, BB)),
     ("\\@q. let (a, b) = meas q in trL (a, b)", SuperT(B, B)),
@@ -489,48 +488,6 @@ def test_each_map_is_computed_once_per_superoperator(prelude, monkeypatch):
     assert len(calls) == len(list(_nodes(s.pipe, Arr))) > 0
 
 
-# Dense references for the prelude channels whose `reference_super` would
-# need gigabytes: each is its gates' unitary, then measurement or a partial
-# trace.  Wire order is the type's, the leftmost qubit most significant.
-T3 = ProdT(B, BB)
-CNOT = np.eye(4)[:, [0, 1, 3, 2]]
-I2 = np.eye(2)
-
-
-def _then_trace(u, move):
-    """ρ ↦ u ρ u† on (Bool, (Bool, Bool)), then the partial trace over the
-    two wires that `move` puts on the left."""
-    moved = ProdT(BB, B)
-    return super_compose(super_compose(super_from_lin(u, T3, T3),
-                                       super_arr(move, T3, moved)),
-                         super_trL(moved))
-
-
-def _bob_lin(v):
-    b, (z, x) = v
-    b ^= x                                  # Cnot @ (x, b), then Cz @ (z, b)
-    return (-1) ** (z and b) * vec_return(T3, (b, (z, x)))
-
-
-DENSE_PRELUDE = {
-    "toffoli": lambda: super_arr(
-        lambda v: (v[0], (v[1][0], v[1][1] ^ (v[0] and v[1][0]))), T3, T3),
-    "Alice": lambda: super_compose(super_compose(
-        super_from_lin(np.kron(H, I2) @ CNOT, BB, BB), super_meas(BB)),
-        super_trL(ProdT(BB, BB))),
-    "Bob": lambda: _then_trace(fun2lin(_bob_lin, T3, T3),
-                               lambda v: (v[1], v[0])),
-    # bell on (a, b), Alice's gates on (m, a), Bob's corrections on b.  Her
-    # measurement is left out: it dephases only the wires that are traced
-    # out after acting as controls, which changes nothing.
-    "teleport": lambda: _then_trace(
-        np.diag([1, 1, 1, 1, 1, -1, 1, -1]) @ np.kron(I2, CNOT)
-        @ np.kron(H, np.eye(4)) @ np.kron(CNOT, I2) @ np.kron(I2, CNOT)
-        @ np.kron(np.kron(I2, H), I2),
-        lambda v: ((v[0], v[1][0]), v[1][1])),
-}
-
-
 def _plan_is_not_written_through(s, want):
     rho1, rho2 = _densities(dim(s.in_type))[-2:]
     kept = rho1.copy()
@@ -548,8 +505,7 @@ def test_plan_is_not_written_through_on_prelude(prelude, defs_map):
     assert len(names) == 12
     for name in names:
         s = prelude.env[name]
-        want = (DENSE_PRELUDE[name]() if name in DENSE_PRELUDE
-                else reference_super(defs_map[name], dict(prelude.env)))
+        want = reference_super(defs_map[name], dict(prelude.env))
         _plan_is_not_written_through(SuperV(s.pipe, s.env), want)
 
 
@@ -565,27 +521,17 @@ def test_plan_is_not_written_through_on_random_programs(prelude, seed):
 # Every built matrix is completely positive and trace preserving
 
 
-def _choi(action, d_in, d_out):
-    """J = sum over i, j of |i><j| (x) Phi(|i><j|), indexed [(i, a), (j, b)]."""
-    a = action.reshape(d_out, d_out, d_in, d_in)
-    return a.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
-
-
-def _choi_of(s):
-    return _choi(s.val.action, dim(s.in_type), dim(s.out_type))
-
-
 def _assert_completely_positive(s):
-    choi = _choi_of(s)
-    assert np.max(np.abs(choi - choi.conj().T)) <= 1e-12
-    assert np.linalg.eigvalsh(choi).min() >= -1e-9
+    j = choi(s.val.action, dim(s.in_type), dim(s.out_type))
+    assert np.max(np.abs(j - j.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(j).min() >= -1e-9
 
 
 def _assert_trace_preserving(s):
     # the partial trace of the Choi matrix over the output is the identity
     d_in, d_out = dim(s.in_type), dim(s.out_type)
-    choi = _choi_of(s).reshape(d_in, d_out, d_in, d_out)
-    traced = np.einsum("iaja->ij", choi)
+    j = choi(s.val.action, d_in, d_out).reshape(d_in, d_out, d_in, d_out)
+    traced = np.einsum("iaja->ij", j)
     assert np.max(np.abs(traced - np.eye(d_in))) <= 1e-9
 
 
@@ -593,7 +539,7 @@ def test_choi_detects_a_positive_map_that_is_not_completely_positive():
     # the transpose is positive and trace preserving; its Choi matrix is
     # the swap, with eigenvalue -1
     transpose = np.eye(4).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3).reshape(4, 4)
-    assert np.linalg.eigvalsh(_choi(transpose, 2, 2)).min() == pytest.approx(-1)
+    assert np.linalg.eigvalsh(choi(transpose, 2, 2)).min() == pytest.approx(-1)
 
 
 def test_prelude_channels_are_cptp(prelude):
@@ -651,9 +597,8 @@ def test_evaluation_builds_no_matrix(prelude, monkeypatch):
 
 def _shared_case(seed=238):
     # an assoc-law instance: x1 feeds the keep leg and, through Had, the
-    # bound leg of the outer let.  Seed 238's contexts stay small enough for
-    # the reference (dimension 4), and its bound leg is coherent, so a wrong
-    # index order shows.
+    # bound leg of the outer let.  Seed 238's bound leg is coherent, so a
+    # wrong index order shows.
     inst = randprog.law_instance(seed, "assoc")
     return inst.term, inst.type_
 

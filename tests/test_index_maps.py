@@ -1,56 +1,36 @@
 """Index maps and lift matrices over wires.
 
 ``evaluator._arr_index_map`` and ``_lift_matrix`` compute a pure map over
-the wires each subterm reads.  The per-element loops below, which evaluate
-the body once per basis element of the whole context, are the oracle: on
-every ``arr`` and ``lift`` node of the prelude, the README demo, GHZ-2..5,
-random supers and law instances, the two must agree exactly.
+the wires each subterm reads.  The reference semantics' per-element maps
+(``reference.index_map`` and ``lift_matrix``), which evaluate the body once
+per basis element of the whole context, are the oracle: on every ``arr``
+and ``lift`` node of the prelude, the README demo, GHZ-2..5, random supers
+and law instances, the two must agree exactly.
 """
 import itertools
 
 import numpy as np
 import pytest
 
-from qarrow import (EvalError, SuperV, elaborate_program, elaborate_term,
-                    eval_program, eval_term, parse_program, parse_term)
+from qarrow import (ClosureV, EvalError, SuperV, elaborate_program,
+                    elaborate_term, eval_program, eval_term, parse_program,
+                    parse_term)
 from qarrow import evaluator as ev
 from qarrow.classic import Arr, LiftLin
-from qarrow.linalg import basis, dim, elem_index
+from qarrow.linalg import dim
 from qarrow.rewriter import apply_law_at
 from qarrow.syntax import (ArrowAbs, BoolLit, BoolT, Fst, Lam, Pair, PPair,
                            ProdT, PVar, Snd, Var)
 
 import randprog
-from dense_arrow import _fn_env, _ref_pure
+import reference
 from helpers import classic_children
 
 B = BoolT()
 
 
 # --------------------------------------------------------------------------
-# The oracle: one evaluation per element of the whole context basis
-
-
-def oracle_index_map(e: Arr, env: dict) -> np.ndarray:
-    m = np.empty(dim(e.in_type), dtype=np.int64)
-    for i, elem in enumerate(basis(e.in_type)):
-        v = ev.eval_term(e.fn.body, _fn_env(e.fn, elem, env))
-        ev.elem_type_of_value(v)    # refuses a value that is not a basis value
-        m[i] = elem_index(e.out_type, v)
-    return m
-
-
-def oracle_lift_matrix(e: LiftLin, env: dict) -> np.ndarray:
-    do, di = dim(e.out_type), dim(e.in_type)
-    mat = np.zeros((do, di), dtype=complex)
-    for i, elem in enumerate(basis(e.in_type)):
-        v = ev.eval_term(e.fn.body, _fn_env(e.fn, elem, env))
-        if not isinstance(v, ev.VecV):
-            raise EvalError("lifted function must produce a vector")
-        if v.amp.shape[0] != do:
-            raise EvalError("lifted function dimension mismatch")
-        mat[:, i] = v.amp
-    return mat
+# The evaluator's maps, and the oracle's from ``reference``
 
 
 def index_map(e: Arr, env: dict) -> np.ndarray:
@@ -62,21 +42,20 @@ def lift_matrix(e: LiftLin, env: dict) -> np.ndarray:
     return ev._lift_matrix(e, env, dim(e.in_type), dim(e.out_type))
 
 
-def _outcome(f, e, env):
+def _outcome(f, *args):
     try:
-        return f(e, env)
+        return f(*args)
     except EvalError as err:
         return err
 
 
 def assert_agrees(e, env) -> None:
     """The wire computation of `e` equals the oracle's, or both refuse."""
-    if isinstance(e, Arr):
-        new = _outcome(index_map, e, env)
-        old = _outcome(oracle_index_map, e, env)
-    else:
-        new = _outcome(lift_matrix, e, env)
-        old = _outcome(oracle_lift_matrix, e, env)
+    ours, oracle = ((index_map, reference.index_map) if isinstance(e, Arr)
+                    else (lift_matrix, reference.lift_matrix))
+    new = _outcome(ours, e, env)
+    old = _outcome(oracle, ClosureV(e.fn.pat, e.fn.body, env), e.in_type,
+                   e.out_type)
     if isinstance(old, EvalError) or isinstance(new, EvalError):
         assert type(new) is type(old), (e, new, old)
     else:
@@ -231,13 +210,11 @@ def test_shadowed_context_name_reads_the_later_binding(prelude):
 
 @pytest.mark.parametrize("body", ["\\y. y", "(x, \\y. y)", "[x]"])
 def test_a_map_to_values_that_are_not_basis_values_is_refused(body):
-    delta = ((PVar("x"), B),)
     e = Arr(Lam(PVar("x"), parse_term(body)), in_type=B, out_type=B)
-    for f in (index_map, oracle_index_map):
-        with pytest.raises(EvalError):
-            f(e, {})
+    with pytest.raises(EvalError):
+        index_map(e, {})
     with pytest.raises(EvalError, match="not a basis value"):
-        _ref_pure(delta, parse_term(body), B, B, {})
+        reference.index_map(ClosureV(e.fn.pat, e.fn.body, {}), B, B)
 
 
 def test_argument_maps_of_meas_and_trl(prelude):
@@ -296,5 +273,6 @@ def test_computation_runs_over_its_own_wires(prelude, eval_calls):
     index_map(arr, s.env)
     assert eval_calls[0] == 2
     eval_calls[0] = 0
-    oracle_index_map(arr, s.env)
+    reference.index_map(ClosureV(arr.fn.pat, arr.fn.body, s.env), arr.in_type,
+                        arr.out_type)
     assert eval_calls[0] == 32

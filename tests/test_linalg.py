@@ -15,14 +15,13 @@ import pytest
 
 from qarrow.linalg import (basis, dens_from_json, dens_to_json, dim,
                            elem_index, elem_str, is_hermitian, pure_density,
-                           render_density, render_vector, vec_return,
-                           vec_to_json, vec_zero)
+                           render_density, render_vector, SuperVal,
+                           vec_return, vec_to_json, vec_zero)
 from qarrow.syntax import BoolT, ProdT
 
 from dense_arrow import (apply_super, lin2super_matrix, super_arr,
-                         super_compose, super_fanout, super_first,
-                         super_from_lin, super_identity, super_meas,
-                         super_second, super_trL)
+                         super_compose, super_first, super_from_lin,
+                         super_meas, super_second, super_trL)
 from helpers import dens_close, random_density
 
 B = BoolT()
@@ -117,12 +116,7 @@ def test_super_compose_order():
                       apply_super(m, rho), 1e-12)
 
 
-def test_super_identity():
-    rho = random_density(RNG, 4)
-    assert dens_close(apply_super(super_identity(BB), rho), rho, 1e-12)
-
-
-# ---- first / second / fanout against einsum oracles --------------------------------
+# ---- first / second against einsum oracles --------------------------------
 
 def _random_super(d):
     """A random superoperator as a sum of two conjugations (not TP)."""
@@ -132,7 +126,6 @@ def _random_super(d):
 
 
 def test_super_first_oracle():
-    from qarrow.linalg import SuperVal
     act = _random_super(2)
     s = SuperVal(B, B, act)
     rho = random_density(RNG, 8).reshape(8, 8)
@@ -144,7 +137,6 @@ def test_super_first_oracle():
 
 
 def test_super_second_oracle():
-    from qarrow.linalg import SuperVal
     act = _random_super(2)
     s = SuperVal(B, B, act)
     rho = random_density(RNG, 8).reshape(8, 8)
@@ -153,19 +145,6 @@ def test_super_second_oracle():
     rho4 = rho.reshape(4, 2, 4, 2)
     expect = np.einsum("pqrs,arbs->apbq", act4, rho4).reshape(8, 8)
     assert np.allclose(got, expect, atol=1e-12)
-
-
-def test_super_fanout_of_pure_functions():
-    f = lambda e: not e
-    g = lambda e: e
-    fan = super_fanout(super_arr(f, B, B), super_arr(g, B, B))
-    direct = super_arr(lambda e: (f(e), g(e)), B, BB)
-    assert np.allclose(fan.action, direct.action, atol=1e-12)
-
-
-def test_super_fanout_types():
-    fan = super_fanout(super_identity(B), super_arr(lambda e: (e, e), B, BB))
-    assert fan.in_type == B and fan.out_type == ProdT(B, BB)
 
 
 # ---- measurement and partial trace ---------------------------------------------------
