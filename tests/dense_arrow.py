@@ -35,8 +35,9 @@ def super_from_lin(mat: np.ndarray, in_t: TypeExpr, out_t: TypeExpr) -> SuperVal
 
 def super_arr(f: Callable[[Elem], Elem], in_t: TypeExpr, out_t: TypeExpr) -> SuperVal:
     """Lift a pure basis function."""
-    r = [elem_index(out_t, f(v)) for v in basis(in_t)]
-    mat = np.eye(dim(out_t), dtype=complex)[:, r]
+    mat = np.zeros((dim(out_t), dim(in_t)), dtype=complex)
+    for i, v in enumerate(basis(in_t)):
+        mat[elem_index(out_t, f(v)), i] = 1.0
     return super_from_lin(mat, in_t, out_t)
 
 

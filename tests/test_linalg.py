@@ -15,8 +15,8 @@ import pytest
 
 from qarrow.linalg import (basis, dens_from_json, dens_to_json, dim,
                            elem_index, elem_str, is_hermitian, pure_density,
-                           render_density, render_vector, SuperVal,
-                           vec_return, vec_to_json, vec_zero)
+                           render_density, render_vector, vec_return,
+                           vec_to_json, vec_zero)
 from qarrow.syntax import BoolT, ProdT
 
 from dense_arrow import (apply_super, lin2super_matrix, super_arr,
@@ -126,6 +126,7 @@ def _random_super(d):
 
 
 def test_super_first_oracle():
+    from qarrow.linalg import SuperVal
     act = _random_super(2)
     s = SuperVal(B, B, act)
     rho = random_density(RNG, 8).reshape(8, 8)
@@ -137,6 +138,7 @@ def test_super_first_oracle():
 
 
 def test_super_second_oracle():
+    from qarrow.linalg import SuperVal
     act = _random_super(2)
     s = SuperVal(B, B, act)
     rho = random_density(RNG, 8).reshape(8, 8)
